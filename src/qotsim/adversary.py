@@ -1,23 +1,34 @@
 """Dishonest-party strategies probing the protocol's privacy claims.
 
-Each strategy replaces one hook of the honest behavior and leaves the
-counterpart fully honest, including all checks.  Information gain is always
-recomputed from ground truth (the actual basis matches), never taken from
-the adversary's own claims.
+Each strategy is one row of :data:`STRATEGIES`.  It replaces one hook of
+the honest behavior and leaves the counterpart fully honest, including all
+checks.  Information gain is always recomputed from ground truth (the
+actual basis matches), never taken from the adversary's own claims.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .channel import RandomSource
-from .commitment import CheatModel, CommitmentSession
-from .params import Case, ProtocolParams
+from .commitment import CheatModel
+from .params import (
+    Case,
+    ProtocolParams,
+    commitment_attack_bound,
+    correctness_epsilon,
+    exact_failure_oracle,
+    privacy_epsilon,
+)
 from .protocol import (
     ChoiceVector,
     HonestBob,
+    InputBits,
     InsufficientMatches,
     Status,
     _random_legal_family,
@@ -27,28 +38,19 @@ from .protocol import (
     CheatDetected,
 )
 
-STRATEGY_KINDS = (
-    "honest",
-    "greedy",
-    "dishonest-removal",
-    "postpone",
-    "commit-cheat",
-    "curious-alice",
-)
-
 
 @dataclass(frozen=True)
 class Strategy:
-    """A named adversary.  `p` is required for commit-cheat; `strict_alice`
-    selects the strict removal verifier against dishonest-removal."""
+    """A named adversary (a key of :data:`STRATEGIES`).  `p` is required for
+    commit-cheat; `strict_alice` selects the strict removal verifier."""
 
     kind: str
     p: float | None = None
     strict_alice: bool = False
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy {self.kind!r}; one of {STRATEGY_KINDS}")
+        if self.kind not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.kind!r}; one of {tuple(STRATEGIES)}")
         if self.kind == "commit-cheat":
             if self.p is None or not 0.0 < self.p < 1.0:
                 raise ValueError("commit-cheat requires p in (0,1)")
@@ -56,13 +58,15 @@ class Strategy:
 
 @dataclass
 class AdversarialOutcome:
-    """What one adversarial session achieved."""
+    """What one adversarial session achieved.  `wrong_decode` is True when a
+    completed run recovered a chosen bit different from Alice's input."""
 
     caught: bool
     bits_learned: int
     target_exceeded: bool
     status: Status
     choice_guess: tuple[int, ...] | None = None
+    wrong_decode: bool = False
 
 
 class GreedyBob(HonestBob):
@@ -121,28 +125,6 @@ class LeakyBob(HonestBob):
         return [np.asarray(f) for f in family], labels
 
 
-_BOB_BEHAVIORS = {
-    "honest": HonestBob,
-    "greedy": GreedyBob,
-    "dishonest-removal": DishonestRemovalBob,
-}
-
-
-def greedy_bob_subsets(state, params: ProtocolParams, choices, rng: RandomSource):
-    """Greedy family for an in-flight session, or None if matches fall short."""
-    if not isinstance(choices, ChoiceVector):
-        choices = ChoiceVector(tuple(choices), n=params.n)
-    try:
-        return GreedyBob().build_family(state, choices, rng)[0]
-    except InsufficientMatches:
-        return None
-
-
-def dishonest_removal(state, params: ProtocolParams, rng: RandomSource) -> np.ndarray:
-    """Slots a dishonest-removal Bob would unveil (mismatched, low case)."""
-    return np.flatnonzero(DishonestRemovalBob().removal_pool(state, state.match_flags()))
-
-
 def postpone_bob(params: ProtocolParams, rng: RandomSource) -> AdversarialOutcome:
     """Run phases 1-2 with an unmeasuring Bob; caught iff a challenge fails."""
     rng_a = rng.stream("alice")
@@ -158,30 +140,6 @@ def postpone_bob(params: ProtocolParams, rng: RandomSource) -> AdversarialOutcom
         bits_learned=0,
         target_exceeded=False,
         status=Status.ABORT_CHEAT_DETECTED if caught else Status.COMPLETED,
-    )
-
-
-def commit_cheat_bob(params: ProtocolParams, p: float, rng: RandomSource) -> AdversarialOutcome:
-    """Forge the (N-x)/n unveils supporting one extra all-matching subset.
-
-    Each forgery is accepted independently with probability p; Bob gains the
-    extra bit only if every forgery survives.
-    """
-    cheat = CheatModel(p)
-    session = CommitmentSession()
-    forgeries = params.subset_size
-    values = rng.bits(forgeries)
-    accepted_all = True
-    for v in values:
-        handle = session.commit(int(v))
-        _, accepted = session.cheat_unveil(handle, 1 - int(v), cheat, rng)
-        if not accepted:
-            accepted_all = False
-    return AdversarialOutcome(
-        caught=not accepted_all,
-        bits_learned=params.m + 1 if accepted_all else params.m,
-        target_exceeded=accepted_all,
-        status=Status.COMPLETED if accepted_all else Status.ABORT_CHEAT_DETECTED,
     )
 
 
@@ -202,16 +160,76 @@ def commit_cheat_trials(
     return successes
 
 
-def _curious_alice_guess(outcome) -> tuple[int, ...] | None:
-    """Guess the choice vector from the announced family alone: the labels of
-    the subsets holding the smallest surviving indices.  Under the uniform-
-    announcement property this hits the true vector with chance probability."""
-    family = outcome.detail.get("family")
-    if family is None:
-        return None
+def _curious_alice_guess(outcome) -> tuple[int, ...]:
+    """Guess the choice vector of a completed run from the announced family
+    alone: the labels of the subsets holding the smallest surviving indices.
+    Under uniform announcement this hits the true vector at chance level."""
+    family = outcome.detail["family"]
     m = len(outcome.detail["claimed"])
     order = sorted(range(len(family)), key=lambda k: int(family[k][0]) if len(family[k]) else -1)
     return tuple(sorted(k + 1 for k in order[:m]))
+
+
+def _commit_cheat_session(params: ProtocolParams, strategy: Strategy,
+                          rng: RandomSource) -> AdversarialOutcome:
+    """One commit-cheat session: a single draw of :func:`commit_cheat_trials`."""
+    accepted = commit_cheat_trials(params, strategy.p, 1, rng) == 1
+    return AdversarialOutcome(
+        caught=not accepted,
+        bits_learned=params.m + accepted,
+        target_exceeded=accepted,
+        status=Status.COMPLETED if accepted else Status.ABORT_CHEAT_DETECTED,
+    )
+
+
+@dataclass(frozen=True)
+class StrategySpec:
+    """Everything about one strategy: one row of :data:`STRATEGIES`."""
+
+    event: str  # name of the tracked event
+    hit: Callable  # hit(outcome, choices): did one session produce the event?
+    reference: Callable  # reference(params, strategy): exact rate of the event
+    bound: Callable | None = None  # correctness_epsilon, privacy_epsilon or commitment_attack_bound
+    bob: type[HonestBob] = HonestBob  # Bob of a full protocol session
+    session: Callable | None = None  # session(params, strategy, rng), run instead of the protocol
+    batch: Callable | None = None  # batch(params, strategy, trials, rng): hits over many sessions
+
+
+def _oracle(event: str) -> Callable:
+    return lambda params, strategy: exact_failure_oracle(params, event)
+
+
+def _extra_bit(adv: AdversarialOutcome, choices) -> bool:
+    return adv.target_exceeded
+
+
+STRATEGIES: dict[str, StrategySpec] = {
+    "honest": StrategySpec(
+        event="abort", reference=_oracle("correctness"), bound=correctness_epsilon,
+        hit=lambda adv, choices: adv.status is not Status.COMPLETED or adv.wrong_decode),
+    "greedy": StrategySpec(
+        event="extra_bit_success", hit=_extra_bit, reference=_oracle("privacy"),
+        bound=privacy_epsilon, bob=GreedyBob),
+    "dishonest-removal": StrategySpec(
+        event="extra_bit_success", hit=_extra_bit, bound=privacy_epsilon, bob=DishonestRemovalBob,
+        # the strict verifier rejects every mismatched removal, so no session survives it
+        reference=lambda params, s: Fraction(0) if s.strict_alice
+        else exact_failure_oracle(params, "privacy_dishonest_removal")),
+    "postpone": StrategySpec(
+        event="challenge_survival", hit=lambda adv, choices: not adv.caught,
+        reference=lambda params, s: Fraction(3, 4) ** params.N,
+        session=lambda params, s, rng: postpone_bob(params, rng)),
+    "commit-cheat": StrategySpec(
+        event="commit_cheat_success", hit=_extra_bit, bound=commitment_attack_bound,
+        reference=lambda params, s: s.p ** params.subset_size, session=_commit_cheat_session,
+        batch=lambda params, s, trials, rng: commit_cheat_trials(params, s.p, trials, rng)),
+    "curious-alice": StrategySpec(
+        event="choice_guess_correct",
+        hit=lambda adv, choices: adv.choice_guess == tuple(sorted(choices)),
+        # chance level per completed run, scaled by the completion probability
+        reference=lambda params, s: (1 - exact_failure_oracle(params, "correctness"))
+        / math.comb(params.n, params.m)),
+}
 
 
 def run_with_adversary(
@@ -223,30 +241,30 @@ def run_with_adversary(
 ) -> AdversarialOutcome:
     """Execute one session with the given party replaced by `strategy`."""
     root = seed if isinstance(seed, RandomSource) else RandomSource(int(seed))
-    if strategy.kind == "postpone":
-        return postpone_bob(params, root)
-    if strategy.kind == "commit-cheat":
-        return commit_cheat_bob(params, strategy.p, root)
+    spec = STRATEGIES[strategy.kind]
+    if spec.session is not None:
+        return spec.session(params, strategy, root)
 
-    bob_cls = _BOB_BEHAVIORS.get(strategy.kind, HonestBob)
     outcome = run_protocol(
         params, inputs, choices, root,
-        bob=bob_cls(),
+        bob=spec.bob(),
         strict_removal=strategy.strict_alice,
     )
     caught = outcome.status is Status.ABORT_CHEAT_DETECTED
+    bits_learned = 0
+    guess = None
+    wrong = False
     if outcome.status is Status.COMPLETED:
         truly_matching = set(outcome.detail["all_matching_labels"])
         bits_learned = len(set(outcome.detail["claimed"]) & truly_matching)
-    else:
-        bits_learned = 0
-    guess = None
-    if strategy.kind == "curious-alice" and outcome.status is Status.COMPLETED:
         guess = _curious_alice_guess(outcome)
+        bits = inputs.bits if isinstance(inputs, InputBits) else tuple(inputs)
+        wrong = any(v != int(bits[c - 1]) for c, v in outcome.recovered.items())
     return AdversarialOutcome(
         caught=caught,
         bits_learned=bits_learned,
         target_exceeded=bits_learned > params.m,
         status=outcome.status,
         choice_guess=guess,
+        wrong_decode=wrong,
     )

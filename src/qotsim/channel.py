@@ -120,15 +120,13 @@ def transmit_batch(
     bases_sender: np.ndarray,
     bases_receiver: np.ndarray,
     rng: RandomSource,
-    flip_prob: float = 0.0,
 ) -> np.ndarray:
     """Vectorized send/measure of a batch of photons.
 
     Bases are given as 0/1 arrays (0 = rectilinear, 1 = diagonal).  One
     random bit is drawn per basis mismatch, in index order, so the result is
     draw-for-draw identical to a scalar loop over :func:`measure` with the
-    same stream.  `flip_prob` is a noise hook (per-photon flip probability);
-    it defaults to 0, matching the noiseless-channel assumption.
+    same stream.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     bases_sender = np.asarray(bases_sender, dtype=np.uint8)
@@ -138,7 +136,4 @@ def transmit_batch(
     k = int(mismatch.sum())
     if k:
         out[mismatch] = rng.bits(k)
-    if flip_prob > 0.0:
-        flips = rng.gen.random(out.shape[0]) < flip_prob
-        out ^= flips.astype(np.uint8)
     return out

@@ -13,7 +13,7 @@ import dataclasses
 import os
 import sys
 
-from .adversary import STRATEGY_KINDS, Strategy
+from .adversary import STRATEGIES, Strategy
 from .harness import (
     ExperimentConfig,
     all_verdicts_pass,
@@ -23,7 +23,7 @@ from .harness import (
     privacy_independence_test,
     run_experiment,
 )
-from .params import build_bound_report, smallest_valid_N, validate_params
+from .params import _EVENTS, build_bound_report, smallest_valid_N, validate_params
 
 
 def _default_seed() -> int:
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="adversarial Monte Carlo experiment")
     _add_common(p)
-    p.add_argument("--strategy", choices=[k for k in STRATEGY_KINDS if k != "honest"],
+    p.add_argument("--strategy", choices=[k for k in STRATEGIES if k != "honest"],
                    required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--strict-alice", action="store_true")
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact event probability")
     _add_common(p)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--event", choices=("correctness", "privacy"), required=True)
+    p.add_argument("--event", choices=tuple(_EVENTS), required=True)
 
     return parser
 

@@ -13,7 +13,7 @@ import dataclasses
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,25 +21,24 @@ from scipy.stats import chi2_contingency
 
 from . import __version__
 from .adversary import (
-    AdversarialOutcome,
+    STRATEGIES,
     LeakyBob,
     Strategy,
-    commit_cheat_trials,
     run_with_adversary,
 )
 from .channel import RandomSource
 from .params import (
-    Case,
+    _EVENTS,
     HoeffdingQuery,
     ProtocolParams,
     commitment_attack_bound,
     correctness_epsilon,
+    exact_failure_oracle,  # re-exported: the oracle lives in params
     hoeffding_bound,
     min_N,
-    privacy_epsilon,
     validate_params,
 )
-from .protocol import Status, run_protocol
+from .protocol import HonestBob, Status, run_protocol
 
 # 99% two-sided normal quantile, for Wilson intervals
 _Z99 = 2.5758293035489004
@@ -77,7 +76,7 @@ class AggregateStats:
     completed: int
     aborts: dict[str, int]
     wrong_decodes: int
-    oracle_rate: float | None = None
+    oracle_rate: float
     oracle_exact: str | None = None
 
 
@@ -108,53 +107,6 @@ def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple[float
 # exact oracles
 # ---------------------------------------------------------------------------
 
-def _honest_run_feasible(params: ProtocolParams, matches: int) -> bool:
-    """Can an honest Bob with this survivor match count finish the protocol?"""
-    if params.case is Case.LOW:
-        return matches >= params.x and (matches - params.x) >= params.m * params.subset_size
-    return (params.N - matches) >= params.x and matches >= params.m * params.subset_size
-
-
-def _extra_bit_feasible(params: ProtocolParams, matches: int) -> bool:
-    """Can a greedy Bob form m+1 all-matching subsets while complying with removal?"""
-    need = (params.m + 1) * params.subset_size
-    if params.case is Case.LOW:
-        return matches >= params.x + need
-    return (params.N - matches) >= params.x and matches >= need
-
-
-def _dishonest_removal_feasible(params: ProtocolParams, matches: int) -> bool:
-    """Low case: Bob removes mismatches instead, keeping all matches for subsets."""
-    need = (params.m + 1) * params.subset_size
-    return (params.N - matches) >= params.x and matches >= need
-
-
-_EVENTS = {
-    "correctness": lambda p, M: not _honest_run_feasible(p, M),
-    "privacy": _extra_bit_feasible,
-    "privacy_m_plus_1": _extra_bit_feasible,
-    "privacy_dishonest_removal": _dishonest_removal_feasible,
-}
-
-
-def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> Fraction:
-    """Exact probability of the event under M ~ Binomial(N, 1/2).
-
-    Events: "correctness" (honest Bob cannot finish), "privacy" (a greedy
-    Bob can decode m+1 bits), "privacy_dishonest_removal".
-    """
-    try:
-        pred = _EVENTS[event]
-    except KeyError:
-        raise ValueError(f"unknown event {event!r}; one of {sorted(_EVENTS)}") from None
-    N = params.N
-    total = Fraction(0)
-    for M in range(N + 1):
-        if pred(params, M):
-            total += Fraction(math.comb(N, M), 2**N)
-    return total
-
-
 def brute_force_failure_probability(params: ProtocolParams, event: str = "correctness") -> Fraction:
     """Independent check of the oracle: enumerate all 2^N basis-coin outcomes.
 
@@ -167,7 +119,6 @@ def brute_force_failure_probability(params: ProtocolParams, event: str = "correc
     pred = _EVENTS[event]
     masks = np.arange(2**N, dtype=np.uint64)
     match_counts = np.bitwise_count(masks)
-    hits = 0
     # predicate depends on the match count only; evaluate once per count,
     # but tally outcome-by-outcome so the enumeration stays the checked route
     by_count = np.array([bool(pred(params, M)) for M in range(N + 1)])
@@ -195,93 +146,52 @@ def _trial_inputs(config: ExperimentConfig, rng: RandomSource) -> tuple:
 def run_experiment(config: ExperimentConfig) -> AggregateStats:
     """Execute the configured trials and aggregate counts.
 
-    The tracked event is strategy-dependent: honest runs count aborts
-    (correctness failures); adversarial runs count successes (postpone Bob's
-    "success" is surviving the challenge phase).
+    The tracked event is the strategy's (see :data:`STRATEGIES`): honest runs
+    count aborts and wrong decodes (correctness failures); adversarial runs
+    count successes (postpone Bob's "success" is surviving the challenge
+    phase).
     """
     params = validate_params(config.n, config.m, config.N)
     root = RandomSource(config.seed)
     strategy = config.strategy
+    spec = STRATEGIES[strategy.kind]
     aborts: dict[str, int] = {}
     completed = 0
     wrong = 0
     event_count = 0
 
-    if strategy.kind == "commit-cheat":
-        event_count = commit_cheat_trials(
-            params, strategy.p, config.trials, root.stream("commit-cheat")
-        )
+    if spec.batch is not None:
+        event_count = spec.batch(params, strategy, config.trials, root.stream(strategy.kind))
         completed = event_count
-        event_name = "commit_cheat_success"
     else:
         for k in range(config.trials):
             trial_rng = root.stream(f"trial/{k}")
             bits, choices = _trial_inputs(config, trial_rng)
-            proto_rng = trial_rng.stream("protocol")
-            if strategy.kind == "honest":
-                outcome = run_protocol(params, bits, choices, proto_rng)
-                if outcome.status is Status.COMPLETED:
-                    completed += 1
-                    if any(outcome.recovered[c] != bits[c - 1] for c in choices):
-                        wrong += 1
-                else:
-                    aborts[outcome.status.value] = aborts.get(outcome.status.value, 0) + 1
-                    event_count += 1
+            adv = run_with_adversary(strategy, params, bits, choices, trial_rng.stream("protocol"))
+            if adv.status is Status.COMPLETED:
+                completed += 1
             else:
-                adv = run_with_adversary(strategy, params, bits, choices, proto_rng)
-                if adv.status is Status.COMPLETED:
-                    completed += 1
-                else:
-                    aborts[adv.status.value] = aborts.get(adv.status.value, 0) + 1
-                if strategy.kind == "postpone":
-                    event_count += 0 if adv.caught else 1
-                elif strategy.kind == "curious-alice":
-                    event_count += 1 if adv.choice_guess == tuple(sorted(choices)) else 0
-                else:
-                    event_count += 1 if adv.target_exceeded else 0
-        event_name = {
-            "honest": "abort",
-            "postpone": "challenge_survival",
-            "curious-alice": "choice_guess_correct",
-        }.get(strategy.kind, "extra_bit_success")
+                aborts[adv.status.value] = aborts.get(adv.status.value, 0) + 1
+            wrong += adv.wrong_decode
+            event_count += spec.hit(adv, choices)
 
-    event_count_total = event_count + wrong if strategy.kind == "honest" else event_count
-    rate = event_count_total / config.trials
-    low, high = wilson_interval(event_count_total, config.trials)
-    oracle = _reference_rate(params, strategy)
+    rate = event_count / config.trials
+    low, high = wilson_interval(event_count, config.trials)
+    oracle = spec.reference(params, strategy)
     return AggregateStats(
         trials=config.trials,
         strategy=strategy.kind,
-        event_name=event_name,
-        event_count=event_count_total,
+        event_name=spec.event,
+        event_count=event_count,
         event_rate=rate,
         wilson_low=low,
         wilson_high=high,
         completed=completed,
         aborts=aborts,
         wrong_decodes=wrong,
-        oracle_rate=float(oracle) if oracle is not None else None,
+        oracle_rate=float(oracle),
         oracle_exact=str(oracle) if isinstance(oracle, Fraction) else None,
     )
-
-
-def _reference_rate(params: ProtocolParams, strategy: Strategy):
-    """Exact predicted rate for the tracked event, where one exists."""
-    if strategy.kind == "honest":
-        return exact_failure_oracle(params, "correctness")
-    if strategy.kind == "greedy":
-        return exact_failure_oracle(params, "privacy")
-    if strategy.kind == "dishonest-removal":
-        return exact_failure_oracle(params, "privacy_dishonest_removal")
-    if strategy.kind == "postpone":
-        return Fraction(3, 4) ** params.N
-    if strategy.kind == "commit-cheat":
-        return strategy.p ** params.subset_size
-    if strategy.kind == "curious-alice":
-        # chance level per completed run, scaled by the completion probability
-        completed = 1 - exact_failure_oracle(params, "correctness")
-        return completed / math.comb(params.n, params.m)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +200,25 @@ def _reference_rate(params: ProtocolParams, strategy: Strategy):
 
 def check_bounds(stats: AggregateStats, params: ProtocolParams) -> list[Verdict]:
     """Compare empirical rates with the exact oracle (3-sigma) and with the
-    analytic bounds (<=, only at N >= the non-vacuity threshold)."""
+    analytic bounds of the strategy's bound family (<=, only at N >= the
+    non-vacuity threshold)."""
     verdicts: list[Verdict] = []
     q = stats.oracle_rate
-    if q is not None:
-        sigma = math.sqrt(q * (1 - q) / stats.trials)
-        tol = 3 * sigma
-        verdicts.append(
-            Verdict(
-                criterion=f"{stats.event_name}_rate_within_3sigma_of_oracle",
-                empirical=stats.event_rate,
-                reference=q,
-                relation="within_3sigma",
-                passed=abs(stats.event_rate - q) <= tol,
-                tolerance=tol,
-            )
+    sigma = math.sqrt(q * (1 - q) / stats.trials)
+    tol = 3 * sigma
+    verdicts.append(
+        Verdict(
+            criterion=f"{stats.event_name}_rate_within_3sigma_of_oracle",
+            empirical=stats.event_rate,
+            reference=q,
+            relation="within_3sigma",
+            passed=abs(stats.event_rate - q) <= tol,
+            tolerance=tol,
         )
+    )
 
-    if stats.strategy == "honest":
+    bound = STRATEGIES[stats.strategy].bound
+    if bound is correctness_epsilon:
         verdicts.append(
             Verdict(
                 criterion="completed_runs_decode_exactly",
@@ -317,55 +228,31 @@ def check_bounds(stats: AggregateStats, params: ProtocolParams) -> list[Verdict]
                 passed=stats.wrong_decodes == 0,
             )
         )
-        delta, eps = correctness_epsilon(params.n, params.m)
-    elif stats.strategy in ("greedy", "dishonest-removal"):
-        delta, eps = privacy_epsilon(params.n, params.m)
-    else:
-        delta = eps = None
 
-    if delta is not None and q is not None and params.N >= min_N(delta):
-        raw = hoeffding_bound(HoeffdingQuery(trials=params.N, deviation=float(delta)))
-        verdicts.append(
-            Verdict(
-                criterion="oracle_le_hoeffding_bound",
-                empirical=q,
-                reference=min(raw, 1.0),
-                relation="le",
-                passed=q <= raw,
-            )
-        )
-        verdicts.append(
-            Verdict(
-                criterion="oracle_le_eps_pow_N",
-                empirical=q,
-                reference=eps**params.N,
-                relation="le",
-                passed=q <= eps**params.N,
-            )
-        )
-        verdicts.append(
-            Verdict(
-                criterion="empirical_le_eps_pow_N",
-                empirical=stats.event_rate,
-                reference=eps**params.N,
-                relation="le",
-                passed=stats.event_rate <= eps**params.N,
-            )
-        )
-
-    if stats.strategy == "commit-cheat" and q is not None:
-        # p must be recoverable from the oracle: q = p^subset_size
-        p = q ** (1.0 / params.subset_size)
-        bound, eps_c = commitment_attack_bound(p, params.n, params.N, params.x)
+    if bound is commitment_attack_bound:
+        # q = p^s and eps^N = p^(N/(2n)) = q^(N/(2ns)); both may underflow
+        # to 0.0, so p^s < eps^N is decided exactly: it holds iff 2ns > N.
+        s = params.subset_size
         verdicts.append(
             Verdict(
                 criterion="commitment_bound_lt_eps_pow_N",
-                empirical=bound,
-                reference=eps_c**params.N,
+                empirical=q,
+                reference=q ** (params.N / (2 * params.n * s)),
                 relation="le",
-                passed=bound < eps_c**params.N,
+                passed=2 * params.n * s > params.N,
             )
         )
+    elif bound is not None:
+        delta, eps = bound(params.n, params.m)
+        if params.N >= min_N(delta):
+            raw = hoeffding_bound(HoeffdingQuery(trials=params.N, deviation=float(delta)))
+            eps_pow = eps**params.N
+            for criterion, value, reference, limit in (
+                ("oracle_le_hoeffding_bound", q, min(raw, 1.0), raw),
+                ("oracle_le_eps_pow_N", q, eps_pow, eps_pow),
+                ("empirical_le_eps_pow_N", stats.event_rate, eps_pow, eps_pow),
+            ):
+                verdicts.append(Verdict(criterion, value, reference, "le", value <= limit))
     return verdicts
 
 
@@ -391,7 +278,7 @@ def privacy_independence_test(
     n, m = params.n, params.m
     choice_vectors = list(itertools.combinations(range(1, n + 1), m))
     root = RandomSource(seed)
-    bob_cls = LeakyBob if leaky else None
+    bob_cls = LeakyBob if leaky else HonestBob
     counts: dict[tuple[int, ...], np.ndarray] = {}
     for cv in choice_vectors:
         tally = np.zeros(n, dtype=np.int64)
@@ -399,8 +286,7 @@ def privacy_independence_test(
         bits = (0,) * n
         for k in range(trials_per_choice):
             trial_rng = stream.stream(f"trial/{k}")
-            kwargs = {"bob": bob_cls()} if bob_cls else {}
-            outcome = run_protocol(params, bits, cv, trial_rng, **kwargs)
+            outcome = run_protocol(params, bits, cv, trial_rng, bob=bob_cls())
             if outcome.status is not Status.COMPLETED:
                 continue
             family = outcome.detail["family"]

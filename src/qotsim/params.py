@@ -92,26 +92,15 @@ def validate_params(n: int, m: int, N: int) -> ProtocolParams:
     """Check every admissibility constraint and return the populated params.
 
     Constraints: 1 <= m < n; N >= 1; the removal count x exact; and (N-x)
-    divisible by n so equal-size subsets exist.  The error message lists
-    every violated constraint.
+    divisible by n so equal-size subsets exist.  The first violated
+    constraint raises (:class:`InvalidChoiceCount` or :class:`InvalidN`).
     """
-    _require_choice_count(n, m)
-    violations = []
-    if N < 1:
-        violations.append(f"N must be >= 1, got {N}")
-        raise InvalidN("; ".join(violations))
-    try:
-        x = compute_x(n, m, N)
-    except InvalidN as err:
-        violations.append(str(err))
-        x = None
-    if x is not None and (N - x) % n != 0:
-        violations.append(
+    x = compute_x(n, m, N)
+    if (N - x) % n != 0:
+        raise InvalidN(
             f"(N - x) = {N - x} must be divisible by n = {n} "
             f"to form equal-size subsets"
         )
-    if violations:
-        raise InvalidN("; ".join(violations))
     return ProtocolParams(
         n=n,
         m=m,
@@ -125,7 +114,6 @@ def validate_params(n: int, m: int, N: int) -> ProtocolParams:
 
 def smallest_valid_N(n: int, m: int, floor: int = 1) -> int:
     """Least admissible N >= floor.  Always terminates: admissibility is periodic."""
-    _require_choice_count(n, m)
     N = max(1, int(floor))
     while True:
         try:
@@ -137,27 +125,23 @@ def smallest_valid_N(n: int, m: int, floor: int = 1) -> int:
 
 @dataclass(frozen=True)
 class HoeffdingQuery:
-    """Inputs to the two-sided concentration bound for an empirical mean."""
+    """Inputs to the two-sided concentration bound for the empirical mean of
+    `trials` independent variables in [0, 1]."""
 
     trials: int
     deviation: float
-    low: float = 0.0
-    high: float = 1.0
-    mean: float = 0.5
 
     def __post_init__(self):
         if self.deviation <= 0:
             raise ValueError("deviation must be positive")
-        if self.low >= self.high:
-            raise ValueError("require low < high")
 
 
 def hoeffding_bound(q: HoeffdingQuery) -> float:
-    """Two-sided tail bound 2*exp(-2*N*delta^2/(high-low)).
+    """Two-sided tail bound 2*exp(-2*N*delta^2).
 
     May exceed 1 (vacuous) for small N; callers clamp for reporting.
     """
-    return 2.0 * math.exp(-2.0 * q.trials * float(q.deviation) ** 2 / (q.high - q.low))
+    return 2.0 * math.exp(-2.0 * q.trials * float(q.deviation) ** 2)
 
 
 def correctness_deviation(n: int, m: int) -> Fraction:
@@ -168,9 +152,9 @@ def correctness_deviation(n: int, m: int) -> Fraction:
 
 
 def correctness_epsilon(n: int, m: int) -> tuple[Fraction, float]:
-    """(delta_c, eps_c) with eps_c = exp(-delta_c^2) < 1."""
+    """(delta_c, eps_c) with eps_c = exp(-delta_c^2) < 1; delta_c is
+    1/(2(2n-2m-1)) (low case) or 1/(2(2m+1)) (high case), always positive."""
     delta = correctness_deviation(n, m)
-    assert delta > 0, f"correctness deviation must be positive, got {delta}"
     return delta, math.exp(-float(delta) ** 2)
 
 
@@ -192,9 +176,9 @@ def privacy_sign_anomaly(n: int, m: int) -> bool:
 
 
 def privacy_epsilon(n: int, m: int) -> tuple[Fraction, float]:
-    """(|delta_p|, eps_p) with eps_p = exp(-delta_p^2) < 1."""
+    """(|delta_p|, eps_p) with eps_p = exp(-delta_p^2) < 1; |delta_p| equals
+    delta_c in both cases, so it is always positive."""
     delta = abs(privacy_deviation_signed(n, m))
-    assert delta > 0, f"privacy deviation must be nonzero for n={n}, m={m}"
     return delta, math.exp(-float(delta) ** 2)
 
 
@@ -213,8 +197,9 @@ def min_N(delta) -> int:
 def commitment_attack_bound(p: float, n: int, N: int, x: int) -> tuple[float, float]:
     """Success bound for forging one extra all-matching subset.
 
-    Returns (p^((N-x)/n), eps) with eps = p^(1/(2n)); the bound is strictly
-    below eps^N whenever (N-x)/n > N/(2n).
+    Returns (p^((N-x)/n), eps) with eps = p^(1/(2n)).  The bound is strictly
+    below eps^N because (N-x)/n > N/(2n), i.e. x < N/2, for every admissible
+    parameter set (the floats may both underflow to 0 for tiny p).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"cheat probability must be in (0,1), got {p}")
@@ -223,9 +208,53 @@ def commitment_attack_bound(p: float, n: int, N: int, x: int) -> tuple[float, fl
     forgeries = (N - x) // n
     bound = p**forgeries
     eps = p ** (1.0 / (2 * n))
-    if forgeries > N / (2 * n):
-        assert bound < eps**N
     return bound, eps
+
+
+def _honest_run_feasible(params: ProtocolParams, matches: int) -> bool:
+    """Can an honest Bob with this survivor match count finish the protocol?"""
+    if params.case is Case.LOW:
+        return matches >= params.x and (matches - params.x) >= params.m * params.subset_size
+    return (params.N - matches) >= params.x and matches >= params.m * params.subset_size
+
+
+def _extra_bit_feasible(params: ProtocolParams, matches: int) -> bool:
+    """Can a greedy Bob form m+1 all-matching subsets while complying with removal?"""
+    need = (params.m + 1) * params.subset_size
+    if params.case is Case.LOW:
+        return matches >= params.x + need
+    return (params.N - matches) >= params.x and matches >= need
+
+
+def _dishonest_removal_feasible(params: ProtocolParams, matches: int) -> bool:
+    """Low case: Bob removes mismatches instead, keeping all matches for subsets."""
+    need = (params.m + 1) * params.subset_size
+    return (params.N - matches) >= params.x and matches >= need
+
+
+_EVENTS = {
+    "correctness": lambda p, M: not _honest_run_feasible(p, M),
+    "privacy": _extra_bit_feasible,
+    "privacy_dishonest_removal": _dishonest_removal_feasible,
+}
+
+
+def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> Fraction:
+    """Exact probability of the event under M ~ Binomial(N, 1/2).
+
+    Events: "correctness" (honest Bob cannot finish), "privacy" (a greedy
+    Bob can decode m+1 bits), "privacy_dishonest_removal".
+    """
+    try:
+        pred = _EVENTS[event]
+    except KeyError:
+        raise ValueError(f"unknown event {event!r}; one of {sorted(_EVENTS)}") from None
+    N = params.N
+    total = Fraction(0)
+    for M in range(N + 1):
+        if pred(params, M):
+            total += Fraction(math.comb(N, M), 2**N)
+    return total
 
 
 @dataclass(frozen=True)

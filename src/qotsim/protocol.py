@@ -8,10 +8,11 @@ the target; (5) Bob announces n disjoint equal-size subsets with the chosen
 ones all-matching; (6) Alice sends each input bit masked by the parity of
 her raw bits over the corresponding subset; (7) Bob unmasks his chosen bits.
 
-Phases are driven strictly in order; out-of-order calls raise
-:class:`ProtocolOrderError`, surfaced as an invalid-message abort.  Arrays
-are used throughout so a full session costs microseconds; the transcript is
-recorded only on request and is byte-stable under a fixed seed.
+Phases are driven strictly in order; an out-of-order call raises
+:class:`ProtocolOrderError`.  That is a simulator bug, so it propagates to
+the caller instead of becoming a protocol abort.  Arrays are used
+throughout so a full session costs microseconds; the transcript is recorded
+only on request and is byte-stable under a fixed seed.
 """
 
 from __future__ import annotations
@@ -75,19 +76,6 @@ class InputBits:
             raise ValueError(f"input bits must be 0/1: {self.bits}")
 
 
-@dataclass(frozen=True)
-class IndexRecord:
-    """Per-index view of one transmitted photon round."""
-
-    index: int
-    alice_bit: int
-    alice_basis: int
-    bob_bit: int
-    bob_basis: int
-    match: bool
-    removed: bool = False
-
-
 class Transcript:
     """Ordered log of protocol messages, one record per message."""
 
@@ -104,6 +92,10 @@ class Transcript:
                 "payload": payload,
             }
         )
+
+    def unveil(self, step: int, cid, value) -> None:
+        """Record Bob's accepted unveil of one commitment."""
+        self.add(step, "B", "unveil", id=int(cid), value=int(value), verdict="accepted")
 
     def view(self, party: str) -> list[dict]:
         """Messages the given party received (sent by the other party)."""
@@ -145,9 +137,6 @@ class HonestBob:
         all-matching sets of surviving matches; the rest of the survivors are
         distributed uniformly among the remaining labels."""
         return _random_legal_family(state, choices.indices, rng)
-
-    def claimable_bits(self, choices: ChoiceVector) -> tuple[int, ...]:
-        return tuple(sorted(choices.indices))
 
 
 def _random_legal_family(
@@ -192,13 +181,11 @@ class ProtocolState:
     stage: int = 1
     id_r: np.ndarray | None = None     # commitment ids per original index
     id_beta: np.ndarray | None = None
-    d: np.ndarray | None = None        # Alice's challenge bits, length N
     surv: np.ndarray | None = None     # original index per survivor slot
     bases_announced: bool = False
     removed: np.ndarray | None = None  # bool per survivor slot
     family: list[np.ndarray] | None = None
     claimed: tuple[int, ...] = ()
-    masked: np.ndarray | None = None
 
     def _require_stage(self, expected: int) -> None:
         if self.stage != expected:
@@ -228,22 +215,6 @@ class ProtocolState:
         if not self.bases_announced:
             raise ProtocolOrderError("bases not yet announced")
         return self.beta_s == self.beta_bs
-
-    def record(self, i: int) -> IndexRecord:
-        removed = False
-        if self.removed is not None and self.surv is not None:
-            slot = np.flatnonzero(self.surv == i)
-            if slot.size:
-                removed = bool(self.removed[slot[0]])
-        return IndexRecord(
-            index=i,
-            alice_bit=int(self.r[i]),
-            alice_basis=int(self.beta[i]),
-            bob_bit=int(self.r_b[i]),
-            bob_basis=int(self.beta_b[i]),
-            match=bool(self.beta[i] == self.beta_b[i]),
-            removed=removed,
-        )
 
 
 def phase1_transmit(
@@ -305,20 +276,11 @@ def phase2_challenge(
     if transcript is not None:
         for i in range(N):
             transcript.add(2, "A", "challenge", i=int(i), d=int(d[i]))
-            transcript.add(
-                2, "B", "unveil",
-                id=int(id_r[challenged[i]]), value=int(unveiled_r[i]),
-                verdict="accepted",
-            )
-            transcript.add(
-                2, "B", "unveil",
-                id=int(id_beta[challenged[i]]), value=int(unveiled_beta[i]),
-                verdict="accepted",
-            )
+            transcript.unveil(2, id_r[challenged[i]], unveiled_r[i])
+            transcript.unveil(2, id_beta[challenged[i]], unveiled_beta[i])
     violation = (state.beta[challenged] == unveiled_beta) & (
         state.r[challenged] != unveiled_r
     )
-    state.d = d
     state.surv = idx + N * (1 - d.astype(np.int64))
     state.removed = np.zeros(N, dtype=bool)
     state.stage = 2
@@ -376,16 +338,8 @@ def removal_phase(
     unveiled_beta = state.session.unveil_many(state.id_beta[orig])
     if transcript is not None:
         for j in range(x):
-            transcript.add(
-                4, "B", "unveil",
-                id=int(state.id_r[orig[j]]), value=int(unveiled_r[j]),
-                verdict="accepted",
-            )
-            transcript.add(
-                4, "B", "unveil",
-                id=int(state.id_beta[orig[j]]), value=int(unveiled_beta[j]),
-                verdict="accepted",
-            )
+            transcript.unveil(4, state.id_r[orig[j]], unveiled_r[j])
+            transcript.unveil(4, state.id_beta[orig[j]], unveiled_beta[j])
     alice_beta = state.beta_s[removed_slots]
     alice_r = state.r_s[removed_slots]
     state.removed[removed_slots] = True
@@ -413,7 +367,6 @@ def select_subsets(
     survivors, with the chosen ones all-matching."""
     state._require_stage(4)
     bob = bob or HonestBob()
-    params = state.params
     family, claimed = bob.build_family(state, choices, rng_b)
     _check_family_legal(state, family)
     state.family = [np.sort(np.asarray(f, dtype=np.int64)) for f in family]
@@ -455,7 +408,6 @@ def mask_bits(
     for k in range(state.params.n):
         parity = int(np.bitwise_xor.reduce(r_s[state.family[k]])) if len(state.family[k]) else 0
         masked[k] = inputs.bits[k] ^ parity
-    state.masked = masked
     state.stage = 6
     if transcript is not None:
         transcript.add(6, "A", "masked_bits", bits=[int(b) for b in masked])
@@ -493,6 +445,8 @@ def run_protocol(
     `seed` may be an int or a :class:`RandomSource` (one per trial).  The
     outcome's `detail` carries ground truth used by verification code: the
     survivor match count, the announced family, and Bob's claimed labels.
+    A phase driven out of order (e.g. by a faulty Bob hook) raises
+    :class:`ProtocolOrderError`.
     """
     bob = bob or HonestBob()
     if not isinstance(inputs, InputBits):
@@ -529,7 +483,7 @@ def run_protocol(
     except InsufficientMatches as err:
         status = Status.ABORT_INSUFFICIENT_MATCHES
         detail["reason"] = str(err)
-    except (InvalidMessage, ProtocolOrderError) as err:
+    except InvalidMessage as err:
         status = Status.ABORT_INVALID_MESSAGE
         detail["reason"] = str(err)
 

@@ -109,10 +109,3 @@ def test_transmit_batch_matching_positions_exact():
     bases = rng.bits(1000)
     out = transmit_batch(bits, bases, bases, RandomSource(10))
     assert np.array_equal(out, bits)
-
-
-def test_transmit_batch_noise_hook():
-    bits = np.zeros(2000, dtype=np.uint8)
-    bases = np.zeros(2000, dtype=np.uint8)
-    out = transmit_batch(bits, bases, bases, RandomSource(1), flip_prob=1.0)
-    assert np.array_equal(out, np.ones(2000, dtype=np.uint8))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -21,12 +22,15 @@ def _cli(*args, env=None):
 
 
 def test_oracle_subcommand_exact_value(capsys):
-    code = main(["oracle", "--n", "3", "--m", "1", "--N", "6",
-                 "--event", "correctness"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert doc["probability"]["exact"] == "7/64"
-    assert doc["probability"]["float"] == pytest.approx(7 / 64)
+    for n, N, event, exact in (
+        ("3", "6", "correctness", "7/64"),
+        ("4", "40", "privacy_dishonest_removal", "1014902986909/1099511627776"),
+    ):
+        code = main(["oracle", "--n", n, "--m", "1", "--N", N, "--event", event])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["probability"]["exact"] == exact
+        assert doc["probability"]["float"] == pytest.approx(float(Fraction(exact)))
 
 
 def test_bounds_subcommand_table_format(capsys):
@@ -65,6 +69,27 @@ def test_attack_exit_code_zero_on_pass(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert all(v["passed"] for v in doc["verdicts"])
+    # strict Alice catches every dishonest removal, so the reference is 0
+    code = main(["attack", "--strategy", "dishonest-removal", "--strict-alice",
+                 "--n", "4", "--m", "1", "--N", "40", "--trials", "300", "--seed", "12"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["stats"]["oracle_exact"] == "0"
+    assert all(v["passed"] for v in doc["verdicts"])
+
+
+def test_commitment_figures_at_underflowing_p(capsys):
+    """p^((N-x)/n) and eps^N both underflow to 0.0 at p = 1e-300."""
+    code = main(["bounds", "--n", "4", "--m", "1", "--N", "40", "--p", "1e-300"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["bounds"]["commitment_bound"] == 0.0
+    code = main(["attack", "--strategy", "commit-cheat", "--p", "1e-300", "--n", "4",
+                 "--m", "1", "--N", "40", "--trials", "1000", "--seed", "3"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    verdict = {v["criterion"]: v for v in doc["verdicts"]}["commitment_bound_lt_eps_pow_N"]
+    assert verdict["passed"] and verdict["empirical"] == 0.0
 
 
 def test_attack_rejects_honest_strategy():

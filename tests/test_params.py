@@ -167,14 +167,6 @@ def test_hoeffding_bound_formula():
     assert hoeffding_bound(q) == pytest.approx(2 / math.e, rel=1e-15)
     with pytest.raises(ValueError):
         HoeffdingQuery(trials=10, deviation=0)
-    with pytest.raises(ValueError):
-        HoeffdingQuery(trials=10, deviation=0.1, low=1.0, high=0.0)
-
-
-def test_hoeffding_bound_range_scaling():
-    narrow = hoeffding_bound(HoeffdingQuery(trials=10, deviation=0.1))
-    wide = hoeffding_bound(HoeffdingQuery(trials=10, deviation=0.1, low=0.0, high=2.0))
-    assert wide > narrow
 
 
 def test_commitment_attack_bound_values():

@@ -143,6 +143,19 @@ def test_phase_order_enforced():
         state.match_flags()  # bases not announced yet
 
 
+def test_order_error_propagates_from_run_protocol():
+    """An out-of-order phase call is a simulator bug, not a protocol abort."""
+
+    class OutOfOrderBob(HonestBob):
+        def build_family(self, state, choices, rng):
+            announce_bases(state)  # step 3 again, during step 5
+            return super().build_family(state, choices, rng)
+
+    assert run_protocol(P316, (0, 1, 0), (2,), 5).status is Status.COMPLETED
+    with pytest.raises(ProtocolOrderError):
+        run_protocol(P316, (0, 1, 0), (2,), 5, bob=OutOfOrderBob())
+
+
 def test_match_rate_after_removal_hits_target_low_case():
     root = RandomSource(12)
     rng_a, rng_b = root.stream("alice"), root.stream("bob")
