@@ -42,7 +42,7 @@ count = 100_000
 bits = rng.bits(count)
 bases_a = rng.bits(count)
 bases_b = rng.bits(count)
-received = transmit_batch(bits, bases_a, bases_b, rng.stream("bulk"))
+received = transmit_batch(bits, bases_a, bases_b, rng.stream("bulk").bits(count))
 
 match = bases_a == bases_b
 print(f"\nbasis match rate:          {match.mean():.4f}  (expected 0.5)")

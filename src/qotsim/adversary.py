@@ -3,7 +3,9 @@
 Each strategy is one row of :data:`STRATEGIES`.  It replaces one hook of
 the honest behavior and leaves the counterpart fully honest, including all
 checks.  Information gain is always recomputed from ground truth (the
-actual basis matches), never taken from the adversary's own claims.
+actual basis matches), never taken from the adversary's own claims.  Every
+strategy runs T sessions at once through one batched runner; a single
+session is the T=1 call.
 """
 
 from __future__ import annotations
@@ -26,17 +28,21 @@ from .params import (
     privacy_epsilon,
 )
 from .protocol import (
-    ChoiceVector,
+    STATUSES,
     HonestBob,
-    InputBits,
-    InsufficientMatches,
+    ProtocolState,
     Status,
-    _random_legal_family,
+    Trials,
+    _legal_family,
+    _put,
+    draw_sessions,
     phase1_transmit,
     phase2_challenge,
     run_protocol,
-    CheatDetected,
+    session_inputs,
 )
+
+_CHEAT = STATUSES.index(Status.ABORT_CHEAT_DETECTED)
 
 
 @dataclass(frozen=True)
@@ -69,16 +75,45 @@ class AdversarialOutcome:
     wrong_decode: bool = False
 
 
+@dataclass
+class Outcomes:
+    """What T sessions achieved, one row each.  `status` indexes
+    :data:`~qotsim.protocol.STATUSES`; `guess` is curious Alice's guess of
+    the chosen labels, read from the announced family."""
+
+    status: np.ndarray           # (T,)
+    bits_learned: np.ndarray     # (T,) claimed subsets truly all-matching
+    target_exceeded: np.ndarray  # (T,) bool: more than m bits learned
+    wrong_decode: np.ndarray     # (T,) bool
+    chosen: np.ndarray | None = None  # (T, n) bool
+    guess: np.ndarray | None = None   # (T, n) bool
+
+    def row(self, k: int) -> AdversarialOutcome:
+        status = STATUSES[self.status[k]]
+        guess = None
+        if status is Status.COMPLETED and self.guess is not None:
+            guess = tuple(int(c) + 1 for c in np.flatnonzero(self.guess[k]))
+        return AdversarialOutcome(
+            caught=status is Status.ABORT_CHEAT_DETECTED,
+            bits_learned=int(self.bits_learned[k]),
+            target_exceeded=bool(self.target_exceeded[k]),
+            status=status,
+            choice_guess=guess,
+            wrong_decode=bool(self.wrong_decode[k]),
+        )
+
+
 class GreedyBob(HonestBob):
     """Follows the protocol but builds one extra all-matching subset when the
     surviving matches allow it, decoding m+1 bits."""
 
-    def build_family(self, state, choices: ChoiceVector, rng: RandomSource):
-        extra = min(k for k in range(1, state.params.n + 1) if k not in choices.indices)
-        try:
-            return _random_legal_family(state, choices.indices + (extra,), rng)
-        except InsufficientMatches:
-            return _random_legal_family(state, choices.indices, rng)
+    def build_family(self, state, choices: np.ndarray, keys: np.ndarray):
+        params = state.params
+        matched = (state.match_flags() & ~state.removed).sum(axis=1)
+        extra = np.arange(params.n) == np.argmax(~choices, axis=1)[:, None]
+        room = matched >= (params.m + 1) * params.subset_size
+        targets = choices | (extra & room[:, None])
+        return _legal_family(state, targets, keys[:, :params.N], keys[:, params.N:])
 
 
 class DishonestRemovalBob(GreedyBob):
@@ -105,81 +140,69 @@ class LeakyBob(HonestBob):
     """Deliberately leaky positive control: deterministic subset placement
     that puts the chosen subsets lexicographically first."""
 
-    def build_family(self, state, choices: ChoiceVector, rng: RandomSource):
-        params = state.params
-        s = params.subset_size
-        alive = np.flatnonzero(~state.removed)
-        match = state.match_flags()
-        matched = np.sort(alive[match[alive]])
-        labels = tuple(sorted(choices.indices))
-        if matched.size < len(labels) * s:
-            raise InsufficientMatches("not enough matches for leaky placement")
-        family: list[np.ndarray | None] = [None] * params.n
-        for k, label in enumerate(labels):
-            family[label - 1] = matched[k * s:(k + 1) * s]
-        used = np.concatenate([family[label - 1] for label in labels])
-        rest = np.sort(np.setdiff1d(alive, used))
-        others = [k for k in range(params.n) if family[k] is None]
-        for j, k in enumerate(others):
-            family[k] = rest[j * s:(j + 1) * s]
-        return [np.asarray(f) for f in family], labels
+    def build_family(self, state, choices: np.ndarray, keys: np.ndarray):
+        slots = np.broadcast_to(np.arange(state.params.N, dtype=np.uint64),
+                                state.removed.shape)
+        return _legal_family(state, choices, slots, slots)
 
 
-def postpone_bob(params: ProtocolParams, rng: RandomSource) -> AdversarialOutcome:
-    """Run phases 1-2 with an unmeasuring Bob; caught iff a challenge fails."""
-    rng_a = rng.stream("alice")
-    rng_b = rng.stream("bob")
-    state = phase1_transmit(params, rng_a, rng_b, bob=PostponeBob())
-    try:
-        phase2_challenge(state, rng_a)
-        caught = False
-    except CheatDetected:
-        caught = True
-    return AdversarialOutcome(
-        caught=caught,
-        bits_learned=0,
-        target_exceeded=False,
-        status=Status.ABORT_CHEAT_DETECTED if caught else Status.COMPLETED,
-    )
+def _outcomes(params: ProtocolParams, state: ProtocolState) -> Outcomes:
+    """Per-row outcomes of full sessions, from ground truth."""
+    rows = state.rows
+    learned = np.zeros(rows, dtype=np.int64)
+    wrong = np.zeros(rows, dtype=bool)
+    guess = np.zeros((rows, params.n), dtype=bool)
+    if state.recovered is not None:  # some row reached step 7
+        done = state.live()
+        learned = np.where(done, (state.claimed & state.all_matching()).sum(axis=1), 0)
+        wrong = done & ((state.recovered != state.inputs) & state.chosen).any(axis=1)
+        # Alice's guess: the m subsets holding the smallest surviving slots
+        first = np.argsort(state.family[:, :, 0], axis=1)[:, :params.m]
+        _put(guess, first, True)
+    return Outcomes(state.status, learned, learned > params.m, wrong, state.chosen, guess)
 
 
-def commit_cheat_trials(
-    params: ProtocolParams, p: float, trials: int, rng: RandomSource,
-    chunk: int = 100_000,
-) -> int:
-    """Vectorized count of commit-cheat successes over many sessions."""
+def _sessions(bob: type[HonestBob]) -> Callable:
+    """Batched runner of full protocol sessions against `bob`."""
+
+    def run(params, strategy, rng, start, count, inputs=None, choices=None):
+        state = run_protocol(params, inputs, choices, Trials(rng, start, count),
+                             bob=bob(), strict_removal=strategy.strict_alice)
+        return _outcomes(params, state)
+
+    return run
+
+
+def postpone_bob(params, strategy, rng, start, count, inputs=None, choices=None) -> Outcomes:
+    """Steps 1-2 with an unmeasuring Bob; a row survives iff no challenge fails."""
+    state = phase1_transmit(params, draw_sessions(params, rng, start, count),
+                            bob=PostponeBob())
+    phase2_challenge(state)
+    nothing = np.zeros(count, dtype=bool)
+    return Outcomes(state.status, nothing.astype(np.int64), nothing, nothing)
+
+
+def _forgeries_accepted(params: ProtocolParams, p: float, rng: RandomSource,
+                        start: int, count: int) -> np.ndarray:
+    """(T,) bool: all (N-x)/n forged unveils of one extra subset pass, each
+    with probability p, from the row's own uniform words."""
+    s = params.subset_size
+    words = rng.block(-(-s // 4) * 4, start, count)[:, :s]
+    return ((words >> np.uint64(11)) * 2.0**-53 < p).all(axis=1)
+
+
+def _commit_cheat(params, strategy, rng, start, count, inputs=None, choices=None) -> Outcomes:
+    accepted = _forgeries_accepted(params, strategy.p, rng, start, count)
+    status = np.where(accepted, 0, _CHEAT).astype(np.int8)
+    return Outcomes(status, params.m + accepted, accepted, np.zeros(count, dtype=bool))
+
+
+def commit_cheat_trials(params: ProtocolParams, p: float, trials: int,
+                        rng: RandomSource) -> int:
+    """Count of commit-cheat successes over trials 0 .. `trials`-1 of `rng`'s
+    stream: the trials' rows of the commit-cheat runner, drawn at once."""
     CheatModel(p)  # validate
-    forgeries = params.subset_size
-    successes = 0
-    done = 0
-    while done < trials:
-        rows = min(chunk, trials - done)
-        draws = rng.gen.random((rows, forgeries))
-        successes += int((draws < p).all(axis=1).sum())
-        done += rows
-    return successes
-
-
-def _curious_alice_guess(outcome) -> tuple[int, ...]:
-    """Guess the choice vector of a completed run from the announced family
-    alone: the labels of the subsets holding the smallest surviving indices.
-    Under uniform announcement this hits the true vector at chance level."""
-    family = outcome.detail["family"]
-    m = len(outcome.detail["claimed"])
-    order = sorted(range(len(family)), key=lambda k: int(family[k][0]) if len(family[k]) else -1)
-    return tuple(sorted(k + 1 for k in order[:m]))
-
-
-def _commit_cheat_session(params: ProtocolParams, strategy: Strategy,
-                          rng: RandomSource) -> AdversarialOutcome:
-    """One commit-cheat session: a single draw of :func:`commit_cheat_trials`."""
-    accepted = commit_cheat_trials(params, strategy.p, 1, rng) == 1
-    return AdversarialOutcome(
-        caught=not accepted,
-        bits_learned=params.m + accepted,
-        target_exceeded=accepted,
-        status=Status.COMPLETED if accepted else Status.ABORT_CHEAT_DETECTED,
-    )
+    return int(_forgeries_accepted(params, p, rng, 0, trials).sum())
 
 
 @dataclass(frozen=True)
@@ -187,45 +210,44 @@ class StrategySpec:
     """Everything about one strategy: one row of :data:`STRATEGIES`."""
 
     event: str  # name of the tracked event
-    hit: Callable  # hit(outcome, choices): did one session produce the event?
+    hit: Callable  # hit(outcomes): (T,) bool, did each session produce the event?
     reference: Callable  # reference(params, strategy): exact rate of the event
+    # run(params, strategy, rng, start, count, inputs, choices): Outcomes of
+    # trials start .. start+count-1 of rng's stream
+    run: Callable
     bound: Callable | None = None  # correctness_epsilon, privacy_epsilon or commitment_attack_bound
-    bob: type[HonestBob] = HonestBob  # Bob of a full protocol session
-    session: Callable | None = None  # session(params, strategy, rng), run instead of the protocol
-    batch: Callable | None = None  # batch(params, strategy, trials, rng): hits over many sessions
 
 
 def _oracle(event: str) -> Callable:
     return lambda params, strategy: exact_failure_oracle(params, event)
 
 
-def _extra_bit(adv: AdversarialOutcome, choices) -> bool:
-    return adv.target_exceeded
+def _extra_bit(out: Outcomes) -> np.ndarray:
+    return out.target_exceeded
 
 
 STRATEGIES: dict[str, StrategySpec] = {
     "honest": StrategySpec(
         event="abort", reference=_oracle("correctness"), bound=correctness_epsilon,
-        hit=lambda adv, choices: adv.status is not Status.COMPLETED or adv.wrong_decode),
+        run=_sessions(HonestBob), hit=lambda out: (out.status != 0) | out.wrong_decode),
     "greedy": StrategySpec(
         event="extra_bit_success", hit=_extra_bit, reference=_oracle("privacy"),
-        bound=privacy_epsilon, bob=GreedyBob),
+        bound=privacy_epsilon, run=_sessions(GreedyBob)),
     "dishonest-removal": StrategySpec(
-        event="extra_bit_success", hit=_extra_bit, bound=privacy_epsilon, bob=DishonestRemovalBob,
+        event="extra_bit_success", hit=_extra_bit, bound=privacy_epsilon,
+        run=_sessions(DishonestRemovalBob),
         # the strict verifier rejects every mismatched removal, so no session survives it
         reference=lambda params, s: Fraction(0) if s.strict_alice
         else exact_failure_oracle(params, "privacy_dishonest_removal")),
     "postpone": StrategySpec(
-        event="challenge_survival", hit=lambda adv, choices: not adv.caught,
-        reference=lambda params, s: Fraction(3, 4) ** params.N,
-        session=lambda params, s, rng: postpone_bob(params, rng)),
+        event="challenge_survival", hit=lambda out: out.status != _CHEAT,
+        reference=lambda params, s: Fraction(3, 4) ** params.N, run=postpone_bob),
     "commit-cheat": StrategySpec(
         event="commit_cheat_success", hit=_extra_bit, bound=commitment_attack_bound,
-        reference=lambda params, s: s.p ** params.subset_size, session=_commit_cheat_session,
-        batch=lambda params, s, trials, rng: commit_cheat_trials(params, s.p, trials, rng)),
+        reference=lambda params, s: s.p ** params.subset_size, run=_commit_cheat),
     "curious-alice": StrategySpec(
-        event="choice_guess_correct",
-        hit=lambda adv, choices: adv.choice_guess == tuple(sorted(choices)),
+        event="choice_guess_correct", run=_sessions(HonestBob),
+        hit=lambda out: (out.status == 0) & (out.guess == out.chosen).all(axis=1),
         # chance level per completed run, scaled by the completion probability
         reference=lambda params, s: (1 - exact_failure_oracle(params, "correctness"))
         / math.comb(params.n, params.m)),
@@ -239,32 +261,10 @@ def run_with_adversary(
     choices,
     seed,
 ) -> AdversarialOutcome:
-    """Execute one session with the given party replaced by `strategy`."""
+    """Execute one session (trial 0 of `seed`'s stream) with the given party
+    replaced by `strategy`."""
+    inputs, choices = session_inputs(params, inputs, choices)
     root = seed if isinstance(seed, RandomSource) else RandomSource(int(seed))
-    spec = STRATEGIES[strategy.kind]
-    if spec.session is not None:
-        return spec.session(params, strategy, root)
-
-    outcome = run_protocol(
-        params, inputs, choices, root,
-        bob=spec.bob(),
-        strict_removal=strategy.strict_alice,
-    )
-    caught = outcome.status is Status.ABORT_CHEAT_DETECTED
-    bits_learned = 0
-    guess = None
-    wrong = False
-    if outcome.status is Status.COMPLETED:
-        truly_matching = set(outcome.detail["all_matching_labels"])
-        bits_learned = len(set(outcome.detail["claimed"]) & truly_matching)
-        guess = _curious_alice_guess(outcome)
-        bits = inputs.bits if isinstance(inputs, InputBits) else tuple(inputs)
-        wrong = any(v != int(bits[c - 1]) for c, v in outcome.recovered.items())
-    return AdversarialOutcome(
-        caught=caught,
-        bits_learned=bits_learned,
-        target_exceeded=bits_learned > params.m,
-        status=outcome.status,
-        choice_guess=guess,
-        wrong_decode=wrong,
-    )
+    out = STRATEGIES[strategy.kind].run(params, strategy, root, 0, 1,
+                                        inputs.bits, choices.indices)
+    return out.row(0)

@@ -41,13 +41,20 @@ class Photon:
 
 
 class RandomSource:
-    """Deterministic random source with named, non-overlapping sub-streams.
+    """Deterministic random source: a Philox key with named sub-streams.
 
-    The same (seed, stream path) always yields the same draws.  Distinct
-    names derive statistically independent streams (a keyed-hash chain over
-    the path feeds a counter-based generator), so parallel trials can each
-    own one stream without any coordination.  A single stream must not be
-    shared across concurrent consumers.
+    The key is a keyed-hash (blake2b) chain over the seed and the stream
+    path, so the same (seed, path) always yields the same numbers and
+    distinct names yield independent keys.
+
+    Monte Carlo sessions use counter-addressed blocks of the key's stream
+    (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11):
+    trial k owns the `width` uint64 words that start at word k*width, so
+    :meth:`block` returns the same row for trial k whichever batch it is
+    drawn in, and no generator is built per trial.  :attr:`gen` is a
+    separate sequential generator for scalar draws (:meth:`bit`,
+    :meth:`bits`); a single one must not be shared across concurrent
+    consumers.
     """
 
     __slots__ = ("seed", "_digest", "_gen")
@@ -62,10 +69,13 @@ class RandomSource:
         self._gen = None
 
     @property
+    def key(self) -> np.ndarray:
+        return np.frombuffer(self._digest, dtype=np.uint64)
+
+    @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            key = np.frombuffer(self._digest, dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            self._gen = np.random.Generator(np.random.Philox(key=self.key))
         return self._gen
 
     def stream(self, name: str) -> "RandomSource":
@@ -74,6 +84,19 @@ class RandomSource:
             name.encode("utf-8"), digest_size=16, key=self._digest
         ).digest()
         return RandomSource(self.seed, digest)
+
+    def block(self, width: int, start: int, count: int) -> np.ndarray:
+        """Rows `start` .. `start+count-1` of the key's stream cut into rows
+        of `width` uint64 words, as a (count, width) array.
+
+        `width` must be a multiple of 4: Philox's counter steps over 4
+        words, so :meth:`numpy.random.Philox.advance` can seek to row
+        `start` exactly.
+        """
+        if width % 4:
+            raise ValueError(f"block width must be a multiple of 4, got {width}")
+        philox = np.random.Philox(key=self.key).advance(start * width // 4)
+        return philox.random_raw(count * width).reshape(count, width)
 
     def bit(self) -> int:
         """One fair coin flip."""
@@ -119,21 +142,17 @@ def transmit_batch(
     bits: np.ndarray,
     bases_sender: np.ndarray,
     bases_receiver: np.ndarray,
-    rng: RandomSource,
+    coins: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized send/measure of a batch of photons.
+    """Vectorized send/measure of a batch of photons, of any shape.
 
-    Bases are given as 0/1 arrays (0 = rectilinear, 1 = diagonal).  One
-    random bit is drawn per basis mismatch, in index order, so the result is
-    draw-for-draw identical to a scalar loop over :func:`measure` with the
-    same stream.
+    Bases are given as 0/1 arrays (0 = rectilinear, 1 = diagonal).  `coins`
+    holds the fair coin each photon yields if it is measured in the other
+    basis, so position i gives what :func:`measure` gives for photon i with
+    a source whose next bit is ``coins[i]``.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    bases_sender = np.asarray(bases_sender, dtype=np.uint8)
-    bases_receiver = np.asarray(bases_receiver, dtype=np.uint8)
-    out = bits.copy()
-    mismatch = bases_sender != bases_receiver
-    k = int(mismatch.sum())
-    if k:
-        out[mismatch] = rng.bits(k)
-    return out
+    coins = np.asarray(coins, dtype=np.uint8)
+    mismatch = np.asarray(bases_sender, dtype=np.uint8) ^ np.asarray(
+        bases_receiver, dtype=np.uint8)
+    return bits ^ ((bits ^ coins) & mismatch)

@@ -43,14 +43,21 @@ class CommitmentHandle:
 
 
 class CommitmentSession:
-    """Single-writer ledger of commitments for one protocol session."""
+    """Single-writer ledger of commitments, optionally row-batched.
+
+    Values committed by :meth:`commit_many` with shape (T, k) open a ledger
+    of T independent sessions that commit in lockstep: ids are columns,
+    shared by every row, and :meth:`unveil_many` takes one id array per
+    row.  A 1-D ledger is one session.
+    """
 
     def __init__(self):
         self._values = np.empty(0, dtype=np.uint8)
         self._opened = np.empty(0, dtype=bool)
 
     def __len__(self) -> int:
-        return self._values.shape[0]
+        """Commitments per session."""
+        return self._values.shape[-1]
 
     def commit(self, value: int) -> CommitmentHandle:
         """Commit a bit; returns a fresh handle revealing nothing about it."""
@@ -60,12 +67,18 @@ class CommitmentSession:
         return CommitmentHandle(id=len(self) - 1)
 
     def commit_many(self, values: np.ndarray) -> np.ndarray:
-        """Bulk commit; returns the array of fresh ids."""
+        """Bulk commit along the last axis; returns the array of fresh ids."""
         vals = np.asarray(values, dtype=np.uint8)
         base = len(self)
-        self._values = np.concatenate([self._values, vals])
-        self._opened = np.concatenate([self._opened, np.zeros(vals.shape[0], bool)])
-        return np.arange(base, base + vals.shape[0])
+        if base == 0:
+            self._values = vals.copy()
+            self._opened = np.zeros(vals.shape, dtype=bool)
+        else:
+            self._values = np.concatenate([self._values, vals], axis=-1)
+            self._opened = np.concatenate(
+                [self._opened, np.zeros(vals.shape, dtype=bool)], axis=-1
+            )
+        return np.arange(base, base + vals.shape[-1])
 
     def _open(self, cid: int) -> int:
         if self._opened[cid]:
@@ -84,13 +97,17 @@ class CommitmentSession:
         return self._open(int(cid))
 
     def unveil_many(self, cids: np.ndarray) -> np.ndarray:
-        """Bulk honest unveil by ledger ids."""
+        """Bulk honest unveil by ledger ids; a row-batched ledger takes one
+        row of ids per session."""
         cids = np.asarray(cids, dtype=np.int64)
-        if self._opened[cids].any():
-            already = cids[self._opened[cids]]
-            raise DoubleUnveilError(f"commitments already unveiled: {already.tolist()}")
-        self._opened[cids] = True
-        return self._values[cids]
+        cells = cids  # flat positions in the (contiguous) ledger arrays
+        if cids.ndim == 2:
+            cells = cids + len(self) * np.arange(cids.shape[0])[:, None]
+        opened = self._opened.reshape(-1)[cells]
+        if opened.any():
+            raise DoubleUnveilError(f"commitments already unveiled: {cids[opened].tolist()}")
+        self._opened.reshape(-1)[cells] = True
+        return self._values.reshape(-1)[cells]
 
     def cheat_unveil(
         self,

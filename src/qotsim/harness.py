@@ -3,8 +3,12 @@
 Every empirical rate is checked two ways: against an exact binomial oracle
 (3-sigma tolerance) and against the analytic bounds (a one-sided <= check,
 only at N past the threshold where the simplified bound is non-vacuous).
-Trials derive per-index RNG streams from the experiment seed, so results are
-independent of execution order and reproducible byte-for-byte.
+An experiment's randomness is one Philox key, derived from its seed, and
+trial k owns the k-th fixed-width block of words of that key's stream (see
+:meth:`RandomSource.block`).  Trials run in batches of
+:data:`~qotsim.protocol.CHUNK` through the batched session engine, so
+results are independent of batching and execution order, reproducible
+byte-for-byte, and any trial can be replayed from (seed, trial index).
 """
 
 from __future__ import annotations
@@ -20,12 +24,7 @@ import numpy as np
 from scipy.stats import chi2_contingency
 
 from . import __version__
-from .adversary import (
-    STRATEGIES,
-    LeakyBob,
-    Strategy,
-    run_with_adversary,
-)
+from .adversary import STRATEGIES, LeakyBob, Strategy
 from .channel import RandomSource
 from .params import (
     _EVENTS,
@@ -38,7 +37,15 @@ from .params import (
     min_N,
     validate_params,
 )
-from .protocol import HonestBob, Status, run_protocol
+from .protocol import (
+    STATUSES,
+    ChoiceVector,
+    HonestBob,
+    InputBits,
+    Trials,
+    chunks,
+    run_protocol,
+)
 
 # 99% two-sided normal quantile, for Wilson intervals
 _Z99 = 2.5758293035489004
@@ -60,6 +67,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # the session types' own checks, plus the lengths n and m
+        for name, value, size, build in (
+            ("bits", self.bits, self.n, lambda v: InputBits(v).bits),
+            ("choices", self.choices, self.m, lambda v: ChoiceVector(v, self.n).indices),
+        ):
+            try:
+                if value is not None and len(build(tuple(value))) != size:
+                    raise ValueError(f"need {size} values, got {value!r}")
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass
@@ -130,50 +147,29 @@ def brute_force_failure_probability(params: ProtocolParams, event: str = "correc
 # experiment runner
 # ---------------------------------------------------------------------------
 
-def _trial_inputs(config: ExperimentConfig, rng: RandomSource) -> tuple:
-    if config.bits is not None:
-        bits = config.bits
-    else:
-        bits = tuple(int(b) for b in rng.stream("inputs").bits(config.n))
-    if config.choices is not None:
-        choices = config.choices
-    else:
-        picks = rng.stream("choices").gen.choice(config.n, size=config.m, replace=False)
-        choices = tuple(sorted(int(c) + 1 for c in picks))
-    return bits, choices
-
-
 def run_experiment(config: ExperimentConfig) -> AggregateStats:
     """Execute the configured trials and aggregate counts.
 
     The tracked event is the strategy's (see :data:`STRATEGIES`): honest runs
     count aborts and wrong decodes (correctness failures); adversarial runs
     count successes (postpone Bob's "success" is surviving the challenge
-    phase).
+    phase).  Trial k of the experiment is trial k of the stream
+    ``RandomSource(seed).stream("trials")``.
     """
     params = validate_params(config.n, config.m, config.N)
-    root = RandomSource(config.seed)
+    rng = RandomSource(config.seed).stream("trials")
     strategy = config.strategy
     spec = STRATEGIES[strategy.kind]
-    aborts: dict[str, int] = {}
-    completed = 0
+    counts = np.zeros(len(STATUSES), dtype=np.int64)
     wrong = 0
     event_count = 0
-
-    if spec.batch is not None:
-        event_count = spec.batch(params, strategy, config.trials, root.stream(strategy.kind))
-        completed = event_count
-    else:
-        for k in range(config.trials):
-            trial_rng = root.stream(f"trial/{k}")
-            bits, choices = _trial_inputs(config, trial_rng)
-            adv = run_with_adversary(strategy, params, bits, choices, trial_rng.stream("protocol"))
-            if adv.status is Status.COMPLETED:
-                completed += 1
-            else:
-                aborts[adv.status.value] = aborts.get(adv.status.value, 0) + 1
-            wrong += adv.wrong_decode
-            event_count += spec.hit(adv, choices)
+    for start, count in chunks(config.trials, params):
+        out = spec.run(params, strategy, rng, start, count, config.bits, config.choices)
+        counts += np.bincount(out.status, minlength=len(STATUSES))
+        wrong += int(out.wrong_decode.sum())
+        event_count += int(spec.hit(out).sum())
+    completed = int(counts[0])
+    aborts = {s.value: int(c) for s, c in zip(STATUSES[1:], counts[1:]) if c}
 
     rate = event_count / config.trials
     low, high = wilson_interval(event_count, config.trials)
@@ -282,19 +278,14 @@ def privacy_independence_test(
     counts: dict[tuple[int, ...], np.ndarray] = {}
     for cv in choice_vectors:
         tally = np.zeros(n, dtype=np.int64)
-        stream = root.stream(f"choice/{','.join(map(str, cv))}")
-        bits = (0,) * n
-        for k in range(trials_per_choice):
-            trial_rng = stream.stream(f"trial/{k}")
-            outcome = run_protocol(params, bits, cv, trial_rng, bob=bob_cls())
-            if outcome.status is not Status.COMPLETED:
-                continue
-            family = outcome.detail["family"]
-            min_slot = min(int(f[0]) for f in family if len(f))
-            for label, f in enumerate(family):
-                if len(f) and int(f[0]) == min_slot:
-                    tally[label] += 1
-                    break
+        rng = root.stream(f"choice/{','.join(map(str, cv))}")
+        for start, count in chunks(trials_per_choice, params):
+            state = run_protocol(params, (0,) * n, cv, Trials(rng, start, count),
+                                 bob=bob_cls())
+            if state.recovered is not None:  # some row completed
+                # subsets are sorted: column 0 holds each subset's smallest slot
+                firsts = state.family[state.live(), :, 0]
+                tally += np.bincount(firsts.argmin(axis=1), minlength=n)
         counts[cv] = tally
 
     pairs = []

@@ -1,4 +1,4 @@
-"""Executable state machine for the m-out-of-n OT protocol.
+"""Executable state machine for the m-out-of-n OT protocol, T sessions at once.
 
 The seven steps: (1) Alice transmits 2N BB84 photons and Bob measures them;
 (2) Bob commits to his measurements and Alice challenges one index of each
@@ -8,16 +8,21 @@ the target; (5) Bob announces n disjoint equal-size subsets with the chosen
 ones all-matching; (6) Alice sends each input bit masked by the parity of
 her raw bits over the corresponding subset; (7) Bob unmasks his chosen bits.
 
-Phases are driven strictly in order; an out-of-order call raises
+Each phase advances T independent sessions in lockstep, one row of a
+``(T, ...)`` array per session.  Row k's random numbers are its trial's
+block of words (:func:`draw_sessions`), so row k of any batch is exactly the
+single-session run of trial k.  An abort is recorded in the per-row status
+array (the first abort of a row wins) and the row's later results are
+ignored.  Phases are driven strictly in order; an out-of-order call raises
 :class:`ProtocolOrderError`.  That is a simulator bug, so it propagates to
-the caller instead of becoming a protocol abort.  Arrays are used
-throughout so a full session costs microseconds; the transcript is recorded
-only on request and is byte-stable under a fixed seed.
+the caller instead of becoming a protocol abort.  A single session's
+transcript is recorded on request and is byte-stable under a fixed seed.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -27,6 +32,14 @@ from .channel import RandomSource, transmit_batch
 from .commitment import CommitmentSession
 from .params import Case, ProtocolParams
 
+# Sessions per batch in Monte Carlo experiments: large enough that the
+# per-phase Python overhead is a small share.  A batch's arrays grow as
+# rows * N, so at large N a batch holds fewer rows: its block of random
+# words stays within BATCH_WORDS (8 MB; the batch peaks at several times
+# that).  At the acceptance sets (N <= 40) every batch has CHUNK rows.
+CHUNK = 4096
+BATCH_WORDS = 2**20
+
 
 class Status(Enum):
     COMPLETED = "completed"
@@ -35,20 +48,17 @@ class Status(Enum):
     ABORT_INVALID_MESSAGE = "abort_invalid_message"
 
 
+# A status array holds indices into this tuple; 0 is COMPLETED.
+STATUSES = tuple(Status)
+# Sort key of the slots a permutation must place last.  Uniform subsets and
+# permutations are argsorts of uint64 keys; a row only ever reads the
+# positions of its eligible slots, and two of those tie with probability
+# about N^2 / 2^65, so the sort need not be stable.
+_LAST = np.uint64(2**64 - 1)
+
+
 class ProtocolOrderError(RuntimeError):
     """A phase was invoked out of protocol order."""
-
-
-class CheatDetected(RuntimeError):
-    """Honest Alice caught a commitment/removal inconsistency."""
-
-
-class InsufficientMatches(RuntimeError):
-    """Bob cannot satisfy a phase's match-count requirement."""
-
-
-class InvalidMessage(RuntimeError):
-    """A structurally illegal message (e.g. malformed subset family)."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,8 @@ class ChoiceVector:
     n: int
 
     def __post_init__(self):
+        if not all(isinstance(c, numbers.Integral) for c in self.indices):
+            raise ValueError(f"choice indices must be ints: {self.indices}")
         if len(set(self.indices)) != len(self.indices):
             raise ValueError(f"choice indices must be distinct: {self.indices}")
         if any(not 1 <= c <= self.n for c in self.indices):
@@ -116,13 +128,92 @@ class TrialOutcome:
     detail: dict = field(default_factory=dict, repr=False)
 
 
+# ---------------------------------------------------------------------------
+# random numbers: one block of words per trial
+# ---------------------------------------------------------------------------
+
+def _bit_words(params: ProtocolParams) -> int:
+    return -(-(params.n + 9 * params.N) // 64)
+
+
+def session_width(params: ProtocolParams) -> int:
+    """uint64 words in one trial's block (a multiple of 4)."""
+    words = _bit_words(params) + params.n + 3 * params.N
+    return -(-words // 4) * 4
+
+
+class Draws:
+    """Random numbers of T sessions, one row per trial, cut from its block.
+
+    The block's first words are unpacked (least significant bit first) into
+    the input bits (n), Alice's raw bits and bases (2N each), her challenge
+    coins (N), Bob's bases and mismatch coins (2N each).  Whole words follow
+    as uint64 sort keys: choice keys (n), removal keys (N), family keys (2N).
+    """
+
+    def __init__(self, params: ProtocolParams, words: np.ndarray):
+        n, N = params.n, params.N
+        head = np.ascontiguousarray(words[:, :_bit_words(params)], dtype="<u8")
+        cuts = np.cumsum([n, 2 * N, 2 * N, N, 2 * N, 2 * N])
+        bits = np.unpackbits(head.view(np.uint8), axis=1, count=int(cuts[-1]),
+                             bitorder="little")
+        self.inputs, self.r, self.beta, self.d, self.beta_b, self.coin = np.split(
+            bits, cuts[:-1], axis=1)
+        keys = words[:, head.shape[1]:]
+        self.choice_keys = keys[:, :n]
+        self.removal_keys = keys[:, n:n + N]
+        self.family_keys = keys[:, n + N:n + 3 * N]
+
+    def chosen(self, m: int) -> np.ndarray:
+        """(T, n) bool: a uniform m-subset of the labels per row."""
+        first = np.argsort(self.choice_keys, axis=1)[:, :m]
+        mask = np.zeros(self.choice_keys.shape, dtype=bool)
+        _put(mask, first, True)
+        return mask
+
+
+def draw_sessions(params: ProtocolParams, rng: RandomSource, start: int,
+                  count: int) -> Draws:
+    """The draws of trials `start` .. `start+count-1` of `rng`'s stream."""
+    return Draws(params, rng.block(session_width(params), start, count))
+
+
+def chunks(trials: int, params: ProtocolParams):
+    """(start, count) of each batch of `trials` trials at `params`."""
+    rows = max(1, min(CHUNK, BATCH_WORDS // session_width(params)))
+    return ((start, min(rows, trials - start)) for start in range(0, trials, rows))
+
+
+def _take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row-wise gather from 2-D `a`: out[t, ...] = a[t, idx[t, ...]]."""
+    rows, width = a.shape
+    offsets = (width * np.arange(rows)).reshape((rows,) + (1,) * (idx.ndim - 1))
+    return a.reshape(-1)[idx + offsets]
+
+
+def _put(a: np.ndarray, idx: np.ndarray, values) -> None:
+    """Row-wise scatter: a[t, idx[t, j]] = values[t, j]."""
+    a[np.arange(a.shape[0])[:, None], idx] = values
+
+
+def label_mask(labels, rows: int, n: int) -> np.ndarray:
+    """(rows, n) bool mask of the 1-based `labels`, the same in every row."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(labels, dtype=np.int64) - 1] = True
+    return np.broadcast_to(mask, (rows, n))
+
+
+# ---------------------------------------------------------------------------
+# Bob
+# ---------------------------------------------------------------------------
+
 class HonestBob:
     """Protocol-compliant Bob; adversaries override individual hooks."""
 
     measures = True  # False: commit to guesses without measuring (postpone)
 
     def removal_pool(self, state: "ProtocolState", match: np.ndarray) -> np.ndarray:
-        """Boolean mask of survivor slots eligible for removal."""
+        """(T, N) mask of survivor slots eligible for removal."""
         if state.params.case is Case.LOW:
             return match
         return ~match
@@ -130,62 +221,78 @@ class HonestBob:
     def build_family(
         self,
         state: "ProtocolState",
-        choices: ChoiceVector,
-        rng: RandomSource,
-    ) -> tuple[list[np.ndarray], tuple[int, ...]]:
-        """Return (family, claimed labels).  Chosen subsets are uniform over
-        all-matching sets of surviving matches; the rest of the survivors are
-        distributed uniformly among the remaining labels."""
-        return _random_legal_family(state, choices.indices, rng)
+        choices: np.ndarray,
+        keys: np.ndarray,
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Return (family, claimed labels) for the (T, n) chosen-label mask.
+
+        The family is a list of n (T, size) index arrays, the claimed labels
+        a (T, n) mask.  Chosen subsets are uniform over all-matching sets of
+        surviving matches; the rest of the survivors are distributed
+        uniformly among the remaining labels.  `keys` are the rows' (T, 2N)
+        family sort keys."""
+        N = state.params.N
+        return _legal_family(state, choices, keys[:, :N], keys[:, N:])
 
 
-def _random_legal_family(
+def _legal_family(
     state: "ProtocolState",
-    target_labels: tuple[int, ...],
-    rng: RandomSource,
-) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    targets: np.ndarray,
+    target_keys: np.ndarray,
+    rest_keys: np.ndarray,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Fill the `targets` labels (ascending) with surviving matches in order
+    of `target_keys`, then the other labels with the remaining survivors in
+    order of `rest_keys`.  A row with too few matches gets other slots in
+    its target subsets; Bob gives up on it in :func:`select_subsets`."""
     params = state.params
-    s = params.subset_size
-    alive = np.flatnonzero(~state.removed)
-    match = state.match_flags()
-    matched = alive[match[alive]]
-    need = len(target_labels) * s
-    if matched.size < need:
-        raise InsufficientMatches(
-            f"{matched.size} surviving matches < {need} needed for "
-            f"{len(target_labels)} all-matching subsets"
-        )
-    perm = rng.gen.permutation(matched)
-    pool = perm[:need]
-    rest = np.concatenate([perm[need:], alive[~match[alive]]])
-    rest = rng.gen.permutation(rest)
-    family: list[np.ndarray | None] = [None] * params.n
-    for k, label in enumerate(target_labels):
-        family[label - 1] = pool[k * s:(k + 1) * s]
-    others = [k for k in range(params.n) if family[k] is None]
-    for j, k in enumerate(others):
-        family[k] = rest[j * s:(j + 1) * s]
-    return [np.sort(f) for f in family], tuple(sorted(target_labels))
+    n, s = params.n, params.subset_size
+    rows, N = state.removed.shape
+    alive = ~state.removed
+    first = np.argsort(np.where(alive & state.match_flags(), target_keys, _LAST), axis=1)
+    need = targets.sum(axis=1, keepdims=True) * s
+    picked = np.zeros((rows, N), dtype=bool)
+    _put(picked, first, np.arange(N) < need)
+    rest = np.argsort(np.where(alive & ~picked, rest_keys, _LAST), axis=1)
+    pos = np.arange(n * s)
+    seq = np.where(pos < need, first[:, :n * s], _take(rest, np.maximum(pos - need, 0)))
+    # block j of the sequence goes to the j-th label, the targets first
+    block_of = np.argsort(np.argsort(~targets, axis=1, kind="stable"), axis=1)
+    family = _take(seq, block_of[:, :, None] * s + np.arange(s))
+    return list(family.transpose(1, 0, 2)), targets
 
+
+# ---------------------------------------------------------------------------
+# state and phases
+# ---------------------------------------------------------------------------
 
 @dataclass
 class ProtocolState:
-    """Shared ground-truth state of one session, advanced phase by phase."""
+    """Shared ground-truth state of T sessions, advanced phase by phase."""
 
     params: ProtocolParams
-    r: np.ndarray        # Alice's raw bits, length 2N
-    beta: np.ndarray     # Alice's emission bases, length 2N
-    r_b: np.ndarray      # Bob's measured (or guessed) bits, length 2N
-    beta_b: np.ndarray   # Bob's measurement bases, length 2N
+    draws: Draws
+    r: np.ndarray        # Alice's raw bits, (T, 2N)
+    beta: np.ndarray     # Alice's emission bases, (T, 2N)
+    r_b: np.ndarray      # Bob's measured (or guessed) bits, (T, 2N)
+    beta_b: np.ndarray   # Bob's measurement bases, (T, 2N)
     session: CommitmentSession
+    status: np.ndarray   # (T,) index into STATUSES
     stage: int = 1
-    id_r: np.ndarray | None = None     # commitment ids per original index
+    id_r: np.ndarray | None = None     # commitment id per original index, (2N,)
     id_beta: np.ndarray | None = None
-    surv: np.ndarray | None = None     # original index per survivor slot
+    surv: np.ndarray | None = None     # original index per survivor slot, (T, N)
+    r_s: np.ndarray | None = None      # r, beta, r_b, beta_b per survivor slot
+    beta_s: np.ndarray | None = None
+    r_bs: np.ndarray | None = None
+    beta_bs: np.ndarray | None = None
     bases_announced: bool = False
-    removed: np.ndarray | None = None  # bool per survivor slot
-    family: list[np.ndarray] | None = None
-    claimed: tuple[int, ...] = ()
+    removed: np.ndarray | None = None  # (T, N) bool per survivor slot
+    family: np.ndarray | None = None   # (T, n, size), each subset sorted
+    claimed: np.ndarray | None = None  # (T, n) labels Bob claims all-matching
+    inputs: np.ndarray | None = None   # (T, n) Alice's input bits
+    chosen: np.ndarray | None = None   # (T, n) Bob's chosen labels
+    recovered: np.ndarray | None = None  # (T, n) Bob's unmasking of every label
 
     def _require_stage(self, expected: int) -> None:
         if self.stage != expected:
@@ -193,22 +300,17 @@ class ProtocolState:
                 f"phase expects stage {expected}, session is at {self.stage}"
             )
 
-    # survivor-slot projections of the raw arrays
     @property
-    def r_s(self) -> np.ndarray:
-        return self.r[self.surv]
+    def rows(self) -> int:
+        return self.status.shape[0]
 
-    @property
-    def beta_s(self) -> np.ndarray:
-        return self.beta[self.surv]
+    def live(self) -> np.ndarray:
+        """(T,) bool: rows that have not aborted."""
+        return self.status == 0
 
-    @property
-    def r_bs(self) -> np.ndarray:
-        return self.r_b[self.surv]
-
-    @property
-    def beta_bs(self) -> np.ndarray:
-        return self.beta_b[self.surv]
+    def abort(self, rows: np.ndarray, status: Status) -> None:
+        """Record `status` for the given rows that have not aborted yet."""
+        self.status[rows & self.live()] = STATUSES.index(status)
 
     def match_flags(self) -> np.ndarray:
         """Per-slot basis agreement; only knowable to Bob once bases are announced."""
@@ -216,78 +318,84 @@ class ProtocolState:
             raise ProtocolOrderError("bases not yet announced")
         return self.beta_s == self.beta_bs
 
+    def over_subsets(self, values: np.ndarray) -> np.ndarray:
+        """(T, n, size) per-slot `values` (T, N) gathered over the family."""
+        return _take(values, self.family)
+
+    def all_matching(self) -> np.ndarray:
+        """(T, n) bool: the subsets whose every slot is a basis match."""
+        return self.over_subsets(self.match_flags()).all(axis=2)
+
 
 def phase1_transmit(
     params: ProtocolParams,
-    rng_a: RandomSource,
-    rng_b: RandomSource,
+    draws: Draws,
     bob: HonestBob | None = None,
     transcript: Transcript | None = None,
 ) -> ProtocolState:
-    """Step 1: Alice sends 2N photons; Bob measures each on arrival."""
+    """Step 1: Alice sends 2N photons per row; Bob measures each on arrival.
+
+    A matching basis reproduces Alice's bit, a mismatched one gives Bob a
+    fair coin; a Bob who does not measure commits to the coins alone."""
     bob = bob or HonestBob()
-    two_n = 2 * params.N
-    r = rng_a.bits(two_n)
-    beta = rng_a.bits(two_n)
-    beta_b = rng_b.bits(two_n)
-    if bob.measures:
-        r_b = transmit_batch(r, beta, beta_b, rng_b)
-    else:
-        # photons stored unmeasured; Bob fabricates values to commit to
-        r_b = rng_b.bits(two_n)
+    r, beta, beta_b = draws.r, draws.beta, draws.beta_b
+    r_b = transmit_batch(r, beta, beta_b, draws.coin) if bob.measures else draws.coin
     if transcript is not None:
-        for i in range(two_n):
+        for i in range(2 * params.N):
             transcript.add(1, "A", "photon", index=i)
     return ProtocolState(
-        params=params, r=r, beta=beta, r_b=r_b, beta_b=beta_b,
-        session=CommitmentSession(),
+        params=params, draws=draws, r=r, beta=beta, r_b=r_b, beta_b=beta_b,
+        session=CommitmentSession(), status=np.zeros(r.shape[0], dtype=np.int8),
     )
 
 
 def phase2_challenge(
     state: ProtocolState,
-    rng_a: RandomSource,
     transcript: Transcript | None = None,
 ) -> ProtocolState:
     """Step 2: commit, challenge one of each (i, N+i) pair, keep the other."""
     state._require_stage(1)
     N = state.params.N
-    idx = np.arange(N)
     # commitment order per pair: r'_i, beta'_i, r'_{N+i}, beta'_{N+i}
-    vals = np.empty(4 * N, dtype=np.uint8)
-    vals[0::4] = state.r_b[:N]
-    vals[1::4] = state.beta_b[:N]
-    vals[2::4] = state.r_b[N:]
-    vals[3::4] = state.beta_b[N:]
+    vals = np.empty((state.rows, 4 * N), dtype=np.uint8)
+    vals[:, 0::4] = state.r_b[:, :N]
+    vals[:, 1::4] = state.beta_b[:, :N]
+    vals[:, 2::4] = state.r_b[:, N:]
+    vals[:, 3::4] = state.beta_b[:, N:]
     ids = state.session.commit_many(vals)
-    id_r = np.empty(2 * N, dtype=np.int64)
-    id_beta = np.empty(2 * N, dtype=np.int64)
-    id_r[:N], id_beta[:N] = ids[0::4], ids[1::4]
-    id_r[N:], id_beta[N:] = ids[2::4], ids[3::4]
-    state.id_r, state.id_beta = id_r, id_beta
+    state.id_r = np.concatenate([ids[0::4], ids[2::4]])
+    state.id_beta = np.concatenate([ids[1::4], ids[3::4]])
     if transcript is not None:
         for cid in ids:
             transcript.add(2, "B", "commit", id=int(cid))
 
-    d = rng_a.bits(N)
-    challenged = idx + N * d.astype(np.int64)
-    unveiled_r = state.session.unveil_many(id_r[challenged])
-    unveiled_beta = state.session.unveil_many(id_beta[challenged])
+    # d = 1: pair i's challenged index is N+i and slot i keeps index i;
+    # d = 0: the other way round
+    d = state.draws.d
+
+    def challenged(a):
+        return a[..., :N] ^ ((a[..., :N] ^ a[..., N:]) * d)
+
+    def kept(a):
+        return a[..., N:] ^ ((a[..., :N] ^ a[..., N:]) * d)
+
+    cid_r, cid_beta = challenged(state.id_r), challenged(state.id_beta)
+    unveiled_r = state.session.unveil_many(cid_r)
+    unveiled_beta = state.session.unveil_many(cid_beta)
     if transcript is not None:
         for i in range(N):
-            transcript.add(2, "A", "challenge", i=int(i), d=int(d[i]))
-            transcript.unveil(2, id_r[challenged[i]], unveiled_r[i])
-            transcript.unveil(2, id_beta[challenged[i]], unveiled_beta[i])
-    violation = (state.beta[challenged] == unveiled_beta) & (
-        state.r[challenged] != unveiled_r
+            transcript.add(2, "A", "challenge", i=int(i), d=int(d[0, i]))
+            transcript.unveil(2, cid_r[0, i], unveiled_r[0, i])
+            transcript.unveil(2, cid_beta[0, i], unveiled_beta[0, i])
+    violation = (challenged(state.beta) == unveiled_beta) & (
+        challenged(state.r) != unveiled_r
     )
-    state.surv = idx + N * (1 - d.astype(np.int64))
-    state.removed = np.zeros(N, dtype=bool)
+    state.surv = kept(np.arange(2 * N))
+    state.r_s, state.beta_s = kept(state.r), kept(state.beta)
+    state.r_bs, state.beta_bs = kept(state.r_b), kept(state.beta_b)
+    state.removed = np.zeros((state.rows, N), dtype=bool)
     state.stage = 2
-    if violation.any():
-        raise CheatDetected(
-            f"challenge check failed at {int(violation.sum())} of {N} indices"
-        )
+    state.abort(violation.any(axis=1), Status.ABORT_CHEAT_DETECTED)
     return state
 
 
@@ -299,14 +407,13 @@ def announce_bases(
     bases = state.beta_s
     state.bases_announced = True
     state.stage = 3
-    if transcript is not None:
-        transcript.add(3, "A", "bases", bases=[int(b) for b in bases])
+    if transcript is not None and state.status[0] == 0:
+        transcript.add(3, "A", "bases", bases=[int(b) for b in bases[0]])
     return bases
 
 
 def removal_phase(
     state: ProtocolState,
-    rng_b: RandomSource,
     bob: HonestBob | None = None,
     strict_removal: bool = False,
     transcript: Transcript | None = None,
@@ -317,118 +424,140 @@ def removal_phase(
     implication (basis equal implies bit equal).  With `strict_removal` she
     additionally rejects any removed slot whose unveiled basis mismatches.
     High case: removed slots must mismatch and Alice checks exactly that.
+    Returns the (T, x) removed slots, ascending per row.
     """
     state._require_stage(3)
     bob = bob or HonestBob()
     params = state.params
     x = params.x
     match = state.match_flags()
+    state.stage = 4
     if x == 0:
-        state.stage = 4
-        return np.empty(0, dtype=np.int64)
-    pool = np.flatnonzero(bob.removal_pool(state, match))
-    if pool.size < x:
-        state.stage = 4
-        raise InsufficientMatches(
-            f"{pool.size} eligible slots < removal count x = {x}"
-        )
-    removed_slots = np.sort(rng_b.gen.choice(pool, size=x, replace=False))
-    orig = state.surv[removed_slots]
+        return np.empty((state.rows, 0), dtype=np.int64)
+    pool = bob.removal_pool(state, match)
+    short = pool.sum(axis=1) < x
+    state.abort(short, Status.ABORT_INSUFFICIENT_MATCHES)
+    keys = np.where(pool, state.draws.removal_keys, _LAST)
+    removed_slots = np.sort(np.argsort(keys, axis=1)[:, :x], axis=1)
+    orig = _take(state.surv, removed_slots)
     unveiled_r = state.session.unveil_many(state.id_r[orig])
     unveiled_beta = state.session.unveil_many(state.id_beta[orig])
-    if transcript is not None:
+    if transcript is not None and state.status[0] == 0:
         for j in range(x):
-            transcript.unveil(4, state.id_r[orig[j]], unveiled_r[j])
-            transcript.unveil(4, state.id_beta[orig[j]], unveiled_beta[j])
-    alice_beta = state.beta_s[removed_slots]
-    alice_r = state.r_s[removed_slots]
-    state.removed[removed_slots] = True
-    state.stage = 4
+            transcript.unveil(4, state.id_r[orig[0, j]], unveiled_r[0, j])
+            transcript.unveil(4, state.id_beta[orig[0, j]], unveiled_beta[0, j])
+    alice_beta = _take(state.beta_s, removed_slots)
+    alice_r = _take(state.r_s, removed_slots)
+    # a row too short to remove x slots removed nothing
+    _put(state.removed, removed_slots, ~short[:, None])
+    same_basis = alice_beta == unveiled_beta
     if params.case is Case.LOW:
-        bad = (alice_beta == unveiled_beta) & (alice_r != unveiled_r)
-        if bad.any():
-            raise CheatDetected("removal unveil broke basis/bit implication")
-        if strict_removal and (alice_beta != unveiled_beta).any():
-            raise CheatDetected("removed slot with mismatched basis in low case")
+        bad = (same_basis & (alice_r != unveiled_r)).any(axis=1)
+        if strict_removal:
+            bad |= ~same_basis.all(axis=1)
     else:
-        if (alice_beta == unveiled_beta).any():
-            raise CheatDetected("removed slot with matching basis in high case")
+        bad = same_basis.any(axis=1)
+    state.abort(bad, Status.ABORT_CHEAT_DETECTED)
     return removed_slots
 
 
 def select_subsets(
     state: ProtocolState,
-    choices: ChoiceVector,
-    rng_b: RandomSource,
+    choices: np.ndarray,
     bob: HonestBob | None = None,
     transcript: Transcript | None = None,
-) -> list[np.ndarray]:
+) -> np.ndarray | None:
     """Step 5: Bob announces n disjoint subsets of size (N-x)/n covering the
-    survivors, with the chosen ones all-matching."""
+    survivors, with the chosen ones all-matching.
+
+    `choices` is the (T, n) chosen-label mask.  Bob gives up on a row whose
+    surviving matches cannot fill the subsets he claims.  Alice checks each
+    family's structure: count, sizes, disjointness, coverage.  Returns the
+    (T, n, size) family, or None when its count or sizes are wrong, which
+    aborts every row."""
     state._require_stage(4)
     bob = bob or HonestBob()
-    family, claimed = bob.build_family(state, choices, rng_b)
-    _check_family_legal(state, family)
-    state.family = [np.sort(np.asarray(f, dtype=np.int64)) for f in family]
+    params = state.params
+    n, s, N = params.n, params.subset_size, params.N
+    family, claimed = bob.build_family(state, choices, state.draws.family_keys)
     state.claimed = claimed
+    alive = ~state.removed
+    matched = (state.match_flags() & alive).sum(axis=1)
+    state.abort(matched < claimed.sum(axis=1) * s, Status.ABORT_INSUFFICIENT_MATCHES)
     state.stage = 5
-    if transcript is not None:
+    if len(family) != n or any(np.shape(f) != (state.rows, s) for f in family):
+        state.abort(np.ones(state.rows, dtype=bool), Status.ABORT_INVALID_MESSAGE)
+        return None
+    fam = np.stack(family, axis=1).astype(np.int64)
+    union = np.sort(fam.reshape(state.rows, n * s), axis=1)
+    in_range = (union[:, 0] >= 0) & (union[:, -1] < N)
+    legal = (
+        in_range
+        & (np.diff(union, axis=1) != 0).all(axis=1)
+        & _take(alive, np.clip(union, 0, N - 1)).all(axis=1)
+        & (alive.sum(axis=1) == n * s)
+    )
+    state.abort(~legal, Status.ABORT_INVALID_MESSAGE)
+    # an illegal family may index outside the row; later gathers read a
+    # stand-in family on rows that aborted here
+    fam = np.where(legal[:, None, None], fam, np.arange(n * s).reshape(n, s))
+    state.family = np.sort(fam, axis=2)
+    if transcript is not None and state.status[0] == 0:
         transcript.add(
             5, "B", "subsets",
-            subsets=[[int(j) for j in f] for f in state.family],
+            subsets=[[int(j) for j in f] for f in state.family[0]],
         )
     return state.family
 
 
-def _check_family_legal(state: ProtocolState, family: list[np.ndarray]) -> None:
-    """Alice's structural checks: count, sizes, disjointness, coverage."""
-    params = state.params
-    if len(family) != params.n:
-        raise InvalidMessage(f"expected {params.n} subsets, got {len(family)}")
-    sizes = [len(f) for f in family]
-    if any(size != params.subset_size for size in sizes):
-        raise InvalidMessage(f"subset sizes {sizes} != {params.subset_size}")
-    union = np.concatenate([np.asarray(f) for f in family]) if family else np.empty(0)
-    alive = np.flatnonzero(~state.removed)
-    if len(np.unique(union)) != len(union):
-        raise InvalidMessage("subsets are not pairwise disjoint")
-    if not np.array_equal(np.sort(union), alive):
-        raise InvalidMessage("subsets do not cover exactly the surviving slots")
-
-
 def mask_bits(
-    inputs: InputBits,
+    inputs: np.ndarray,
     state: ProtocolState,
     transcript: Transcript | None = None,
 ) -> np.ndarray:
-    """Step 6: Alice sends each bit XORed with her raw-bit parity over its subset."""
+    """Step 6: Alice sends each (T, n) input bit XORed with her raw-bit
+    parity over its subset."""
     state._require_stage(5)
-    r_s = state.r_s
-    masked = np.empty(state.params.n, dtype=np.uint8)
-    for k in range(state.params.n):
-        parity = int(np.bitwise_xor.reduce(r_s[state.family[k]])) if len(state.family[k]) else 0
-        masked[k] = inputs.bits[k] ^ parity
+    parity = np.bitwise_xor.reduce(state.over_subsets(state.r_s), axis=2)
+    masked = np.asarray(inputs, dtype=np.uint8) ^ parity
     state.stage = 6
-    if transcript is not None:
-        transcript.add(6, "A", "masked_bits", bits=[int(b) for b in masked])
+    if transcript is not None and state.status[0] == 0:
+        transcript.add(6, "A", "masked_bits", bits=[int(b) for b in masked[0]])
     return masked
 
 
-def decode(
-    masked: np.ndarray,
-    state: ProtocolState,
-    choices: ChoiceVector,
-) -> dict[int, int]:
-    """Step 7: Bob unmasks his chosen bits with his own measured-bit parities."""
+def decode(masked: np.ndarray, state: ProtocolState) -> np.ndarray:
+    """Step 7: Bob unmasks every label with his own measured-bit parities.
+
+    Returns the (T, n) unmasked bits; they are right at every label whose
+    subset is all-matching, so in particular at Bob's chosen labels."""
     state._require_stage(6)
-    r_bs = state.r_bs
-    recovered = {}
-    for c in choices.indices:
-        subset = state.family[c - 1]
-        parity = int(np.bitwise_xor.reduce(r_bs[subset])) if len(subset) else 0
-        recovered[c] = int(masked[c - 1]) ^ parity
+    parity = np.bitwise_xor.reduce(state.over_subsets(state.r_bs), axis=2)
+    state.recovered = masked ^ parity
     state.stage = 7
-    return recovered
+    return state.recovered
+
+
+def session_inputs(params: ProtocolParams, inputs, choices) -> tuple[InputBits, ChoiceVector]:
+    """Validate one session's input bits and choices against `params`."""
+    if not isinstance(inputs, InputBits):
+        inputs = InputBits(tuple(inputs))
+    if not isinstance(choices, ChoiceVector):
+        choices = ChoiceVector(tuple(choices), n=params.n)
+    if len(inputs.bits) != params.n:
+        raise ValueError(f"need {params.n} input bits, got {len(inputs.bits)}")
+    if len(choices.indices) != params.m:
+        raise ValueError(f"need {params.m} choices, got {len(choices.indices)}")
+    return inputs, choices
+
+
+@dataclass(frozen=True)
+class Trials:
+    """Trials `start` .. `start+count-1` of `source`'s stream, run as one batch."""
+
+    source: RandomSource
+    start: int = 0
+    count: int = 1
 
 
 def run_protocol(
@@ -439,62 +568,68 @@ def run_protocol(
     record_transcript: bool = False,
     bob: HonestBob | None = None,
     strict_removal: bool = False,
-) -> TrialOutcome:
-    """Run one full session; aborts become outcome statuses, never exceptions.
+) -> TrialOutcome | ProtocolState:
+    """Run full sessions; aborts become statuses, never exceptions.
 
-    `seed` may be an int or a :class:`RandomSource` (one per trial).  The
-    outcome's `detail` carries ground truth used by verification code: the
-    survivor match count, the announced family, and Bob's claimed labels.
-    A phase driven out of order (e.g. by a faulty Bob hook) raises
+    With an int or :class:`RandomSource` `seed`, runs one session (trial 0
+    of the stream) and returns its :class:`TrialOutcome`.  The outcome's
+    `detail` carries ground truth used by verification code: the survivor
+    match flags and count, the removed slots, the commitment count and, for
+    a completed run, the announced family, Bob's claimed labels and the
+    truly all-matching labels.
+
+    With a :class:`Trials` block as `seed`, runs its trials as one batch and
+    returns the final :class:`ProtocolState`; row k is exactly the single
+    session of trial ``start + k``.  `inputs` (n bits) and `choices` (m
+    labels) are then fixed for every row, or None to draw them per trial
+    from its block, and no transcript is recorded.  This is the engine of
+    every Monte Carlo runner.
+
+    Phases after the point where every row has aborted are skipped.  A phase
+    driven out of order (e.g. by a faulty Bob hook) raises
     :class:`ProtocolOrderError`.
     """
+    batch = isinstance(seed, Trials)
+    if not batch:
+        session = session_inputs(params, inputs, choices)
+        inputs, choices = session[0].bits, session[1].indices
+        seed = Trials(seed if isinstance(seed, RandomSource) else RandomSource(int(seed)))
     bob = bob or HonestBob()
-    if not isinstance(inputs, InputBits):
-        inputs = InputBits(tuple(int(b) for b in inputs))
-    if not isinstance(choices, ChoiceVector):
-        choices = ChoiceVector(tuple(int(c) for c in choices), n=params.n)
-    if len(inputs.bits) != params.n:
-        raise ValueError(f"need {params.n} input bits, got {len(inputs.bits)}")
-    if len(choices.indices) != params.m:
-        raise ValueError(f"need {params.m} choices, got {len(choices.indices)}")
-    root = seed if isinstance(seed, RandomSource) else RandomSource(int(seed))
-    rng_a = root.stream("alice")
-    rng_b = root.stream("bob")
-    transcript = Transcript() if record_transcript else None
+    transcript = Transcript() if record_transcript and not batch else None
+    count = seed.count
+    draws = draw_sessions(params, seed.source, seed.start, count)
+    state = phase1_transmit(params, draws, bob=bob, transcript=transcript)
+    state.inputs = draws.inputs if inputs is None else np.broadcast_to(
+        np.asarray(inputs, dtype=np.uint8), (count, params.n))
+    state.chosen = draws.chosen(params.m) if choices is None else label_mask(
+        choices, count, params.n)
+    phase2_challenge(state, transcript=transcript)
+    announce_bases(state, transcript=transcript)
+    if state.live().any():
+        removal_phase(state, bob=bob, strict_removal=strict_removal,
+                      transcript=transcript)
+    if state.live().any():
+        select_subsets(state, state.chosen, bob=bob, transcript=transcript)
+    if state.live().any():
+        decode(mask_bits(state.inputs, state, transcript=transcript), state)
+    if batch:
+        return state
 
-    detail: dict = {}
-    status = Status.COMPLETED
+    status = STATUSES[state.status[0]]
+    match = state.match_flags()[0]
+    detail: dict = {
+        "matches": int(match.sum()),
+        "match": match,
+        "removed": state.removed[0],
+        "commitments": len(state.session),
+    }
     recovered: dict[int, int] = {}
-    state = phase1_transmit(params, rng_a, rng_b, bob=bob, transcript=transcript)
-    try:
-        phase2_challenge(state, rng_a, transcript=transcript)
-        announce_bases(state, transcript=transcript)
-        detail["matches"] = int((state.beta_s == state.beta_bs).sum())
-        removal_phase(
-            state, rng_b, bob=bob, strict_removal=strict_removal,
-            transcript=transcript,
-        )
-        select_subsets(state, choices, rng_b, bob=bob, transcript=transcript)
-        masked = mask_bits(inputs, state, transcript=transcript)
-        recovered = decode(masked, state, choices)
-    except CheatDetected as err:
-        status = Status.ABORT_CHEAT_DETECTED
-        detail["reason"] = str(err)
-    except InsufficientMatches as err:
-        status = Status.ABORT_INSUFFICIENT_MATCHES
-        detail["reason"] = str(err)
-    except InvalidMessage as err:
-        status = Status.ABORT_INVALID_MESSAGE
-        detail["reason"] = str(err)
-
-    detail["state"] = state
-    if state.family is not None:
-        detail["family"] = state.family
-        detail["claimed"] = state.claimed
-        match = state.match_flags()
+    if status is Status.COMPLETED:
+        detail["family"] = list(state.family[0])
+        detail["claimed"] = tuple(int(k) + 1 for k in np.flatnonzero(state.claimed[0]))
         detail["all_matching_labels"] = tuple(
-            k + 1 for k, f in enumerate(state.family) if bool(match[f].all())
-        )
+            int(k) + 1 for k in np.flatnonzero(state.all_matching()[0]))
+        recovered = {int(c): int(state.recovered[0, c - 1]) for c in choices}
     return TrialOutcome(
         status=status, recovered=recovered, transcript=transcript, detail=detail
     )

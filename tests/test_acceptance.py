@@ -95,7 +95,7 @@ def test_criterion_03_channel_invariant(report):
     bits = rng.bits(count)
     bases_a = rng.bits(count)
     bases_b = rng.bits(count)
-    out = transmit_batch(bits, bases_a, bases_b, rng.stream("channel"))
+    out = transmit_batch(bits, bases_a, bases_b, rng.stream("channel").bits(count))
     match = bases_a == bases_b
     match_agree = float((out[match] == bits[match]).mean())
     mismatch_agree = float((out[~match] == bits[~match]).mean())

@@ -185,8 +185,8 @@ def test_leaky_bob_placement_is_deterministic():
         if outcome.status is not Status.COMPLETED:
             continue
         seen += 1
-        state = outcome.detail["state"]
+        match, removed = outcome.detail["match"], outcome.detail["removed"]
         family = outcome.detail["family"]
-        matched = np.sort(np.flatnonzero(state.match_flags() & ~state.removed))
+        matched = np.sort(np.flatnonzero(match & ~removed))
         assert np.array_equal(family[2], matched[: P316.subset_size])
     assert seen > 100

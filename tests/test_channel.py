@@ -87,25 +87,39 @@ def test_random_bit_is_binary():
     data=st.data(),
 )
 def test_transmit_batch_matches_scalar_loop(seed, size, data):
-    """Vectorized transmission must be draw-for-draw identical to per-photon
-    measurement with the same stream."""
+    """Vectorized transmission must be identical to per-photon measurement
+    that is handed the same coin for each photon, in any array shape."""
     bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)), dtype=np.uint8)
     ba = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)), dtype=np.uint8)
     bb = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)), dtype=np.uint8)
+    coins = RandomSource(seed).bits(size)
 
-    batch = transmit_batch(bits, ba, bb, RandomSource(seed))
+    batch = transmit_batch(bits, ba, bb, coins)
 
-    rng = RandomSource(seed)
     scalar = np.empty(size, dtype=np.uint8)
     for i in range(size):
         photon = encode(int(bits[i]), Basis(int(ba[i])))
-        scalar[i] = measure(photon, Basis(int(bb[i])), rng)
+        scalar[i] = measure(photon, Basis(int(bb[i])), _Coin(coins[i]))
     assert np.array_equal(batch, scalar)
+    rows = (2, size // 2)
+    cut = 2 * (size // 2)
+    as_rows = transmit_batch(*(a[:cut].reshape(rows) for a in (bits, ba, bb, coins)))
+    assert np.array_equal(as_rows.reshape(-1), scalar[:cut])
+
+
+class _Coin:
+    """A source whose every bit is the given coin."""
+
+    def __init__(self, coin):
+        self.coin = int(coin)
+
+    def bit(self) -> int:
+        return self.coin
 
 
 def test_transmit_batch_matching_positions_exact():
     rng = RandomSource(9)
     bits = rng.bits(1000)
     bases = rng.bits(1000)
-    out = transmit_batch(bits, bases, bases, RandomSource(10))
+    out = transmit_batch(bits, bases, bases, RandomSource(10).bits(1000))
     assert np.array_equal(out, bits)

@@ -84,3 +84,15 @@ def test_cheat_unveil_acceptance_rate_tracks_p():
     rate = accepted / trials
     sigma = (p * (1 - p) / trials) ** 0.5
     assert abs(rate - p) <= 4 * sigma
+
+
+def test_row_batched_ledger_unveils_each_row_and_guards_double_open():
+    session = CommitmentSession()
+    values = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+    ids = session.commit_many(values)
+    assert len(session) == 3 and ids.tolist() == [0, 1, 2]
+    # each row opens its own ids
+    assert session.unveil_many([[2], [0]]).tolist() == [[1], [1]]
+    assert session.unveil_many([[0], [2]]).tolist() == [[0], [0]]
+    with pytest.raises(DoubleUnveilError):
+        session.unveil_many([[1], [2]])  # row 1 already opened id 2

@@ -1,0 +1,97 @@
+"""Batched-engine tests: row k of a batch is exactly the single run of trial k."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from qotsim.adversary import (
+    STRATEGIES,
+    DishonestRemovalBob,
+    GreedyBob,
+    LeakyBob,
+    PostponeBob,
+    Strategy,
+)
+from qotsim.channel import RandomSource
+from qotsim.params import Case, validate_params
+from qotsim.protocol import (
+    BATCH_WORDS,
+    CHUNK,
+    HonestBob,
+    Trials,
+    chunks,
+    draw_sessions,
+    phase1_transmit,
+    phase2_challenge,
+    run_protocol,
+    session_width,
+)
+
+SETS = ((3, 1, 6), (2, 1, 18), (4, 1, 40))
+ROWS = 64
+
+# (label, strategy row or None, Bob, strict Alice)
+SESSIONS = [
+    ("honest", "honest", HonestBob, False),
+    ("greedy", "greedy", GreedyBob, False),
+    ("dishonest-removal", "dishonest-removal", DishonestRemovalBob, False),
+    ("dishonest-removal-strict", "dishonest-removal", DishonestRemovalBob, True),
+    ("curious-alice", "curious-alice", HonestBob, False),
+    ("leaky", None, LeakyBob, False),
+    ("postpone", "postpone", PostponeBob, False),
+]
+CASES = [
+    pytest.param(nmN, label, kind, bob, strict, id=f"{label}-{nmN}")
+    for nmN in SETS
+    for label, kind, bob, strict in SESSIONS
+    # dishonest removal applies to the low case only
+    if bob is not DishonestRemovalBob or validate_params(*nmN).case is Case.LOW
+]
+
+
+def _run(params, rng, start, count, bob, strict):
+    if bob is PostponeBob:  # steps 1-2 only
+        state = phase1_transmit(params, draw_sessions(params, rng, start, count), bob=bob())
+        phase2_challenge(state)
+        return state
+    return run_protocol(params, None, None, Trials(rng, start, count), bob=bob(),
+                        strict_removal=strict)
+
+
+def _row(state, k):
+    """Status, and for a completed row its recovered chosen bits, family and
+    claimed labels."""
+    status = int(state.status[k])
+    if status != 0 or state.recovered is None:
+        return status, None
+    return status, (
+        state.recovered[k][state.chosen[k]].tolist(),
+        state.family[k].tolist(),
+        np.flatnonzero(state.claimed[k]).tolist(),
+    )
+
+
+@pytest.mark.parametrize("nmN,label,kind,bob,strict", CASES)
+def test_batch_row_equals_single_trial(nmN, label, kind, bob, strict):
+    params = validate_params(*nmN)
+    rng = RandomSource(2024).stream(label)
+    batch = _run(params, rng, 0, ROWS, bob, strict)
+    singles = [_run(params, rng, k, 1, bob, strict) for k in range(ROWS)]
+    assert [_row(batch, k) for k in range(ROWS)] == [_row(s, 0) for s in singles]
+    if kind is not None:
+        spec = STRATEGIES[kind]
+        strategy = Strategy(kind, strict_alice=strict)
+        events = spec.hit(spec.run(params, strategy, rng, 0, ROWS))
+        single = [bool(spec.hit(spec.run(params, strategy, rng, k, 1))[0]) for k in range(ROWS)]
+        assert events.tolist() == single
+
+
+def test_batches_cover_every_trial_and_shrink_at_large_N():
+    assert list(chunks(CHUNK + 1, validate_params(4, 1, 40))) == [(0, CHUNK), (CHUNK, 1)]
+    large = validate_params(4, 1, 1000)
+    batches = list(chunks(10_000, large))
+    counts = [count for _, count in batches]
+    assert max(counts) * session_width(large) <= BATCH_WORDS
+    assert [start for start, _ in batches] == list(itertools.accumulate([0] + counts[:-1]))
+    assert sum(counts) == 10_000

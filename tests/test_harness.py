@@ -4,11 +4,13 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotsim.adversary import Strategy
+from qotsim.adversary import STRATEGIES, Strategy
+from qotsim.channel import RandomSource
 from qotsim.harness import (
     ExperimentConfig,
     all_verdicts_pass,
@@ -22,6 +24,7 @@ from qotsim.harness import (
     wilson_interval,
 )
 from qotsim.params import InvalidN, validate_params
+from qotsim.protocol import CHUNK, STATUSES, run_protocol
 
 P316 = validate_params(3, 1, 6)
 P216 = validate_params(2, 1, 6)
@@ -107,6 +110,74 @@ def test_run_experiment_honest_matches_oracle():
 def test_run_experiment_validates_params():
     with pytest.raises(InvalidN):
         run_experiment(ExperimentConfig(n=2, m=1, N=7, trials=10, seed=0))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("bits", (0, 1)),        # n = 3 needs three bits
+        ("bits", (0, 2, 1)),     # not a bit
+        ("choices", (5,)),       # outside [1, n]
+        ("choices", (0,)),
+        ("choices", (1, 2)),     # m = 1 needs one choice
+        ("choices", (1.0,)),     # not an int
+    ],
+)
+def test_experiment_config_rejects_bad_inputs(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(n=3, m=1, N=6, trials=10, seed=0, **{field: value})
+
+
+@pytest.mark.parametrize("choices", [(np.int64(2),), (1.0,)])
+def test_experiment_config_and_run_protocol_accept_the_same_choices(choices):
+    def accepts(build):
+        try:
+            build()
+        except ValueError:
+            return False
+        return True
+
+    config = accepts(lambda: ExperimentConfig(n=3, m=1, N=6, trials=10, seed=0,
+                                              choices=choices))
+    assert config == accepts(lambda: run_protocol(P316, (0, 1, 0), choices, 1))
+
+
+def test_experiment_config_rejects_repeated_choices():
+    with pytest.raises(ValueError, match="choices"):
+        ExperimentConfig(n=4, m=2, N=20, trials=10, seed=0, choices=(2, 2))
+
+
+def test_run_experiment_straddling_chunks_equals_trial_replays():
+    """Counts over a chunk boundary equal those of replaying each trial
+    alone from the experiment's stream."""
+    config = ExperimentConfig(n=3, m=1, N=6, trials=CHUNK + 40, seed=12)
+    stats = run_experiment(config)
+    spec = STRATEGIES["honest"]
+    rng = RandomSource(config.seed).stream("trials")
+    statuses = np.zeros(len(STATUSES), dtype=np.int64)
+    events = wrong = 0
+    for k in range(config.trials):
+        out = spec.run(P316, config.strategy, rng, k, 1)
+        statuses[out.status[0]] += 1
+        events += int(spec.hit(out)[0])
+        wrong += int(out.wrong_decode[0])
+    assert stats.completed == statuses[0]
+    assert stats.aborts == {s.value: int(c) for s, c in zip(STATUSES[1:], statuses[1:]) if c}
+    assert (stats.event_count, stats.wrong_decodes) == (events, wrong)
+
+
+def test_run_experiment_builds_no_generator_per_trial(monkeypatch):
+    """Trials share one counter-addressed stream: one Philox per chunk."""
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    run_experiment(ExperimentConfig(n=3, m=1, N=6, trials=10_000, seed=3))
+    assert 0 < len(built) <= math.ceil(10_000 / CHUNK) + 2
 
 
 def test_run_experiment_fixed_vs_random_inputs():

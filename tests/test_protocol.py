@@ -11,10 +11,14 @@ from qotsim.protocol import (
     ChoiceVector,
     HonestBob,
     InputBits,
+    STATUSES,
     ProtocolOrderError,
     Status,
+    Trials,
     announce_bases,
     decode,
+    draw_sessions,
+    label_mask,
     mask_bits,
     phase1_transmit,
     phase2_challenge,
@@ -130,13 +134,11 @@ def test_transcript_byte_stable():
 
 def test_commitment_count_is_4N():
     outcome = run_protocol(P316, (0, 1, 0), (2,), 5)
-    state = outcome.detail["state"]
-    assert len(state.session) == 4 * P316.N
+    assert outcome.detail["commitments"] == 4 * P316.N
 
 
 def test_phase_order_enforced():
-    root = RandomSource(3)
-    state = phase1_transmit(P316, root.stream("alice"), root.stream("bob"))
+    state = phase1_transmit(P316, draw_sessions(P316, RandomSource(3), 0, 1))
     with pytest.raises(ProtocolOrderError):
         announce_bases(state)  # skips the challenge phase
     with pytest.raises(ProtocolOrderError):
@@ -147,9 +149,9 @@ def test_order_error_propagates_from_run_protocol():
     """An out-of-order phase call is a simulator bug, not a protocol abort."""
 
     class OutOfOrderBob(HonestBob):
-        def build_family(self, state, choices, rng):
+        def build_family(self, state, choices, keys):
             announce_bases(state)  # step 3 again, during step 5
-            return super().build_family(state, choices, rng)
+            return super().build_family(state, choices, keys)
 
     assert run_protocol(P316, (0, 1, 0), (2,), 5).status is Status.COMPLETED
     with pytest.raises(ProtocolOrderError):
@@ -157,14 +159,11 @@ def test_order_error_propagates_from_run_protocol():
 
 
 def test_match_rate_after_removal_hits_target_low_case():
-    root = RandomSource(12)
-    rng_a, rng_b = root.stream("alice"), root.stream("bob")
-    state = phase1_transmit(P4140, rng_a, rng_b)
-    phase2_challenge(state, rng_a)
+    state = phase1_transmit(P4140, draw_sessions(P4140, RandomSource(12), 0, 1))
+    phase2_challenge(state)
     announce_bases(state)
-    try:
-        removal_phase(state, rng_b)
-    except Exception:
+    removal_phase(state)
+    if not state.live()[0]:
         pytest.skip("unlucky seed aborted; covered statistically elsewhere")
     match = state.match_flags()
     alive = ~state.removed
@@ -174,14 +173,11 @@ def test_match_rate_after_removal_hits_target_low_case():
 
 
 def test_high_case_removal_deletes_mismatches_only():
-    root = RandomSource(4)
-    rng_a, rng_b = root.stream("alice"), root.stream("bob")
-    state = phase1_transmit(P216, rng_a, rng_b)
-    phase2_challenge(state, rng_a)
+    state = phase1_transmit(P216, draw_sessions(P216, RandomSource(4), 0, 1))
+    phase2_challenge(state)
     announce_bases(state)
-    try:
-        removal_phase(state, rng_b)
-    except Exception:
+    removal_phase(state)
+    if not state.live()[0]:
         pytest.skip("unlucky seed aborted; covered statistically elsewhere")
     assert not state.match_flags()[state.removed].any()
 
@@ -190,19 +186,28 @@ class _BadFamilyBob(HonestBob):
     def __init__(self, mangle):
         self.mangle = mangle
 
-    def build_family(self, state, choices, rng):
-        family, claimed = super().build_family(state, choices, rng)
+    def build_family(self, state, choices, keys):
+        family, claimed = super().build_family(state, choices, keys)
         return self.mangle(family), claimed
 
 
-@pytest.mark.parametrize(
-    "mangle",
-    [
-        lambda fam: fam[:-1],                                # wrong count
-        lambda fam: [fam[0]] + fam[1:-1] + [fam[-1][:-1]],   # wrong size
-        lambda fam: [fam[0]] * len(fam),                     # not disjoint
-    ],
-)
+MANGLES = [
+    lambda fam: fam[:-1],                                  # wrong count
+    lambda fam: [fam[0]] + fam[1:-1] + [fam[-1][:, :-1]],  # wrong size
+    lambda fam: [fam[0]] * len(fam),                       # not disjoint
+    lambda fam: [_shift(fam[0], P316.N)] + fam[1:],        # past the last slot
+    lambda fam: [_shift(fam[0], -P316.N)] + fam[1:],       # negative
+]
+
+
+def _shift(subsets, by):
+    """Move the subsets of every other row, from the last, off the slots."""
+    subsets = subsets.copy()
+    subsets[::-2] += by
+    return subsets
+
+
+@pytest.mark.parametrize("mangle", MANGLES)
 def test_illegal_family_aborts_invalid_message(mangle):
     for seed in range(40):
         outcome = run_protocol(P316, (0, 1, 0), (2,), seed, bob=_BadFamilyBob(mangle))
@@ -215,21 +220,33 @@ def test_illegal_family_aborts_invalid_message(mangle):
     pytest.fail("mangled family never reached the structural check")
 
 
+@pytest.mark.parametrize("mangle", MANGLES)
+def test_illegal_family_aborts_its_rows_of_a_batch(mangle):
+    """Rows given an illegal family abort; the other rows end as honest ones."""
+    trials = Trials(RandomSource(8), 0, 64)
+    honest = run_protocol(P316, None, None, trials)
+    state = run_protocol(P316, None, None, trials, bob=_BadFamilyBob(mangle))
+    changed = state.status != honest.status
+    assert changed.any()
+    assert {STATUSES[k] for k in state.status[changed]} == {Status.ABORT_INVALID_MESSAGE}
+    done = state.live()
+    if done.any():
+        assert np.array_equal(state.recovered[done], honest.recovered[done])
+
+
 def test_manual_phase_drive_matches_run_protocol():
     """Driving the phases by hand reproduces run_protocol's outcome."""
     seed = 17
     auto = run_protocol(P316, (1, 0, 1), (3,), seed)
 
-    root = RandomSource(seed)
-    rng_a, rng_b = root.stream("alice"), root.stream("bob")
-    state = phase1_transmit(P316, rng_a, rng_b)
-    phase2_challenge(state, rng_a)
+    state = phase1_transmit(P316, draw_sessions(P316, RandomSource(seed), 0, 1))
+    phase2_challenge(state)
     announce_bases(state)
-    removal_phase(state, rng_b)
+    removal_phase(state)
     choices = ChoiceVector((3,), n=3)
-    select_subsets(state, choices, rng_b)
-    masked = mask_bits(InputBits((1, 0, 1)), state)
-    recovered = decode(masked, state, choices)
+    select_subsets(state, label_mask(choices.indices, 1, 3))
+    masked = mask_bits([InputBits((1, 0, 1)).bits], state)
+    recovered = {c: int(decode(masked, state)[0, c - 1]) for c in choices.indices}
     assert auto.status is Status.COMPLETED
     assert recovered == auto.recovered
 
