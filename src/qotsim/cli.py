@@ -3,7 +3,9 @@
 Subcommands: `bounds` (security-bound report), `run` (honest Monte Carlo),
 `attack` (adversarial Monte Carlo), `privacy-test` (choice-vector
 distinguishability), `oracle` (exact event probability).  Exit code 0 iff
-every verdict passes.  QOTSIM_SEED sets the default seed; flags override.
+every verdict passes; bad input (inadmissible parameters, malformed bits or
+choices) prints one `error:` line and exits 2.  QOTSIM_SEED sets the default
+seed; flags override.
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _write_out(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -112,20 +119,19 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
-        if args.N is not None:
-            N = args.N
-        elif args.auto_N is not None:
-            N = smallest_valid_N(args.n, args.m, args.auto_N)
-        else:
-            print("error: one of --N or --auto-N is required", file=sys.stderr)
-            return 2
-        params = validate_params(args.n, args.m, N)
+        if args.N is None and args.auto_N is None:
+            return _usage_error("one of --N or --auto-N is required")
         bits = None if args.random_bits else args.bits
         choices = None if args.random_choices else args.choices
-        config = ExperimentConfig(
-            n=args.n, m=args.m, N=N, trials=args.trials, seed=args.seed,
-            strategy=Strategy("honest"), bits=bits, choices=choices,
-        )
+        try:
+            N = args.N if args.N is not None else smallest_valid_N(args.n, args.m, args.auto_N)
+            params = validate_params(args.n, args.m, N)
+            config = ExperimentConfig(
+                n=args.n, m=args.m, N=N, trials=args.trials, seed=args.seed,
+                strategy=Strategy("honest"), bits=bits, choices=choices,
+            )
+        except ValueError as exc:
+            return _usage_error(exc)
         stats = run_experiment(config)
         verdicts = check_bounds(stats, params)
         doc_cfg = {"command": "run", "n": args.n, "m": args.m, "N": N,
@@ -137,12 +143,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if all_verdicts_pass(verdicts) else 1
 
     if args.command == "attack":
-        params = validate_params(args.n, args.m, args.N)
-        strategy = Strategy(args.strategy, p=args.p, strict_alice=args.strict_alice)
-        config = ExperimentConfig(
-            n=args.n, m=args.m, N=args.N, trials=args.trials, seed=args.seed,
-            strategy=strategy,
-        )
+        try:
+            params = validate_params(args.n, args.m, args.N)
+            strategy = Strategy(args.strategy, p=args.p, strict_alice=args.strict_alice)
+            config = ExperimentConfig(
+                n=args.n, m=args.m, N=args.N, trials=args.trials, seed=args.seed,
+                strategy=strategy,
+            )
+        except ValueError as exc:
+            return _usage_error(exc)
         stats = run_experiment(config)
         verdicts = check_bounds(stats, params)
         doc_cfg = {"command": "attack", "strategy": args.strategy, "p": args.p,
@@ -153,7 +162,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if all_verdicts_pass(verdicts) else 1
 
     if args.command == "privacy-test":
-        params = validate_params(args.n, args.m, args.N)
+        try:
+            params = validate_params(args.n, args.m, args.N)
+        except ValueError as exc:
+            return _usage_error(exc)
         report = privacy_independence_test(
             params, args.trials_per_choice, args.seed, leaky=args.leaky
         )
@@ -165,7 +177,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report["all_pass"] else 1
 
     if args.command == "oracle":
-        params = validate_params(args.n, args.m, args.N)
+        try:
+            params = validate_params(args.n, args.m, args.N)
+        except ValueError as exc:
+            return _usage_error(exc)
         value = exact_failure_oracle(params, args.event)
         config = {"command": "oracle", "n": args.n, "m": args.m, "N": args.N,
                   "event": args.event, "seed": None}

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import chi2_contingency
 
 from . import __version__
 from .adversary import STRATEGIES, LeakyBob, Strategy
@@ -255,6 +254,17 @@ def check_bounds(stats: AggregateStats, params: ProtocolParams) -> list[Verdict]
 # ---------------------------------------------------------------------------
 # privacy independence test
 # ---------------------------------------------------------------------------
+
+def chi2_contingency(table):
+    """scipy's chi-square test of independence on a contingency table.
+
+    scipy.stats is imported on the first call, not with this module: it is
+    most of the package's import time and only the privacy test needs it.
+    """
+    from scipy.stats import chi2_contingency as test
+
+    return test(table)
+
 
 def privacy_independence_test(
     params: ProtocolParams,

@@ -244,17 +244,25 @@ def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> 
 
     Events: "correctness" (honest Bob cannot finish), "privacy" (a greedy
     Bob can decode m+1 bits), "privacy_dishonest_removal".
+
+    A literal sum over the binomial support in integers: walks M = 0..N,
+    carrying comb(N, M) by the exact recurrence
+    comb(N, M+1) = comb(N, M) * (N-M) // (M+1), adds it to a hit count
+    wherever the event's predicate holds, and builds one rational,
+    hits / 2^N, at the end.
     """
     try:
         pred = _EVENTS[event]
     except KeyError:
         raise ValueError(f"unknown event {event!r}; one of {sorted(_EVENTS)}") from None
     N = params.N
-    total = Fraction(0)
+    hits = 0
+    c = 1  # comb(N, M)
     for M in range(N + 1):
         if pred(params, M):
-            total += Fraction(math.comb(N, M), 2**N)
-    return total
+            hits += c
+        c = c * (N - M) // (M + 1)
+    return Fraction(hits, 1 << N)
 
 
 @dataclass(frozen=True)

@@ -123,4 +123,22 @@ def test_seed_env_var_sets_default():
 def test_inadmissible_params_error():
     proc = _cli("oracle", "--n", "2", "--m", "1", "--N", "7",
                 "--event", "correctness")
-    assert proc.returncode != 0
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--bits", "1,0", "bits: need 3 values"),
+    ("--choices", "5", "choices: choice indices must lie in [1, 3]"),
+    ("--trials", "0", "trials must be >= 1"),
+])
+def test_run_bad_input_is_usage_error(flag, value, message):
+    """Bad input fails at the boundary: one error line and exit 2, no traceback."""
+    args = {"--n": "3", "--m": "1", "--N": "6", "--trials": "100", "--seed": "1"}
+    args[flag] = value
+    proc = _cli("run", *(part for item in args.items() for part in item))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {message}")
+    assert proc.stdout == ""

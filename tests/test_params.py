@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qotsim.params import (
+    _EVENTS,
     Case,
     HoeffdingQuery,
     InvalidChoiceCount,
@@ -18,6 +19,7 @@ from qotsim.params import (
     compute_x,
     correctness_deviation,
     correctness_epsilon,
+    exact_failure_oracle,
     hoeffding_bound,
     min_N,
     privacy_deviation_signed,
@@ -197,3 +199,23 @@ def test_bound_report_without_N():
     assert report.privacy_sign_anomaly
     assert report.commitment_eps == pytest.approx(0.3 ** (1 / 8), rel=1e-15)
     assert report.hoeffding_correctness_form == "2*exp(-N/50)"
+
+
+def test_exact_oracle_matches_comb_sum_past_brute_force():
+    """The oracle against a plain sum of math.comb terms, at every admissible
+    N <= 400 for n <= 4; brute force (criterion 5) stops at N = 20."""
+    checked = 0
+    for n in range(2, 5):
+        for m in range(1, n):
+            N = smallest_valid_N(n, m)
+            while N <= 400:
+                params = validate_params(n, m, N)
+                for event, pred in _EVENTS.items():
+                    q = exact_failure_oracle(params, event)
+                    hits = sum(math.comb(N, M) for M in range(N + 1) if pred(params, M))
+                    assert q == Fraction(hits, 2**N), (n, m, N, event)
+                    # a reduced hits / 2^N: the denominator is a power of two
+                    assert q.denominator & (q.denominator - 1) == 0
+                    checked += 1
+                N = smallest_valid_N(n, m, N + 1)
+    assert checked > 1000
