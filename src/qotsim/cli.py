@@ -4,8 +4,9 @@ Subcommands: `bounds` (security-bound report), `run` (honest Monte Carlo),
 `attack` (adversarial Monte Carlo), `privacy-test` (choice-vector
 distinguishability), `oracle` (exact event probability).  Exit code 0 iff
 every verdict passes; bad input (inadmissible parameters, malformed bits or
-choices) prints one `error:` line and exits 2.  QOTSIM_SEED sets the default
-seed; flags override.
+choices, a cheat probability outside (0, 1), too few trials) prints one
+`error:` line and exits 2.  QOTSIM_SEED sets the default seed; flags
+override.
 """
 
 from __future__ import annotations
@@ -110,7 +111,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "bounds":
-        report = build_bound_report(args.n, args.m, N=args.N, p=args.p)
+        try:
+            report = build_bound_report(args.n, args.m, N=args.N, p=args.p)
+        except ValueError as exc:
+            return _usage_error(exc)
         config = {"command": "bounds", "n": args.n, "m": args.m, "N": args.N,
                   "p": args.p, "seed": None}
         text = emit_report(config, extra={"bounds": dataclasses.asdict(report)},
@@ -164,11 +168,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "privacy-test":
         try:
             params = validate_params(args.n, args.m, args.N)
+            report = privacy_independence_test(
+                params, args.trials_per_choice, args.seed, leaky=args.leaky
+            )
         except ValueError as exc:
             return _usage_error(exc)
-        report = privacy_independence_test(
-            params, args.trials_per_choice, args.seed, leaky=args.leaky
-        )
         doc_cfg = {"command": "privacy-test", "n": args.n, "m": args.m,
                    "N": args.N, "trials_per_choice": args.trials_per_choice,
                    "seed": args.seed, "leaky": args.leaky}

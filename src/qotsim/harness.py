@@ -9,6 +9,12 @@ trial k owns the k-th fixed-width block of words of that key's stream (see
 :data:`~qotsim.protocol.CHUNK` through the batched session engine, so
 results are independent of batching and execution order, reproducible
 byte-for-byte, and any trial can be replayed from (seed, trial index).
+
+The privacy test runs the trials of every choice vector through the same
+engine, in one row sequence, and compares the vectors pairwise with a
+chi-square test of independence (:func:`chi2_contingency`).  That test
+does scipy.stats' arithmetic in numpy and loads only ``scipy.special``,
+for the p-value, on its first call.
 """
 
 from __future__ import annotations
@@ -256,14 +262,45 @@ def check_bounds(stats: AggregateStats, params: ProtocolParams) -> list[Verdict]
 # ---------------------------------------------------------------------------
 
 def chi2_contingency(table):
-    """scipy's chi-square test of independence on a contingency table.
+    """Pearson's chi-square test of independence on a 2-D contingency table.
 
-    scipy.stats is imported on the first call, not with this module: it is
-    most of the package's import time and only the privacy test needs it.
+    Returns (stat, p, dof, expected), computed as scipy.stats.chi2_contingency
+    computes them, so the values are equal to scipy's.  The expected counts
+    are the outer product of the margins over the table total; at dof 1
+    every cell first moves toward its expected count by at most 0.5 (Yates'
+    correction); the statistic sums over the whole table, and p is the
+    chi-square survival function of scipy.special, imported on the first
+    call so that importing the package loads no scipy.  dof 0 gives stat 0
+    and p 1.  A negative cell, an empty table or a zero expected count
+    raises ValueError, as in scipy; so does an all-zero table, for which
+    scipy would return NaNs.
     """
-    from scipy.stats import chi2_contingency as test
+    observed = np.asarray(table)
+    if observed.ndim != 2:
+        raise ValueError(f"need a 2-D table, got {observed.ndim} dimensions")
+    if np.any(observed < 0):
+        raise ValueError("all table values must be nonnegative")
+    if observed.size == 0:
+        raise ValueError("no data: the table has size 0")
+    counts = observed.astype(np.float64)
+    total = counts.sum()
+    if total == 0:
+        raise ValueError("no data: the table total is 0")
+    expected = counts.sum(axis=1, keepdims=True) * counts.sum(axis=0, keepdims=True)
+    expected /= total
+    if np.any(expected == 0):
+        cell = tuple(int(i) for i in np.argwhere(expected == 0)[0])
+        raise ValueError(f"the table of expected counts has a zero at {cell}")
+    dof = expected.size - sum(expected.shape) + 1
+    if dof == 0:
+        return 0.0, 1.0, dof, expected
+    if dof == 1:
+        diff = expected - observed
+        observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
+    stat = ((observed - expected) ** 2 / expected).sum()
+    from scipy.special import chdtrc
 
-    return test(table)
+    return stat, chdtrc(dof, stat), dof, expected
 
 
 def privacy_independence_test(
@@ -280,23 +317,40 @@ def privacy_independence_test(
     Pairwise chi-square tests at Bonferroni-corrected significance; under the
     uniform-announcement claim all pairs should be indistinguishable.  The
     `leaky` flag swaps in the deterministic positive-control Bob.
+
+    Vector v's trials are trials 0 .. `trials_per_choice`-1 of the stream
+    ``RandomSource(seed).stream("choice/<labels>")``.  The trials of all
+    vectors run as one row sequence, vector after vector, cut into engine
+    batches by :func:`~qotsim.protocol.chunks`; a batch may hold the rows
+    of two vectors, each with its own chosen labels.
     """
+    if trials_per_choice < 1:
+        raise ValueError(f"trials_per_choice must be >= 1, got {trials_per_choice}")
+    if not 0.0 < significance < 1.0:
+        raise ValueError(f"significance must be in (0, 1), got {significance}")
     n, m = params.n, params.m
+    T = trials_per_choice
     choice_vectors = list(itertools.combinations(range(1, n + 1), m))
     root = RandomSource(seed)
+    rngs = [root.stream(f"choice/{','.join(map(str, cv))}") for cv in choice_vectors]
+    masks = np.zeros((len(choice_vectors), n), dtype=bool)
+    np.put_along_axis(masks, np.array(choice_vectors) - 1, True, axis=1)
     bob_cls = LeakyBob if leaky else HonestBob
-    counts: dict[tuple[int, ...], np.ndarray] = {}
-    for cv in choice_vectors:
-        tally = np.zeros(n, dtype=np.int64)
-        rng = root.stream(f"choice/{','.join(map(str, cv))}")
-        for start, count in chunks(trials_per_choice, params):
-            state = run_protocol(params, (0,) * n, cv, Trials(rng, start, count),
-                                 bob=bob_cls())
-            if state.recovered is not None:  # some row completed
-                # subsets are sorted: column 0 holds each subset's smallest slot
-                firsts = state.family[state.live(), :, 0]
-                tally += np.bincount(firsts.argmin(axis=1), minlength=n)
-        counts[cv] = tally
+    tally = np.zeros(len(choice_vectors) * n, dtype=np.int64)
+    for start, count in chunks(len(choice_vectors) * T, params):
+        stop = start + count
+        vector = np.arange(start, stop) // T  # row r is trial r % T of vector r // T
+        blocks = []
+        for v in range(vector[0], vector[-1] + 1):
+            lo, hi = max(start, v * T), min(stop, (v + 1) * T)
+            blocks.append(Trials(rngs[v], lo - v * T, hi - lo))
+        state = run_protocol(params, (0,) * n, masks[vector], blocks, bob=bob_cls())
+        if state.recovered is not None:  # some row completed
+            live = state.live()
+            # subsets are sorted: column 0 holds each subset's smallest slot
+            firsts = state.family[live, :, 0].argmin(axis=1)
+            tally += np.bincount(vector[live] * n + firsts, minlength=tally.size)
+    counts = dict(zip(choice_vectors, tally.reshape(-1, n)))
 
     pairs = []
     n_pairs = math.comb(len(choice_vectors), 2)

@@ -307,6 +307,8 @@ def build_bound_report(
 ) -> BoundReport:
     """Assemble a :class:`BoundReport`; N enables per-N bounds, p the
     commitment-attack figures (commitment_bound additionally needs N)."""
+    if p is not None and not 0.0 < p < 1.0:
+        raise ValueError(f"cheat probability must be in (0,1), got {p}")
     delta_c, eps_c = correctness_epsilon(n, m)
     delta_p, eps_p = privacy_epsilon(n, m)
     fields: dict = dict(

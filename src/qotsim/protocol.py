@@ -580,29 +580,42 @@ def run_protocol(
 
     With a :class:`Trials` block as `seed`, runs its trials as one batch and
     returns the final :class:`ProtocolState`; row k is exactly the single
-    session of trial ``start + k``.  `inputs` (n bits) and `choices` (m
-    labels) are then fixed for every row, or None to draw them per trial
-    from its block, and no transcript is recorded.  This is the engine of
-    every Monte Carlo runner.
+    session of trial ``start + k``.  A list of blocks runs their rows
+    concatenated in order, as one batch of T rows.  `inputs` (n bits) is
+    then fixed for every row, or None to draw each row's bits from its
+    block; `choices` is m labels fixed for every row, a (T, n) chosen-label
+    mask, or None to draw them likewise.  No transcript is recorded.  This
+    is the engine of every Monte Carlo runner.
 
     Phases after the point where every row has aborted are skipped.  A phase
     driven out of order (e.g. by a faulty Bob hook) raises
     :class:`ProtocolOrderError`.
     """
-    batch = isinstance(seed, Trials)
+    batch = isinstance(seed, (Trials, list))
     if not batch:
         session = session_inputs(params, inputs, choices)
         inputs, choices = session[0].bits, session[1].indices
         seed = Trials(seed if isinstance(seed, RandomSource) else RandomSource(int(seed)))
     bob = bob or HonestBob()
     transcript = Transcript() if record_transcript and not batch else None
-    count = seed.count
-    draws = draw_sessions(params, seed.source, seed.start, count)
+    blocks = seed if isinstance(seed, list) else [seed]
+    width = session_width(params)
+    words = [b.source.block(width, b.start, b.count) for b in blocks]
+    draws = Draws(params, words[0] if len(words) == 1 else np.concatenate(words))
+    count = draws.inputs.shape[0]
+    if choices is None:
+        chosen = draws.chosen(params.m)
+    elif np.ndim(choices) == 2:
+        chosen = np.asarray(choices, dtype=bool)
+        if chosen.shape != (count, params.n) or (chosen.sum(axis=1) != params.m).any():
+            raise ValueError(f"choice mask must be ({count}, {params.n}) with "
+                             f"{params.m} labels per row")
+    else:
+        chosen = label_mask(choices, count, params.n)
     state = phase1_transmit(params, draws, bob=bob, transcript=transcript)
     state.inputs = draws.inputs if inputs is None else np.broadcast_to(
         np.asarray(inputs, dtype=np.uint8), (count, params.n))
-    state.chosen = draws.chosen(params.m) if choices is None else label_mask(
-        choices, count, params.n)
+    state.chosen = chosen
     phase2_challenge(state, transcript=transcript)
     announce_bases(state, transcript=transcript)
     if state.live().any():

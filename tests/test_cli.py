@@ -142,3 +142,20 @@ def test_run_bad_input_is_usage_error(flag, value, message):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {message}")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args, message", [
+    (("bounds", "--n", "2", "--m", "1", "--N", "7"), "removal count x = 7/3"),
+    (("bounds", "--n", "2", "--m", "2"), "require 1 <= m < n"),
+    (("bounds", "--n", "2", "--m", "1", "--p", "1.5"), "cheat probability must be in (0,1)"),
+    (("bounds", "--n", "2", "--m", "1", "--N", "18", "--p", "0"),
+     "cheat probability must be in (0,1)"),
+    (("privacy-test", "--n", "3", "--m", "1", "--N", "6", "--trials-per-choice", "0"),
+     "trials_per_choice must be >= 1"),
+])
+def test_bounds_and_privacy_bad_input_is_usage_error(args, message, capsys):
+    """An escaping exception would fail the call itself, so no traceback."""
+    assert main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert out == ""

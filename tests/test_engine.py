@@ -95,3 +95,26 @@ def test_batches_cover_every_trial_and_shrink_at_large_N():
     assert max(counts) * session_width(large) <= BATCH_WORDS
     assert [start for start, _ in batches] == list(itertools.accumulate([0] + counts[:-1]))
     assert sum(counts) == 10_000
+
+
+@pytest.mark.parametrize("bob", [HonestBob, LeakyBob])
+def test_concatenated_blocks_with_row_masks_equal_separate_batches(bob):
+    """Rows of several Trials blocks, each with its own chosen labels, run as
+    one batch exactly as each block does alone."""
+    params = validate_params(4, 2, 20)
+    root = RandomSource(77)
+    parts = [(Trials(root.stream("a"), 5, 30), (1, 3)), (Trials(root.stream("b"), 0, 20), (2, 4))]
+    mask = np.concatenate([np.isin(np.arange(1, 5), labels)[None].repeat(t.count, axis=0)
+                           for t, labels in parts])
+    batch = run_protocol(params, (0,) * 4, mask, [t for t, _ in parts], bob=bob())
+    alone = [run_protocol(params, (0,) * 4, labels, t, bob=bob()) for t, labels in parts]
+    assert [_row(batch, k) for k in range(batch.rows)] == [
+        _row(state, k) for state in alone for k in range(state.rows)]
+
+
+def test_row_mask_must_fit_the_batch():
+    params = validate_params(3, 1, 6)
+    block = Trials(RandomSource(1), 0, 4)
+    for mask in (np.eye(3, dtype=bool), np.ones((4, 3), dtype=bool)):
+        with pytest.raises(ValueError, match="choice mask"):
+            run_protocol(params, None, mask, block)

@@ -1,5 +1,6 @@
 """Harness tests: oracles vs brute force, experiments, verdicts, reports."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotsim.adversary import STRATEGIES, Strategy
+from qotsim.adversary import STRATEGIES, LeakyBob, Strategy
 from qotsim.channel import RandomSource
 from qotsim.harness import (
     ExperimentConfig,
     all_verdicts_pass,
     brute_force_failure_probability,
     check_bounds,
+    chi2_contingency,
     emit_report,
     exact_failure_oracle,
     privacy_independence_test,
@@ -24,7 +26,7 @@ from qotsim.harness import (
     wilson_interval,
 )
 from qotsim.params import InvalidN, validate_params
-from qotsim.protocol import CHUNK, STATUSES, run_protocol
+from qotsim.protocol import CHUNK, STATUSES, HonestBob, Trials, chunks, run_protocol
 
 P316 = validate_params(3, 1, 6)
 P216 = validate_params(2, 1, 6)
@@ -273,6 +275,53 @@ def test_privacy_independence_leaky_fails():
     report = privacy_independence_test(P316, 2000, seed=8, leaky=True)
     assert not report["all_pass"]
     assert min(p["p_value"] for p in report["pairs"]) < 1e-6
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"trials_per_choice": 0}, "trials_per_choice"),
+    ({"trials_per_choice": -3}, "trials_per_choice"),
+    ({"significance": 0.0}, "significance"),
+    ({"significance": 1.0}, "significance"),
+    ({"significance": -0.5}, "significance"),
+])
+def test_privacy_independence_rejects_bad_arguments(kwargs, name):
+    args = {"trials_per_choice": 10, "seed": 1} | kwargs
+    with pytest.raises(ValueError, match=name):
+        privacy_independence_test(P316, **args)
+
+
+def _privacy_by_vector(params, trials, seed, leaky):
+    """Feature counts and pair p-values from one engine batch per choice
+    vector, each over the vector's own stream block."""
+    n, m = params.n, params.m
+    root = RandomSource(seed)
+    counts = {}
+    for cv in itertools.combinations(range(1, n + 1), m):
+        label = ",".join(map(str, cv))
+        state = run_protocol(params, (0,) * n, cv,
+                             Trials(root.stream(f"choice/{label}"), 0, trials),
+                             bob=(LeakyBob if leaky else HonestBob)())
+        firsts = state.family[state.live(), :, 0].argmin(axis=1)
+        counts[label] = np.bincount(firsts, minlength=n)
+    p_values = []
+    for a, b in itertools.combinations(counts, 2):
+        table = np.vstack([counts[a], counts[b]])
+        p_values.append(float(chi2_contingency(table[:, table.sum(axis=0) > 0])[1]))
+    return {k: c.tolist() for k, c in counts.items()}, p_values
+
+
+@pytest.mark.parametrize("nmN, trials", [((3, 1, 6), 300), ((4, 2, 20), 200),
+                                         ((3, 1, 6), 1500)])
+@pytest.mark.parametrize("leaky", [False, True])
+def test_privacy_batch_equals_one_run_per_choice_vector(nmN, trials, leaky):
+    params = validate_params(*nmN)
+    report = privacy_independence_test(params, trials, seed=31, leaky=leaky)
+    counts, p_values = _privacy_by_vector(params, trials, 31, leaky)
+    assert report["feature_counts"] == counts
+    assert [pair["p_value"] for pair in report["pairs"]] == p_values
+    if trials == 1500:  # 4,500 rows: a batch holds the rows of several vectors
+        starts = [start for start, _ in chunks(3 * trials, params)]
+        assert len(starts) > 1 and starts[1] % trials != 0
 
 
 # -- reports ----------------------------------------------------------------
