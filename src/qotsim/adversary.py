@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,7 +35,6 @@ from .protocol import (
     Status,
     Trials,
     _legal_family,
-    _put,
     draw_sessions,
     phase1_transmit,
     phase2_challenge,
@@ -75,18 +75,44 @@ class AdversarialOutcome:
     wrong_decode: bool = False
 
 
-@dataclass
 class Outcomes:
-    """What T sessions achieved, one row each.  `status` indexes
-    :data:`~qotsim.protocol.STATUSES`; `guess` is curious Alice's guess of
-    the chosen labels, read from the announced family."""
+    """What T sessions achieved, one row each: `status` (T,) indexes
+    :data:`~qotsim.protocol.STATUSES`; `wrong_decode` (T,) marks a completed
+    row that recovered a wrong chosen bit.  Few strategies read the rest, so
+    it is computed from the final `state` on first access: `bits_learned`
+    (T,), the claimed subsets truly all-matching; `target_exceeded` (T,),
+    more than m of them; `guess` (T, n), curious Alice's guess of the
+    `chosen` (T, n) labels, read from the announced family.  A run without
+    full sessions passes `bits_learned` and has no `chosen` or `guess`."""
 
-    status: np.ndarray           # (T,)
-    bits_learned: np.ndarray     # (T,) claimed subsets truly all-matching
-    target_exceeded: np.ndarray  # (T,) bool: more than m bits learned
-    wrong_decode: np.ndarray     # (T,) bool
-    chosen: np.ndarray | None = None  # (T, n) bool
-    guess: np.ndarray | None = None   # (T, n) bool
+    def __init__(self, status: np.ndarray, wrong_decode: np.ndarray, m: int,
+                 bits_learned: np.ndarray | None = None, state: ProtocolState | None = None):
+        self.status, self.wrong_decode, self.m, self._state = status, wrong_decode, m, state
+        self.chosen = None if state is None else state.chosen
+        if bits_learned is not None:
+            self.bits_learned = bits_learned
+
+    @cached_property
+    def bits_learned(self) -> np.ndarray:
+        state = self._state
+        if state.recovered is None:  # no row reached step 7
+            return np.zeros(state.rows, dtype=np.int64)
+        return np.where(state.live(), (state.claimed & state.all_matching()).sum(axis=1), 0)
+
+    @property
+    def target_exceeded(self) -> np.ndarray:
+        return self.bits_learned > self.m
+
+    @cached_property
+    def guess(self) -> np.ndarray | None:
+        state = self._state
+        if state is None:
+            return None
+        guess = np.zeros((state.rows, state.params.n), dtype=bool)
+        if state.recovered is not None:  # the m subsets holding the smallest surviving slots
+            first = np.argsort(state.family[:, :, 0], axis=1)[:, :self.m]
+            np.put_along_axis(guess, first, True, axis=1)
+        return guess
 
     def row(self, k: int) -> AdversarialOutcome:
         status = STATUSES[self.status[k]]
@@ -94,13 +120,8 @@ class Outcomes:
         if status is Status.COMPLETED and self.guess is not None:
             guess = tuple(int(c) + 1 for c in np.flatnonzero(self.guess[k]))
         return AdversarialOutcome(
-            caught=status is Status.ABORT_CHEAT_DETECTED,
-            bits_learned=int(self.bits_learned[k]),
-            target_exceeded=bool(self.target_exceeded[k]),
-            status=status,
-            choice_guess=guess,
-            wrong_decode=bool(self.wrong_decode[k]),
-        )
+            status is Status.ABORT_CHEAT_DETECTED, int(self.bits_learned[k]),
+            bool(self.target_exceeded[k]), status, guess, bool(self.wrong_decode[k]))
 
 
 class GreedyBob(HonestBob):
@@ -148,18 +169,10 @@ class LeakyBob(HonestBob):
 
 def _outcomes(params: ProtocolParams, state: ProtocolState) -> Outcomes:
     """Per-row outcomes of full sessions, from ground truth."""
-    rows = state.rows
-    learned = np.zeros(rows, dtype=np.int64)
-    wrong = np.zeros(rows, dtype=bool)
-    guess = np.zeros((rows, params.n), dtype=bool)
+    wrong = np.zeros(state.rows, dtype=bool)
     if state.recovered is not None:  # some row reached step 7
-        done = state.live()
-        learned = np.where(done, (state.claimed & state.all_matching()).sum(axis=1), 0)
-        wrong = done & ((state.recovered != state.inputs) & state.chosen).any(axis=1)
-        # Alice's guess: the m subsets holding the smallest surviving slots
-        first = np.argsort(state.family[:, :, 0], axis=1)[:, :params.m]
-        _put(guess, first, True)
-    return Outcomes(state.status, learned, learned > params.m, wrong, state.chosen, guess)
+        wrong = state.live() & ((state.recovered != state.inputs) & state.chosen).any(axis=1)
+    return Outcomes(state.status, wrong, params.m, state=state)
 
 
 def _sessions(bob: type[HonestBob]) -> Callable:
@@ -178,8 +191,8 @@ def postpone_bob(params, strategy, rng, start, count, inputs=None, choices=None)
     state = phase1_transmit(params, draw_sessions(params, rng, start, count),
                             bob=PostponeBob())
     phase2_challenge(state)
-    nothing = np.zeros(count, dtype=bool)
-    return Outcomes(state.status, nothing.astype(np.int64), nothing, nothing)
+    return Outcomes(state.status, np.zeros(count, dtype=bool), params.m,
+                    bits_learned=np.zeros(count, dtype=np.int64))
 
 
 def _forgeries_accepted(params: ProtocolParams, p: float, rng: RandomSource,
@@ -194,7 +207,8 @@ def _forgeries_accepted(params: ProtocolParams, p: float, rng: RandomSource,
 def _commit_cheat(params, strategy, rng, start, count, inputs=None, choices=None) -> Outcomes:
     accepted = _forgeries_accepted(params, strategy.p, rng, start, count)
     status = np.where(accepted, 0, _CHEAT).astype(np.int8)
-    return Outcomes(status, params.m + accepted, accepted, np.zeros(count, dtype=bool))
+    return Outcomes(status, np.zeros(count, dtype=bool), params.m,
+                    bits_learned=params.m + accepted)
 
 
 def commit_cheat_trials(params: ProtocolParams, p: float, trials: int,

@@ -4,9 +4,9 @@ Subcommands: `bounds` (security-bound report), `run` (honest Monte Carlo),
 `attack` (adversarial Monte Carlo), `privacy-test` (choice-vector
 distinguishability), `oracle` (exact event probability).  Exit code 0 iff
 every verdict passes; bad input (inadmissible parameters, malformed bits or
-choices, a cheat probability outside (0, 1), too few trials) prints one
-`error:` line and exits 2.  QOTSIM_SEED sets the default seed; flags
-override.
+choices, a cheat probability outside (0, 1), too few trials, a QOTSIM_SEED
+that is not an integer) prints one `error:` line and exits 2.  QOTSIM_SEED
+sets the default seed; flags override.
 """
 
 from __future__ import annotations
@@ -108,6 +108,10 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        _default_seed()
+    except ValueError:
+        return _usage_error(f"QOTSIM_SEED must be an integer, got {os.environ['QOTSIM_SEED']!r}")
     args = build_parser().parse_args(argv)
 
     if args.command == "bounds":

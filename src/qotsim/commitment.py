@@ -52,12 +52,12 @@ class CommitmentSession:
     """
 
     def __init__(self):
-        self._values = np.empty(0, dtype=np.uint8)
-        self._opened = np.empty(0, dtype=bool)
+        self._ledger = np.empty(0, dtype=np.uint8)  # bit 0: value; bit 1: opened
+        self._row_starts = None  # (T, 1) flat position of each row's id 0
 
     def __len__(self) -> int:
         """Commitments per session."""
-        return self._values.shape[-1]
+        return self._ledger.shape[-1]
 
     def commit(self, value: int) -> CommitmentHandle:
         """Commit a bit; returns a fresh handle revealing nothing about it."""
@@ -69,22 +69,18 @@ class CommitmentSession:
     def commit_many(self, values: np.ndarray) -> np.ndarray:
         """Bulk commit along the last axis; returns the array of fresh ids."""
         vals = np.asarray(values, dtype=np.uint8)
+        if vals.size and vals.max() > 1:
+            raise ValueError("committed values must be 0 or 1")
         base = len(self)
-        if base == 0:
-            self._values = vals.copy()
-            self._opened = np.zeros(vals.shape, dtype=bool)
-        else:
-            self._values = np.concatenate([self._values, vals], axis=-1)
-            self._opened = np.concatenate(
-                [self._opened, np.zeros(vals.shape, dtype=bool)], axis=-1
-            )
+        self._row_starts = None
+        self._ledger = vals.copy() if base == 0 else np.concatenate([self._ledger, vals], axis=-1)
         return np.arange(base, base + vals.shape[-1])
 
     def _open(self, cid: int) -> int:
-        if self._opened[cid]:
+        if self._ledger[cid] > 1:
             raise DoubleUnveilError(f"commitment {cid} already unveiled")
-        self._opened[cid] = True
-        return int(self._values[cid])
+        self._ledger[cid] |= 2
+        return int(self._ledger[cid] & 1)
 
     def unveil(self, handle: CommitmentHandle) -> tuple[int, bool]:
         """Honest unveil: returns (committed value, accepted=True)."""
@@ -100,14 +96,18 @@ class CommitmentSession:
         """Bulk honest unveil by ledger ids; a row-batched ledger takes one
         row of ids per session."""
         cids = np.asarray(cids, dtype=np.int64)
-        cells = cids  # flat positions in the (contiguous) ledger arrays
+        cells = cids  # flat positions in the (contiguous) ledger
         if cids.ndim == 2:
-            cells = cids + len(self) * np.arange(cids.shape[0])[:, None]
-        opened = self._opened.reshape(-1)[cells]
+            if self._row_starts is None:
+                self._row_starts = len(self) * np.arange(self._ledger.shape[0])[:, None]
+            cells = cids + self._row_starts[:cids.shape[0]]
+        ledger = self._ledger.reshape(-1)
+        entries = ledger[cells]
+        opened = entries > 1
         if opened.any():
             raise DoubleUnveilError(f"commitments already unveiled: {cids[opened].tolist()}")
-        self._opened.reshape(-1)[cells] = True
-        return self._values.reshape(-1)[cells]
+        ledger[cells] = entries | 2
+        return entries  # bit 1 is clear: the committed values
 
     def cheat_unveil(
         self,

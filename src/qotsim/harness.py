@@ -19,7 +19,6 @@ for the p-value, on its first call.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -180,17 +179,9 @@ def run_experiment(config: ExperimentConfig) -> AggregateStats:
     low, high = wilson_interval(event_count, config.trials)
     oracle = spec.reference(params, strategy)
     return AggregateStats(
-        trials=config.trials,
-        strategy=strategy.kind,
-        event_name=spec.event,
-        event_count=event_count,
-        event_rate=rate,
-        wilson_low=low,
-        wilson_high=high,
-        completed=completed,
-        aborts=aborts,
-        wrong_decodes=wrong,
-        oracle_rate=float(oracle),
+        trials=config.trials, strategy=strategy.kind, event_name=spec.event,
+        event_count=event_count, event_rate=rate, wilson_low=low, wilson_high=high,
+        completed=completed, aborts=aborts, wrong_decodes=wrong, oracle_rate=float(oracle),
         oracle_exact=str(oracle) if isinstance(oracle, Fraction) else None,
     )
 
@@ -203,46 +194,23 @@ def check_bounds(stats: AggregateStats, params: ProtocolParams) -> list[Verdict]
     """Compare empirical rates with the exact oracle (3-sigma) and with the
     analytic bounds of the strategy's bound family (<=, only at N >= the
     non-vacuity threshold)."""
-    verdicts: list[Verdict] = []
     q = stats.oracle_rate
-    sigma = math.sqrt(q * (1 - q) / stats.trials)
-    tol = 3 * sigma
-    verdicts.append(
-        Verdict(
-            criterion=f"{stats.event_name}_rate_within_3sigma_of_oracle",
-            empirical=stats.event_rate,
-            reference=q,
-            relation="within_3sigma",
-            passed=abs(stats.event_rate - q) <= tol,
-            tolerance=tol,
-        )
-    )
+    tol = 3 * math.sqrt(q * (1 - q) / stats.trials)
+    verdicts = [Verdict(f"{stats.event_name}_rate_within_3sigma_of_oracle", stats.event_rate,
+                        q, "within_3sigma", abs(stats.event_rate - q) <= tol, tolerance=tol)]
 
     bound = STRATEGIES[stats.strategy].bound
     if bound is correctness_epsilon:
-        verdicts.append(
-            Verdict(
-                criterion="completed_runs_decode_exactly",
-                empirical=float(stats.wrong_decodes),
-                reference=0.0,
-                relation="eq",
-                passed=stats.wrong_decodes == 0,
-            )
-        )
+        verdicts.append(Verdict("completed_runs_decode_exactly", float(stats.wrong_decodes),
+                                0.0, "eq", stats.wrong_decodes == 0))
 
     if bound is commitment_attack_bound:
         # q = p^s and eps^N = p^(N/(2n)) = q^(N/(2ns)); both may underflow
         # to 0.0, so p^s < eps^N is decided exactly: it holds iff 2ns > N.
         s = params.subset_size
-        verdicts.append(
-            Verdict(
-                criterion="commitment_bound_lt_eps_pow_N",
-                empirical=q,
-                reference=q ** (params.N / (2 * params.n * s)),
-                relation="le",
-                passed=2 * params.n * s > params.N,
-            )
-        )
+        verdicts.append(Verdict("commitment_bound_lt_eps_pow_N", q,
+                                q ** (params.N / (2 * params.n * s)), "le",
+                                2 * params.n * s > params.N))
     elif bound is not None:
         delta, eps = bound(params.n, params.m)
         if params.N >= min_N(delta):
@@ -323,6 +291,11 @@ def privacy_independence_test(
     vectors run as one row sequence, vector after vector, cut into engine
     batches by :func:`~qotsim.protocol.chunks`; a batch may hold the rows
     of two vectors, each with its own chosen labels.
+
+    A vector none of whose sessions completed has no feature distribution
+    to test: the report lists it under ``untestable_vectors``, and each of
+    its pairs has a null ``p_value`` and total variation, ``untestable``
+    set and ``passed`` false, so ``all_pass`` is false.
     """
     if trials_per_choice < 1:
         raise ValueError(f"trials_per_choice must be >= 1, got {trials_per_choice}")
@@ -357,38 +330,31 @@ def privacy_independence_test(
     corrected = significance / max(1, n_pairs)
     max_tv = 0.0
     all_pass = True
+    # a vector that completed no session has no feature distribution to test
+    untestable = [cv for cv in choice_vectors if not counts[cv].any()]
     for a, b in itertools.combinations(choice_vectors, 2):
+        if a in untestable or b in untestable:
+            all_pass = False
+            pairs.append({"choice_a": list(a), "choice_b": list(b), "p_value": None,
+                          "total_variation": None, "passed": False, "untestable": True})
+            continue
         table = np.vstack([counts[a], counts[b]])
         keep = table.sum(axis=0) > 0
         _, p_value, _, _ = chi2_contingency(table[:, keep])
-        fa = counts[a] / max(1, counts[a].sum())
-        fb = counts[b] / max(1, counts[b].sum())
+        fa = counts[a] / counts[a].sum()
+        fb = counts[b] / counts[b].sum()
         tv = 0.5 * float(np.abs(fa - fb).sum())
         max_tv = max(max_tv, tv)
         passed = p_value >= corrected
         all_pass = all_pass and passed
-        pairs.append(
-            {
-                "choice_a": list(a),
-                "choice_b": list(b),
-                "p_value": float(p_value),
-                "total_variation": tv,
-                "passed": bool(passed),
-            }
-        )
-    return {
-        "n": n,
-        "m": m,
-        "N": params.N,
-        "trials_per_choice": trials_per_choice,
-        "leaky": leaky,
-        "significance": significance,
-        "corrected_significance": corrected,
-        "feature_counts": {",".join(map(str, cv)): c.tolist() for cv, c in counts.items()},
-        "pairs": pairs,
-        "max_total_variation": max_tv,
-        "all_pass": bool(all_pass),
-    }
+        pairs.append({"choice_a": list(a), "choice_b": list(b), "p_value": float(p_value),
+                      "total_variation": tv, "passed": bool(passed)})
+    report = {"n": n, "m": m, "N": params.N, "trials_per_choice": trials_per_choice,
+              "leaky": leaky, "significance": significance, "corrected_significance": corrected,
+              "feature_counts": {",".join(map(str, cv)): c.tolist() for cv, c in counts.items()}}
+    if untestable:
+        report["untestable_vectors"] = [list(cv) for cv in untestable]
+    return report | {"pairs": pairs, "max_total_variation": max_tv, "all_pass": bool(all_pass)}
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +389,11 @@ def emit_report(
         "seed": config.get("seed"),
         "config": config,
     }
+    # the dataclasses' own field dicts: round_sig copies every container
     if stats is not None:
-        doc["stats"] = dataclasses.asdict(stats)
+        doc["stats"] = vars(stats)
     if verdicts is not None:
-        doc["verdicts"] = [dataclasses.asdict(v) for v in verdicts]
+        doc["verdicts"] = [vars(v) for v in verdicts]
     if extra:
         doc.update(extra)
     doc = round_sig(doc)

@@ -11,12 +11,18 @@ her raw bits over the corresponding subset; (7) Bob unmasks his chosen bits.
 Each phase advances T independent sessions in lockstep, one row of a
 ``(T, ...)`` array per session.  Row k's random numbers are its trial's
 block of words (:func:`draw_sessions`), so row k of any batch is exactly the
-single-session run of trial k.  An abort is recorded in the per-row status
-array (the first abort of a row wins) and the row's later results are
-ignored.  Phases are driven strictly in order; an out-of-order call raises
-:class:`ProtocolOrderError`.  That is a simulator bug, so it propagates to
-the caller instead of becoming a protocol abort.  A single session's
-transcript is recorded on request and is byte-stable under a fixed seed.
+single-session run of trial k.  Bob commits to index i as ids 4i (bit) and
+4i+1 (basis), to index N+i as 4i+2 and 4i+3; so with Alice's coin d_i the
+challenged ids of pair i are 4i + 2d_i (+1), and survivor slot i keeps
+index i + N(1 - d_i), ids 4i + 2(1 - d_i) (+1).  Every unveil goes through
+the batch ledger (:class:`CommitmentSession`).  Per-slot arrays are (T, N);
+row-wise gathers index them flat, at ``t*N + slot``.  An abort is recorded
+in the per-row status array (the first abort of a row wins) and the row's
+later results are ignored.  Phases are driven strictly in order; an
+out-of-order call raises :class:`ProtocolOrderError`.  That is a simulator
+bug, so it propagates to the caller instead of becoming a protocol abort.
+A single session's transcript is recorded on request and is byte-stable
+under a fixed seed.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -149,27 +156,32 @@ class Draws:
     the input bits (n), Alice's raw bits and bases (2N each), her challenge
     coins (N), Bob's bases and mismatch coins (2N each).  Whole words follow
     as uint64 sort keys: choice keys (n), removal keys (N), family keys (2N).
+    A per-index draw is held as a (2, T, N) array: indices 0..N-1, then
+    N..2N-1, so the two members of each pair sit at the same position.
     """
 
     def __init__(self, params: ProtocolParams, words: np.ndarray):
         n, N = params.n, params.N
-        head = np.ascontiguousarray(words[:, :_bit_words(params)], dtype="<u8")
-        cuts = np.cumsum([n, 2 * N, 2 * N, N, 2 * N, 2 * N])
-        bits = np.unpackbits(head.view(np.uint8), axis=1, count=int(cuts[-1]),
+        words = np.ascontiguousarray(words, dtype="<u8")
+        bits = np.unpackbits(words.view(np.uint8), axis=1, count=n + 9 * N,
                              bitorder="little")
-        self.inputs, self.r, self.beta, self.d, self.beta_b, self.coin = np.split(
-            bits, cuts[:-1], axis=1)
-        keys = words[:, head.shape[1]:]
+        self.inputs = bits[:, :n]
+        # the nine N-bit fields after the inputs, each a contiguous (T, N) array
+        fields = np.ascontiguousarray(bits[:, n:].reshape(-1, 9, N).transpose(1, 0, 2))
+        self.r, self.beta, self.d = fields[0:2], fields[2:4], fields[4]
+        self.beta_b, self.coin = fields[5:7], fields[7:9]
+        keys = words[:, _bit_words(params):]
         self.choice_keys = keys[:, :n]
         self.removal_keys = keys[:, n:n + N]
         self.family_keys = keys[:, n + N:n + 3 * N]
 
     def chosen(self, m: int) -> np.ndarray:
         """(T, n) bool: a uniform m-subset of the labels per row."""
+        rows, n = self.choice_keys.shape
         first = np.argsort(self.choice_keys, axis=1)[:, :m]
-        mask = np.zeros(self.choice_keys.shape, dtype=bool)
-        _put(mask, first, True)
-        return mask
+        mask = np.zeros(rows * n, dtype=bool)
+        mask[first + n * np.arange(rows)[:, None]] = True
+        return mask.reshape(rows, n)
 
 
 def draw_sessions(params: ProtocolParams, rng: RandomSource, start: int,
@@ -182,18 +194,6 @@ def chunks(trials: int, params: ProtocolParams):
     """(start, count) of each batch of `trials` trials at `params`."""
     rows = max(1, min(CHUNK, BATCH_WORDS // session_width(params)))
     return ((start, min(rows, trials - start)) for start in range(0, trials, rows))
-
-
-def _take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Row-wise gather from 2-D `a`: out[t, ...] = a[t, idx[t, ...]]."""
-    rows, width = a.shape
-    offsets = (width * np.arange(rows)).reshape((rows,) + (1,) * (idx.ndim - 1))
-    return a.reshape(-1)[idx + offsets]
-
-
-def _put(a: np.ndarray, idx: np.ndarray, values) -> None:
-    """Row-wise scatter: a[t, idx[t, j]] = values[t, j]."""
-    a[np.arange(a.shape[0])[:, None], idx] = values
 
 
 def label_mask(labels, rows: int, n: int) -> np.ndarray:
@@ -245,20 +245,23 @@ def _legal_family(
     of `target_keys`, then the other labels with the remaining survivors in
     order of `rest_keys`.  A row with too few matches gets other slots in
     its target subsets; Bob gives up on it in :func:`select_subsets`."""
-    params = state.params
-    n, s = params.n, params.subset_size
+    n, s = state.params.n, state.params.subset_size
     rows, N = state.removed.shape
     alive = ~state.removed
     first = np.argsort(np.where(alive & state.match_flags(), target_keys, _LAST), axis=1)
     need = targets.sum(axis=1, keepdims=True) * s
-    picked = np.zeros((rows, N), dtype=bool)
-    _put(picked, first, np.arange(N) < need)
-    rest = np.argsort(np.where(alive & ~picked, rest_keys, _LAST), axis=1)
-    pos = np.arange(n * s)
-    seq = np.where(pos < need, first[:, :n * s], _take(rest, np.maximum(pos - need, 0)))
-    # block j of the sequence goes to the j-th label, the targets first
-    block_of = np.argsort(np.argsort(~targets, axis=1, kind="stable"), axis=1)
-    family = _take(seq, block_of[:, :, None] * s + np.arange(s))
+    # the first `need` positions of `first` go to the targets, ties included
+    head = int(need.max())
+    picked = np.zeros(rows * N, dtype=bool)
+    picked[first[:, :head] + state.offsets] = np.arange(head) < need
+    rest = np.argsort(np.where(alive & ~picked.reshape(rows, N), rest_keys, _LAST), axis=1)
+    # blocks 0..n-1 of a row are the first n blocks of `first`, blocks
+    # n..2n-1 those of `rest`; the k-th target label (ascending) takes block
+    # k, the k-th other label block n+k
+    blocks = np.concatenate([first[:, :n * s], rest[:, :n * s]], axis=1).reshape(-1, s)
+    count = np.cumsum(targets, axis=1)
+    block = np.where(targets, count - 1, n + np.arange(n) - count)
+    family = blocks[block + 2 * n * np.arange(rows)[:, None]]
     return list(family.transpose(1, 0, 2)), targets
 
 
@@ -271,24 +274,19 @@ class ProtocolState:
     """Shared ground-truth state of T sessions, advanced phase by phase."""
 
     params: ProtocolParams
-    draws: Draws
-    r: np.ndarray        # Alice's raw bits, (T, 2N)
-    beta: np.ndarray     # Alice's emission bases, (T, 2N)
-    r_b: np.ndarray      # Bob's measured (or guessed) bits, (T, 2N)
-    beta_b: np.ndarray   # Bob's measurement bases, (T, 2N)
+    draws: Draws         # Alice's raw bits and bases, Bob's bases, the keys
+    r_b: np.ndarray      # Bob's measured (or guessed) bits, (2, T, N) as in Draws
     session: CommitmentSession
     status: np.ndarray   # (T,) index into STATUSES
     stage: int = 1
-    id_r: np.ndarray | None = None     # commitment id per original index, (2N,)
-    id_beta: np.ndarray | None = None
-    surv: np.ndarray | None = None     # original index per survivor slot, (T, N)
     r_s: np.ndarray | None = None      # r, beta, r_b, beta_b per survivor slot
     beta_s: np.ndarray | None = None
     r_bs: np.ndarray | None = None
     beta_bs: np.ndarray | None = None
-    bases_announced: bool = False
+    match: np.ndarray | None = None    # (T, N) survivor basis agreement, from step 3
     removed: np.ndarray | None = None  # (T, N) bool per survivor slot
     family: np.ndarray | None = None   # (T, n, size), each subset sorted
+    cells: np.ndarray | None = None    # family as flat positions in (T, N) arrays, (size, T, n)
     claimed: np.ndarray | None = None  # (T, n) labels Bob claims all-matching
     inputs: np.ndarray | None = None   # (T, n) Alice's input bits
     chosen: np.ndarray | None = None   # (T, n) Bob's chosen labels
@@ -304,6 +302,11 @@ class ProtocolState:
     def rows(self) -> int:
         return self.status.shape[0]
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(T, 1) flat position of each row's slot 0 in a (T, N) array."""
+        return self.params.N * np.arange(self.rows)[:, None]
+
     def live(self) -> np.ndarray:
         """(T,) bool: rows that have not aborted."""
         return self.status == 0
@@ -314,13 +317,13 @@ class ProtocolState:
 
     def match_flags(self) -> np.ndarray:
         """Per-slot basis agreement; only knowable to Bob once bases are announced."""
-        if not self.bases_announced:
+        if self.match is None:
             raise ProtocolOrderError("bases not yet announced")
-        return self.beta_s == self.beta_bs
+        return self.match
 
     def over_subsets(self, values: np.ndarray) -> np.ndarray:
         """(T, n, size) per-slot `values` (T, N) gathered over the family."""
-        return _take(values, self.family)
+        return values.reshape(-1)[self.cells].transpose(1, 2, 0)
 
     def all_matching(self) -> np.ndarray:
         """(T, n) bool: the subsets whose every slot is a basis match."""
@@ -338,14 +341,15 @@ def phase1_transmit(
     A matching basis reproduces Alice's bit, a mismatched one gives Bob a
     fair coin; a Bob who does not measure commits to the coins alone."""
     bob = bob or HonestBob()
-    r, beta, beta_b = draws.r, draws.beta, draws.beta_b
-    r_b = transmit_batch(r, beta, beta_b, draws.coin) if bob.measures else draws.coin
+    r_b = draws.coin
+    if bob.measures:
+        r_b = transmit_batch(draws.r, draws.beta, draws.beta_b, draws.coin)
     if transcript is not None:
         for i in range(2 * params.N):
             transcript.add(1, "A", "photon", index=i)
     return ProtocolState(
-        params=params, draws=draws, r=r, beta=beta, r_b=r_b, beta_b=beta_b,
-        session=CommitmentSession(), status=np.zeros(r.shape[0], dtype=np.int8),
+        params=params, draws=draws, r_b=r_b, session=CommitmentSession(),
+        status=np.zeros(draws.d.shape[0], dtype=np.int8),
     )
 
 
@@ -356,15 +360,15 @@ def phase2_challenge(
     """Step 2: commit, challenge one of each (i, N+i) pair, keep the other."""
     state._require_stage(1)
     N = state.params.N
-    # commitment order per pair: r'_i, beta'_i, r'_{N+i}, beta'_{N+i}
+    # commitment order per pair: r'_i, beta'_i, r'_{N+i}, beta'_{N+i}, so the
+    # fresh ledger's ids of index i are 4i, 4i+1 and of index N+i 4i+2, 4i+3
+    r, beta, r_b, beta_b = state.draws.r, state.draws.beta, state.r_b, state.draws.beta_b
     vals = np.empty((state.rows, 4 * N), dtype=np.uint8)
-    vals[:, 0::4] = state.r_b[:, :N]
-    vals[:, 1::4] = state.beta_b[:, :N]
-    vals[:, 2::4] = state.r_b[:, N:]
-    vals[:, 3::4] = state.beta_b[:, N:]
+    vals[:, 0::4] = r_b[0]
+    vals[:, 1::4] = beta_b[0]
+    vals[:, 2::4] = r_b[1]
+    vals[:, 3::4] = beta_b[1]
     ids = state.session.commit_many(vals)
-    state.id_r = np.concatenate([ids[0::4], ids[2::4]])
-    state.id_beta = np.concatenate([ids[1::4], ids[3::4]])
     if transcript is not None:
         for cid in ids:
             transcript.add(2, "B", "commit", id=int(cid))
@@ -373,26 +377,22 @@ def phase2_challenge(
     # d = 0: the other way round
     d = state.draws.d
 
-    def challenged(a):
-        return a[..., :N] ^ ((a[..., :N] ^ a[..., N:]) * d)
+    def split(a):
+        """(challenged, kept) values of a (2, T, N) per-index array."""
+        flip = (a[0] ^ a[1]) & d
+        return a[0] ^ flip, a[1] ^ flip
 
-    def kept(a):
-        return a[..., N:] ^ ((a[..., :N] ^ a[..., N:]) * d)
-
-    cid_r, cid_beta = challenged(state.id_r), challenged(state.id_beta)
+    cid_r = 4 * np.arange(N) + 2 * d  # the beta' commitment is the next id
     unveiled_r = state.session.unveil_many(cid_r)
-    unveiled_beta = state.session.unveil_many(cid_beta)
+    unveiled_beta = state.session.unveil_many(cid_r + 1)
     if transcript is not None:
         for i in range(N):
-            transcript.add(2, "A", "challenge", i=int(i), d=int(d[0, i]))
+            transcript.add(2, "A", "challenge", i=i, d=int(d[0, i]))
             transcript.unveil(2, cid_r[0, i], unveiled_r[0, i])
-            transcript.unveil(2, cid_beta[0, i], unveiled_beta[0, i])
-    violation = (challenged(state.beta) == unveiled_beta) & (
-        challenged(state.r) != unveiled_r
-    )
-    state.surv = kept(np.arange(2 * N))
-    state.r_s, state.beta_s = kept(state.r), kept(state.beta)
-    state.r_bs, state.beta_bs = kept(state.r_b), kept(state.beta_b)
+            transcript.unveil(2, cid_r[0, i] + 1, unveiled_beta[0, i])
+    (r_c, state.r_s), (beta_c, state.beta_s) = split(r), split(beta)
+    state.r_bs, state.beta_bs = split(r_b)[1], split(beta_b)[1]
+    violation = (beta_c == unveiled_beta) & (r_c != unveiled_r)
     state.removed = np.zeros((state.rows, N), dtype=bool)
     state.stage = 2
     state.abort(violation.any(axis=1), Status.ABORT_CHEAT_DETECTED)
@@ -405,7 +405,7 @@ def announce_bases(
     """Step 3: Alice announces her emission bases for the N survivor slots."""
     state._require_stage(2)
     bases = state.beta_s
-    state.bases_announced = True
+    state.match = bases == state.beta_bs
     state.stage = 3
     if transcript is not None and state.status[0] == 0:
         transcript.add(3, "A", "bases", bases=[int(b) for b in bases[0]])
@@ -439,17 +439,20 @@ def removal_phase(
     state.abort(short, Status.ABORT_INSUFFICIENT_MATCHES)
     keys = np.where(pool, state.draws.removal_keys, _LAST)
     removed_slots = np.sort(np.argsort(keys, axis=1)[:, :x], axis=1)
-    orig = _take(state.surv, removed_slots)
-    unveiled_r = state.session.unveil_many(state.id_r[orig])
-    unveiled_beta = state.session.unveil_many(state.id_beta[orig])
+    cells = removed_slots + state.offsets  # flat positions in (T, N) arrays
+    # slot j keeps index j + N(1 - d_j), whose r' and beta' ids are
+    # 4j + 2(1 - d_j) and the next
+    cid_r = 4 * removed_slots + 2 - 2 * state.draws.d.ravel()[cells]
+    unveiled_r = state.session.unveil_many(cid_r)
+    unveiled_beta = state.session.unveil_many(cid_r + 1)
     if transcript is not None and state.status[0] == 0:
         for j in range(x):
-            transcript.unveil(4, state.id_r[orig[0, j]], unveiled_r[0, j])
-            transcript.unveil(4, state.id_beta[orig[0, j]], unveiled_beta[0, j])
-    alice_beta = _take(state.beta_s, removed_slots)
-    alice_r = _take(state.r_s, removed_slots)
+            transcript.unveil(4, cid_r[0, j], unveiled_r[0, j])
+            transcript.unveil(4, cid_r[0, j] + 1, unveiled_beta[0, j])
+    alice_beta = state.beta_s.reshape(-1)[cells]
+    alice_r = state.r_s.reshape(-1)[cells]
     # a row too short to remove x slots removed nothing
-    _put(state.removed, removed_slots, ~short[:, None])
+    state.removed.reshape(-1)[cells] = ~short[:, None]
     same_basis = alice_beta == unveiled_beta
     if params.case is Case.LOW:
         bad = (same_basis & (alice_r != unveiled_r)).any(axis=1)
@@ -488,20 +491,24 @@ def select_subsets(
     if len(family) != n or any(np.shape(f) != (state.rows, s) for f in family):
         state.abort(np.ones(state.rows, dtype=bool), Status.ABORT_INVALID_MESSAGE)
         return None
-    fam = np.stack(family, axis=1).astype(np.int64)
-    union = np.sort(fam.reshape(state.rows, n * s), axis=1)
-    in_range = (union[:, 0] >= 0) & (union[:, -1] < N)
-    legal = (
-        in_range
-        & (np.diff(union, axis=1) != 0).all(axis=1)
-        & _take(alive, np.clip(union, 0, N - 1)).all(axis=1)
-        & (alive.sum(axis=1) == n * s)
-    )
-    state.abort(~legal, Status.ABORT_INVALID_MESSAGE)
-    # an illegal family may index outside the row; later gathers read a
-    # stand-in family on rows that aborted here
-    fam = np.where(legal[:, None, None], fam, np.arange(n * s).reshape(n, s))
+    fam = np.stack(family, axis=1).astype(np.int64, copy=False)
+    # legal: in range, and every surviving slot in exactly one subset
+    # (disjoint, covering, no removed slot)
+    in_range = True
+    if fam.min() < 0 or fam.max() >= N:
+        in_range = ((fam >= 0) & (fam < N)).all(axis=(1, 2))
+        fam = np.clip(fam, 0, N - 1)
+    hits = np.bincount((fam + state.offsets[:, :, None]).reshape(-1), minlength=alive.size)
+    legal = in_range & (hits.reshape(alive.shape) == alive).all(axis=1)
+    if not legal.all():
+        state.abort(~legal, Status.ABORT_INVALID_MESSAGE)
+        # an illegal family may index outside the row; later gathers read a
+        # stand-in family on rows that aborted here
+        fam[~legal] = np.arange(n * s).reshape(n, s)
     state.family = np.sort(fam, axis=2)
+    # (size, T, n), so that reductions over a subset run along whole rows
+    state.cells = np.ascontiguousarray(
+        (state.family + state.offsets[:, :, None]).transpose(2, 0, 1))
     if transcript is not None and state.status[0] == 0:
         transcript.add(
             5, "B", "subsets",

@@ -120,6 +120,28 @@ def test_seed_env_var_sets_default():
     assert with_env.stdout == explicit.stdout
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_bad_seed_env_var_is_usage_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("QOTSIM_SEED", value)
+    code = main(["oracle", "--n", "3", "--m", "1", "--N", "6", "--event", "correctness"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: QOTSIM_SEED must be an integer, got {value!r}\n"
+
+
+def test_privacy_test_with_an_untestable_vector_fails_without_error(capsys):
+    # at seed 7 every session of choice vector (3) aborts
+    code = main(["privacy-test", "--n", "3", "--m", "1", "--N", "6",
+                 "--trials-per-choice", "1", "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)["independence"]
+    assert report["untestable_vectors"] == [[3]]
+    assert report["all_pass"] is False
+
+
 def test_inadmissible_params_error():
     proc = _cli("oracle", "--n", "2", "--m", "1", "--N", "7",
                 "--event", "correctness")

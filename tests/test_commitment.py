@@ -22,6 +22,10 @@ def test_commit_unveil_round_trip():
 def test_commit_rejects_non_bit():
     with pytest.raises(ValueError):
         CommitmentSession().commit(2)
+    session = CommitmentSession()
+    with pytest.raises(ValueError, match="0 or 1"):
+        session.commit_many(np.array([[0, 1], [2, 0]], dtype=np.uint8))
+    assert len(session) == 0
 
 
 def test_handle_repr_hides_value():

@@ -277,6 +277,30 @@ def test_privacy_independence_leaky_fails():
     assert min(p["p_value"] for p in report["pairs"]) < 1e-6
 
 
+@pytest.mark.parametrize("seed", [7, 9, 11, 12])
+def test_privacy_vector_without_completed_sessions_is_untestable(seed):
+    """One trial per vector: at these seeds one vector's only session aborts,
+    so it has no feature counts and its pairs cannot be tested."""
+    report = privacy_independence_test(P316, 1, seed=seed)
+    empty = [[int(k)] for k, c in report["feature_counts"].items() if not any(c)]
+    assert len(empty) == 1
+    assert report["untestable_vectors"] == empty
+    assert report["all_pass"] is False
+    for pair in report["pairs"]:
+        if empty[0] in (pair["choice_a"], pair["choice_b"]):
+            assert pair["p_value"] is None and pair["total_variation"] is None
+            assert pair["untestable"] is True and pair["passed"] is False
+        else:
+            assert "untestable" not in pair and pair["p_value"] is not None
+
+
+def test_privacy_report_without_empty_vectors_has_no_untestable_fields():
+    report = privacy_independence_test(P316, 1, seed=1)
+    assert all(any(c) for c in report["feature_counts"].values())
+    assert "untestable_vectors" not in report
+    assert all("untestable" not in pair for pair in report["pairs"])
+
+
 @pytest.mark.parametrize("kwargs, name", [
     ({"trials_per_choice": 0}, "trials_per_choice"),
     ({"trials_per_choice": -3}, "trials_per_choice"),
