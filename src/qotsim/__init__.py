@@ -8,8 +8,8 @@ Monte Carlo experiments checked against exact binomial oracles.
 
 __version__ = "0.1.0"
 
-from .channel import Basis, Photon, RandomSource, encode, measure, random_bit
-from .commitment import CheatModel, CommitmentSession
+from .channel import Basis, Photon, RandomSource, encode, measure
+from .commitment import CommitmentSession
 from .params import (
     BoundReport,
     ProtocolParams,
@@ -24,16 +24,13 @@ from .params import (
     target_rate,
     validate_params,
 )
-from .protocol import ChoiceVector, InputBits, Status, TrialOutcome, run_protocol
+from .protocol import Status, TrialOutcome, run_protocol
 from .adversary import Strategy, run_with_adversary
 
 __all__ = [
     "Basis",
     "BoundReport",
-    "CheatModel",
-    "ChoiceVector",
     "CommitmentSession",
-    "InputBits",
     "Photon",
     "ProtocolParams",
     "RandomSource",
@@ -49,7 +46,6 @@ __all__ = [
     "measure",
     "min_N",
     "privacy_epsilon",
-    "random_bit",
     "run_protocol",
     "run_with_adversary",
     "smallest_valid_N",

@@ -19,10 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .channel import RandomSource
-from .commitment import CheatModel
 from .params import (
     Case,
     ProtocolParams,
+    check_cheat_probability,
     commitment_attack_bound,
     correctness_epsilon,
     exact_failure_oracle,
@@ -35,11 +35,11 @@ from .protocol import (
     Status,
     Trials,
     _legal_family,
+    check_inputs,
     draw_sessions,
     phase1_transmit,
     phase2_challenge,
     run_protocol,
-    session_inputs,
 )
 
 _CHEAT = STATUSES.index(Status.ABORT_CHEAT_DETECTED)
@@ -58,21 +58,7 @@ class Strategy:
         if self.kind not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.kind!r}; one of {tuple(STRATEGIES)}")
         if self.kind == "commit-cheat":
-            if self.p is None or not 0.0 < self.p < 1.0:
-                raise ValueError("commit-cheat requires p in (0,1)")
-
-
-@dataclass
-class AdversarialOutcome:
-    """What one adversarial session achieved.  `wrong_decode` is True when a
-    completed run recovered a chosen bit different from Alice's input."""
-
-    caught: bool
-    bits_learned: int
-    target_exceeded: bool
-    status: Status
-    choice_guess: tuple[int, ...] | None = None
-    wrong_decode: bool = False
+            check_cheat_probability(self.p)
 
 
 class Outcomes:
@@ -113,15 +99,6 @@ class Outcomes:
             first = np.argsort(state.family[:, :, 0], axis=1)[:, :self.m]
             np.put_along_axis(guess, first, True, axis=1)
         return guess
-
-    def row(self, k: int) -> AdversarialOutcome:
-        status = STATUSES[self.status[k]]
-        guess = None
-        if status is Status.COMPLETED and self.guess is not None:
-            guess = tuple(int(c) + 1 for c in np.flatnonzero(self.guess[k]))
-        return AdversarialOutcome(
-            status is Status.ABORT_CHEAT_DETECTED, int(self.bits_learned[k]),
-            bool(self.target_exceeded[k]), status, guess, bool(self.wrong_decode[k]))
 
 
 class GreedyBob(HonestBob):
@@ -215,7 +192,7 @@ def commit_cheat_trials(params: ProtocolParams, p: float, trials: int,
                         rng: RandomSource) -> int:
     """Count of commit-cheat successes over trials 0 .. `trials`-1 of `rng`'s
     stream: the trials' rows of the commit-cheat runner, drawn at once."""
-    CheatModel(p)  # validate
+    check_cheat_probability(p)
     return int(_forgeries_accepted(params, p, rng, 0, trials).sum())
 
 
@@ -274,11 +251,11 @@ def run_with_adversary(
     inputs,
     choices,
     seed,
-) -> AdversarialOutcome:
-    """Execute one session (trial 0 of `seed`'s stream) with the given party
-    replaced by `strategy`."""
-    inputs, choices = session_inputs(params, inputs, choices)
+) -> Outcomes:
+    """Execute one session, trial 0 of `seed`'s stream, with the given party
+    replaced by `strategy`: the one-row :class:`Outcomes` of the strategy's
+    batched runner.  Fixed `inputs` and `choices` must pass
+    :func:`~qotsim.protocol.check_inputs`; None draws them from the trial."""
+    check_inputs(params.n, params.m, inputs, choices)
     root = seed if isinstance(seed, RandomSource) else RandomSource(int(seed))
-    out = STRATEGIES[strategy.kind].run(params, strategy, root, 0, 1,
-                                        inputs.bits, choices.indices)
-    return out.row(0)
+    return STRATEGIES[strategy.kind].run(params, strategy, root, 0, 1, inputs, choices)

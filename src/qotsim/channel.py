@@ -22,10 +22,6 @@ class Basis(Enum):
     RECTILINEAR = 0
     DIAGONAL = 1
 
-    @classmethod
-    def from_bit(cls, b: int) -> "Basis":
-        return cls(int(b))
-
 
 class PhotonReuseError(RuntimeError):
     """Raised when a photon is measured more than once (simulator misuse)."""
@@ -109,11 +105,6 @@ class RandomSource:
         the stream exactly as `count` calls to :meth:`bit` would.
         """
         return self.gen.integers(0, 2, size=count).astype(np.uint8)
-
-
-def random_bit(rng: RandomSource) -> int:
-    """Fair coin: 0 or 1 with probability 1/2 each."""
-    return rng.bit()
 
 
 def encode(r: int, basis: Basis) -> Photon:

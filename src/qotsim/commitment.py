@@ -1,45 +1,20 @@
-"""Weak bit commitment as an ideal functionality.
+"""Bit commitment as an ideal functionality: the batch ledger.
 
 Commitments live in a session ledger: the receiver's view of an unopened
 commitment is its id only, so hiding is perfect by construction, and honest
-unveils always return the committed value (perfect binding).  Weakness is
-injected solely through :class:`CheatModel`: a forged unveil goes undetected
-with probability `p` and is rejected otherwise.
+unveils always return the committed value (perfect binding).  The protocol's
+weakness, a forged unveil that goes undetected with probability `p`, is not
+modelled here: it is the commit-cheat strategy of
+:data:`qotsim.adversary.STRATEGIES`, which draws each forgery's verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-from .channel import RandomSource
 
 
 class DoubleUnveilError(RuntimeError):
     """Raised when a commitment is unveiled more than once."""
-
-
-@dataclass(frozen=True)
-class CheatModel:
-    """Probability p in (0,1) that a forged unveil goes undetected."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"cheat probability must be in (0,1), got {self.p}")
-
-
-@dataclass
-class CommitmentHandle:
-    """Receiver-visible reference to one commitment: an id and an opened flag."""
-
-    id: int
-    opened: bool = field(default=False)
-
-    def __repr__(self) -> str:  # never leak the committed value
-        return f"CommitmentHandle(id={self.id}, opened={self.opened})"
 
 
 class CommitmentSession:
@@ -59,13 +34,6 @@ class CommitmentSession:
         """Commitments per session."""
         return self._ledger.shape[-1]
 
-    def commit(self, value: int) -> CommitmentHandle:
-        """Commit a bit; returns a fresh handle revealing nothing about it."""
-        if value not in (0, 1):
-            raise ValueError(f"committed value must be 0 or 1, got {value!r}")
-        self.commit_many(np.array([value], dtype=np.uint8))
-        return CommitmentHandle(id=len(self) - 1)
-
     def commit_many(self, values: np.ndarray) -> np.ndarray:
         """Bulk commit along the last axis; returns the array of fresh ids."""
         vals = np.asarray(values, dtype=np.uint8)
@@ -75,22 +43,6 @@ class CommitmentSession:
         self._row_starts = None
         self._ledger = vals.copy() if base == 0 else np.concatenate([self._ledger, vals], axis=-1)
         return np.arange(base, base + vals.shape[-1])
-
-    def _open(self, cid: int) -> int:
-        if self._ledger[cid] > 1:
-            raise DoubleUnveilError(f"commitment {cid} already unveiled")
-        self._ledger[cid] |= 2
-        return int(self._ledger[cid] & 1)
-
-    def unveil(self, handle: CommitmentHandle) -> tuple[int, bool]:
-        """Honest unveil: returns (committed value, accepted=True)."""
-        value = self._open(handle.id)
-        handle.opened = True
-        return value, True
-
-    def unveil_id(self, cid: int) -> int:
-        """Honest unveil by ledger id."""
-        return self._open(int(cid))
 
     def unveil_many(self, cids: np.ndarray) -> np.ndarray:
         """Bulk honest unveil by ledger ids; a row-batched ledger takes one
@@ -108,22 +60,3 @@ class CommitmentSession:
             raise DoubleUnveilError(f"commitments already unveiled: {cids[opened].tolist()}")
         ledger[cells] = entries | 2
         return entries  # bit 1 is clear: the committed values
-
-    def cheat_unveil(
-        self,
-        handle: CommitmentHandle,
-        forged: int,
-        cheat: CheatModel,
-        rng: RandomSource,
-    ) -> tuple[int, bool]:
-        """Forged unveil: accepted with probability `cheat.p`, else rejected.
-
-        Requires `forged` to differ from the committed value (an equal value
-        would be an honest unveil).  The commitment is consumed either way.
-        """
-        committed = self._open(handle.id)
-        handle.opened = True
-        if int(forged) == committed:
-            raise ValueError("forged value equals committed value; use unveil()")
-        accepted = rng.gen.random() < cheat.p
-        return int(forged), bool(accepted)

@@ -32,7 +32,6 @@ from .adversary import STRATEGIES, LeakyBob, Strategy
 from .channel import RandomSource
 from .params import (
     _EVENTS,
-    HoeffdingQuery,
     ProtocolParams,
     commitment_attack_bound,
     correctness_epsilon,
@@ -43,10 +42,9 @@ from .params import (
 )
 from .protocol import (
     STATUSES,
-    ChoiceVector,
     HonestBob,
-    InputBits,
     Trials,
+    check_inputs,
     chunks,
     run_protocol,
 )
@@ -71,16 +69,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # the session types' own checks, plus the lengths n and m
-        for name, value, size, build in (
-            ("bits", self.bits, self.n, lambda v: InputBits(v).bits),
-            ("choices", self.choices, self.m, lambda v: ChoiceVector(v, self.n).indices),
-        ):
-            try:
-                if value is not None and len(build(tuple(value))) != size:
-                    raise ValueError(f"need {size} values, got {value!r}")
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+        check_inputs(self.n, self.m, self.bits, self.choices)
 
 
 @dataclass
@@ -214,7 +203,7 @@ def check_bounds(stats: AggregateStats, params: ProtocolParams) -> list[Verdict]
     elif bound is not None:
         delta, eps = bound(params.n, params.m)
         if params.N >= min_N(delta):
-            raw = hoeffding_bound(HoeffdingQuery(trials=params.N, deviation=float(delta)))
+            raw = hoeffding_bound(params.N, float(delta))
             eps_pow = eps**params.N
             for criterion, value, reference, limit in (
                 ("oracle_le_hoeffding_bound", q, min(raw, 1.0), raw),

@@ -123,25 +123,15 @@ def smallest_valid_N(n: int, m: int, floor: int = 1) -> int:
             N += 1
 
 
-@dataclass(frozen=True)
-class HoeffdingQuery:
-    """Inputs to the two-sided concentration bound for the empirical mean of
-    `trials` independent variables in [0, 1]."""
-
-    trials: int
-    deviation: float
-
-    def __post_init__(self):
-        if self.deviation <= 0:
-            raise ValueError("deviation must be positive")
-
-
-def hoeffding_bound(q: HoeffdingQuery) -> float:
-    """Two-sided tail bound 2*exp(-2*N*delta^2).
+def hoeffding_bound(trials: int, deviation: float) -> float:
+    """Two-sided tail bound 2*exp(-2*N*delta^2) on the empirical mean of
+    `trials` = N independent variables in [0, 1] at `deviation` = delta > 0.
 
     May exceed 1 (vacuous) for small N; callers clamp for reporting.
     """
-    return 2.0 * math.exp(-2.0 * q.trials * float(q.deviation) ** 2)
+    if deviation <= 0:
+        raise ValueError("deviation must be positive")
+    return 2.0 * math.exp(-2.0 * trials * float(deviation) ** 2)
 
 
 def correctness_deviation(n: int, m: int) -> Fraction:
@@ -194,6 +184,12 @@ def min_N(delta) -> int:
     return math.floor(math.log(2.0) / d**2) + 1
 
 
+def check_cheat_probability(p: float | None) -> None:
+    """Reject a cheat probability (a forged unveil's chance to pass) outside (0, 1)."""
+    if p is None or not 0.0 < p < 1.0:
+        raise ValueError(f"cheat probability must be in (0,1), got {p}")
+
+
 def commitment_attack_bound(p: float, n: int, N: int, x: int) -> tuple[float, float]:
     """Success bound for forging one extra all-matching subset.
 
@@ -201,8 +197,7 @@ def commitment_attack_bound(p: float, n: int, N: int, x: int) -> tuple[float, fl
     below eps^N because (N-x)/n > N/(2n), i.e. x < N/2, for every admissible
     parameter set (the floats may both underflow to 0 for tiny p).
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"cheat probability must be in (0,1), got {p}")
+    check_cheat_probability(p)
     if (N - x) % n != 0:
         raise InvalidN(f"(N - x) = {N - x} must be divisible by n = {n}")
     forgeries = (N - x) // n
@@ -307,8 +302,8 @@ def build_bound_report(
 ) -> BoundReport:
     """Assemble a :class:`BoundReport`; N enables per-N bounds, p the
     commitment-attack figures (commitment_bound additionally needs N)."""
-    if p is not None and not 0.0 < p < 1.0:
-        raise ValueError(f"cheat probability must be in (0,1), got {p}")
+    if p is not None:
+        check_cheat_probability(p)
     delta_c, eps_c = correctness_epsilon(n, m)
     delta_p, eps_p = privacy_epsilon(n, m)
     fields: dict = dict(
@@ -333,12 +328,8 @@ def build_bound_report(
             N=N,
             x=params.x,
             subset_size=params.subset_size,
-            hoeffding_correctness=hoeffding_bound(
-                HoeffdingQuery(trials=N, deviation=float(delta_c))
-            ),
-            hoeffding_privacy=hoeffding_bound(
-                HoeffdingQuery(trials=N, deviation=float(delta_p))
-            ),
+            hoeffding_correctness=hoeffding_bound(N, float(delta_c)),
+            hoeffding_privacy=hoeffding_bound(N, float(delta_p)),
             eps_correctness_pow_N=eps_c**N,
             eps_privacy_pow_N=eps_p**N,
         )

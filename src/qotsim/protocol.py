@@ -68,33 +68,6 @@ class ProtocolOrderError(RuntimeError):
     """A phase was invoked out of protocol order."""
 
 
-@dataclass(frozen=True)
-class ChoiceVector:
-    """Bob's m distinct choice indices, 1-based in [1, n]."""
-
-    indices: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        if not all(isinstance(c, numbers.Integral) for c in self.indices):
-            raise ValueError(f"choice indices must be ints: {self.indices}")
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError(f"choice indices must be distinct: {self.indices}")
-        if any(not 1 <= c <= self.n for c in self.indices):
-            raise ValueError(f"choice indices must lie in [1, {self.n}]: {self.indices}")
-
-
-@dataclass(frozen=True)
-class InputBits:
-    """Alice's n input bits."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"input bits must be 0/1: {self.bits}")
-
-
 class Transcript:
     """Ordered log of protocol messages, one record per message."""
 
@@ -545,17 +518,27 @@ def decode(masked: np.ndarray, state: ProtocolState) -> np.ndarray:
     return state.recovered
 
 
-def session_inputs(params: ProtocolParams, inputs, choices) -> tuple[InputBits, ChoiceVector]:
-    """Validate one session's input bits and choices against `params`."""
-    if not isinstance(inputs, InputBits):
-        inputs = InputBits(tuple(inputs))
-    if not isinstance(choices, ChoiceVector):
-        choices = ChoiceVector(tuple(choices), n=params.n)
-    if len(inputs.bits) != params.n:
-        raise ValueError(f"need {params.n} input bits, got {len(inputs.bits)}")
-    if len(choices.indices) != params.m:
-        raise ValueError(f"need {params.m} choices, got {len(choices.indices)}")
-    return inputs, choices
+def check_inputs(n: int, m: int, bits, choices) -> None:
+    """Reject fixed inputs that do not fit (n, m): `bits` must be n values
+    in {0, 1}, `choices` m distinct int labels in [1, n] (a bool is not a
+    label).  None is an input drawn per trial, so it is not checked."""
+    if bits is not None:
+        bits = tuple(bits)
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"bits: input bits must be 0/1: {bits}")
+        if len(bits) != n:
+            raise ValueError(f"bits: need {n} values, got {bits!r}")
+    if choices is not None:
+        choices = tuple(choices)
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
+                   for c in choices):
+            raise ValueError(f"choices: choice indices must be ints: {choices}")
+        if len(set(choices)) != len(choices):
+            raise ValueError(f"choices: choice indices must be distinct: {choices}")
+        if any(not 1 <= c <= n for c in choices):
+            raise ValueError(f"choices: choice indices must lie in [1, {n}]: {choices}")
+        if len(choices) != m:
+            raise ValueError(f"choices: need {m} values, got {choices!r}")
 
 
 @dataclass(frozen=True)
@@ -578,30 +561,32 @@ def run_protocol(
 ) -> TrialOutcome | ProtocolState:
     """Run full sessions; aborts become statuses, never exceptions.
 
-    With an int or :class:`RandomSource` `seed`, runs one session (trial 0
-    of the stream) and returns its :class:`TrialOutcome`.  The outcome's
-    `detail` carries ground truth used by verification code: the survivor
-    match flags and count, the removed slots, the commitment count and, for
-    a completed run, the announced family, Bob's claimed labels and the
-    truly all-matching labels.
+    `inputs` is n bits fixed for every row, or None to draw each row's bits
+    from its trial's block; `choices` is m labels fixed for every row, a
+    (T, n) chosen-label mask, or None to draw them likewise.  Fixed bits and
+    labels must pass :func:`check_inputs`.
 
     With a :class:`Trials` block as `seed`, runs its trials as one batch and
     returns the final :class:`ProtocolState`; row k is exactly the single
     session of trial ``start + k``.  A list of blocks runs their rows
-    concatenated in order, as one batch of T rows.  `inputs` (n bits) is
-    then fixed for every row, or None to draw each row's bits from its
-    block; `choices` is m labels fixed for every row, a (T, n) chosen-label
-    mask, or None to draw them likewise.  No transcript is recorded.  This
-    is the engine of every Monte Carlo runner.
+    concatenated in order, as one batch of T rows.  No transcript is
+    recorded.  This is the engine of every Monte Carlo runner.
+
+    With an int or :class:`RandomSource` `seed`, runs trial 0 of the stream
+    as a batch of one row and returns its :class:`TrialOutcome`, whose
+    `recovered` maps each chosen label, ascending, to Bob's unmasked bit.
+    The outcome's `detail` carries ground truth used by verification code:
+    the survivor match flags and count, the removed slots, the commitment
+    count and, for a completed run, the announced family, Bob's claimed
+    labels and the truly all-matching labels.
 
     Phases after the point where every row has aborted are skipped.  A phase
     driven out of order (e.g. by a faulty Bob hook) raises
     :class:`ProtocolOrderError`.
     """
+    check_inputs(params.n, params.m, inputs, None if np.ndim(choices) == 2 else choices)
     batch = isinstance(seed, (Trials, list))
     if not batch:
-        session = session_inputs(params, inputs, choices)
-        inputs, choices = session[0].bits, session[1].indices
         seed = Trials(seed if isinstance(seed, RandomSource) else RandomSource(int(seed)))
     bob = bob or HonestBob()
     transcript = Transcript() if record_transcript and not batch else None
@@ -649,7 +634,8 @@ def run_protocol(
         detail["claimed"] = tuple(int(k) + 1 for k in np.flatnonzero(state.claimed[0]))
         detail["all_matching_labels"] = tuple(
             int(k) + 1 for k in np.flatnonzero(state.all_matching()[0]))
-        recovered = {int(c): int(state.recovered[0, c - 1]) for c in choices}
+        recovered = {int(c) + 1: int(state.recovered[0, c])
+                     for c in np.flatnonzero(state.chosen[0])}
     return TrialOutcome(
         status=status, recovered=recovered, transcript=transcript, detail=detail
     )

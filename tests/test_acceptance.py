@@ -27,7 +27,6 @@ from qotsim.params import (
     compute_x,
     correctness_epsilon,
     hoeffding_bound,
-    HoeffdingQuery,
     min_N,
     privacy_epsilon,
     smallest_valid_N,
@@ -166,7 +165,7 @@ def test_criterion_06_bound_dominance(report):
                 ("privacy", delta_p, eps_p),
             ):
                 q = float(exact_failure_oracle(params, event))
-                raw = hoeffding_bound(HoeffdingQuery(trials=N, deviation=float(delta)))
+                raw = hoeffding_bound(N, float(delta))
                 ok = ok and q <= raw and q <= eps**N
                 checked += 1
     report(6, "oracle <= 2*exp(-2N*delta^2) and <= eps^N for N >= min_N",

@@ -1,36 +1,39 @@
-"""Adversarial-strategy tests against exact success-rate predictions."""
+"""Adversarial-strategy tests against exact success-rate predictions.
+
+Each test runs its sessions as one batch of the strategy's runner:
+trials 0 .. T-1 of ``RandomSource(seed)``'s stream.
+"""
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qotsim.adversary import (
+    STRATEGIES,
     LeakyBob,
     Strategy,
     commit_cheat_trials,
     run_with_adversary,
 )
 from qotsim.channel import RandomSource
-from qotsim.params import validate_params
-from qotsim.protocol import Status, run_protocol
+from qotsim.params import build_bound_report, commitment_attack_bound, validate_params
+from qotsim.protocol import STATUSES, Status, run_protocol
 
 P316 = validate_params(3, 1, 6)
 P216 = validate_params(2, 1, 6)
 P4140 = validate_params(4, 1, 40)
+CHEAT = STATUSES.index(Status.ABORT_CHEAT_DETECTED)
 
 
-def _rate(strategy, params, trials, seed, success):
-    root = RandomSource(seed)
-    hits = 0
-    bits = (0,) * params.n
-    choices = tuple(range(1, params.m + 1))
-    for k in range(trials):
-        adv = run_with_adversary(
-            strategy, params, bits, choices, root.stream(f"trial/{k}")
-        )
-        hits += 1 if success(adv) else 0
-    return hits / trials
+def _run(strategy, params, trials, seed, bits=None, choices=None):
+    """Outcomes of trials 0 .. `trials`-1 of `seed`'s stream, as one batch;
+    by default all-zero bits and the labels 1..m."""
+    bits = (0,) * params.n if bits is None else bits
+    choices = tuple(range(1, params.m + 1)) if choices is None else choices
+    return STRATEGIES[strategy.kind].run(params, strategy, RandomSource(seed), 0, trials,
+                                         bits, choices)
 
 
 def _within_3sigma(rate, q, trials):
@@ -47,105 +50,94 @@ def test_strategy_validation():
     Strategy("commit-cheat", p=0.5)
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5, float("nan")])
+def test_cheat_probability_outside_unit_interval_is_rejected(p):
+    """One range check serves the runner, the strategy and both bound reports."""
+    message = r"cheat probability must be in \(0,1\)"
+    with pytest.raises(ValueError, match=message):
+        commit_cheat_trials(P4140, p, 10, RandomSource(0))
+    with pytest.raises(ValueError, match=message):
+        Strategy("commit-cheat", p=p)
+    with pytest.raises(ValueError, match=message):
+        commitment_attack_bound(p, 4, 40, 8)
+    with pytest.raises(ValueError, match=message):
+        build_bound_report(4, 1, 40, p=p)
+
+
+@pytest.mark.parametrize("kind", list(STRATEGIES))
+def test_run_with_adversary_is_row_zero_of_a_batch(kind):
+    strategy = Strategy(kind, p=0.5 if kind == "commit-cheat" else None)
+    one = run_with_adversary(strategy, P4140, (0, 1, 1, 0), (2,), 5)
+    batch = _run(strategy, P4140, 8, 5, (0, 1, 1, 0), (2,))
+    assert one.status.tolist() == batch.status[:1].tolist()
+    assert one.bits_learned.tolist() == batch.bits_learned[:1].tolist()
+    assert one.wrong_decode.tolist() == batch.wrong_decode[:1].tolist()
+
+
 def test_greedy_bob_extra_bit_rate():
     """(2,1,6): chance of decoding both bits is 15/64 (M >= 4 and N-M >= 2)."""
     q = 15 / 64
-    rate = _rate(
-        Strategy("greedy"), P216, 4000, 101, lambda a: a.target_exceeded
-    )
-    assert _within_3sigma(rate, q, 4000)
+    out = _run(Strategy("greedy"), P216, 4000, 101)
+    assert _within_3sigma(out.target_exceeded.mean(), q, 4000)
 
 
 def test_greedy_bob_never_caught():
     """Greedy subset packing is protocol-legal; Alice can never detect it."""
-    root = RandomSource(7)
-    for k in range(500):
-        adv = run_with_adversary(
-            Strategy("greedy"), P216, (0, 1), (1,), root.stream(f"t/{k}")
-        )
-        assert not adv.caught
-        assert adv.status in (Status.COMPLETED, Status.ABORT_INSUFFICIENT_MATCHES)
+    out = _run(Strategy("greedy"), P216, 500, 7, (0, 1), (1,))
+    allowed = [STATUSES.index(Status.COMPLETED),
+               STATUSES.index(Status.ABORT_INSUFFICIENT_MATCHES)]
+    assert np.isin(out.status, allowed).all()
 
 
 def test_greedy_bits_learned_bounded():
-    root = RandomSource(8)
-    for k in range(300):
-        adv = run_with_adversary(
-            Strategy("greedy"), P4140, (0, 1, 1, 0), (2,), root.stream(f"t/{k}")
-        )
-        assert 0 <= adv.bits_learned <= P4140.m + 1
+    out = _run(Strategy("greedy"), P4140, 300, 8, (0, 1, 1, 0), (2,))
+    assert ((out.bits_learned >= 0) & (out.bits_learned <= P4140.m + 1)).all()
 
 
 def test_dishonest_removal_beats_literal_alice():
     """Low case: removing mismatches passes the stated implication check."""
-    q = 0.0
     trials = 1500
-    rate = _rate(
-        Strategy("dishonest-removal"), P4140, trials, 11, lambda a: a.target_exceeded
-    )
+    out = _run(Strategy("dishonest-removal"), P4140, trials, 11)
     # oracle: P[N-M >= x and M >= (m+1)s] at (4,1,40) = P[8 <= ... M >= 16, M <= 32]
     from qotsim.harness import exact_failure_oracle
 
     q = float(exact_failure_oracle(P4140, "privacy_dishonest_removal"))
-    assert _within_3sigma(rate, q, trials)
-    caught = _rate(
-        Strategy("dishonest-removal"), P4140, 300, 12, lambda a: a.caught
-    )
-    assert caught == 0.0
+    assert _within_3sigma(out.target_exceeded.mean(), q, trials)
+    caught = _run(Strategy("dishonest-removal"), P4140, 300, 12).status == CHEAT
+    assert not caught.any()
 
 
 def test_dishonest_removal_caught_by_strict_alice():
-    root = RandomSource(13)
-    for k in range(200):
-        adv = run_with_adversary(
-            Strategy("dishonest-removal", strict_alice=True),
-            P4140, (0, 0, 0, 0), (1,), root.stream(f"t/{k}"),
-        )
-        # every removed slot mismatches, so strict Alice always objects
-        assert adv.status is Status.ABORT_CHEAT_DETECTED
-        assert adv.caught and adv.bits_learned == 0
+    out = _run(Strategy("dishonest-removal", strict_alice=True), P4140, 200, 13,
+               (0, 0, 0, 0), (1,))
+    # every removed slot mismatches, so strict Alice always objects
+    assert (out.status == CHEAT).all()
+    assert (out.bits_learned == 0).all()
 
 
 def test_honest_bob_unaffected_by_strict_alice():
-    root = RandomSource(14)
-    for k in range(300):
-        adv = run_with_adversary(
-            Strategy("honest", strict_alice=True),
-            P4140, (0, 0, 0, 0), (1,), root.stream(f"t/{k}"),
-        )
-        assert not adv.caught
+    out = _run(Strategy("honest", strict_alice=True), P4140, 300, 14, (0, 0, 0, 0), (1,))
+    assert not (out.status == CHEAT).any()
 
 
 def test_postpone_bob_survival_rate():
     q = (3 / 4) ** 6
     trials = 6000
-    rate = _rate(
-        Strategy("postpone"), P316, trials, 21, lambda a: not a.caught
-    )
-    assert _within_3sigma(rate, q, trials)
+    out = _run(Strategy("postpone"), P316, trials, 21)
+    assert _within_3sigma((out.status != CHEAT).mean(), q, trials)
 
 
 def test_postpone_bob_learns_nothing():
-    root = RandomSource(22)
-    for k in range(200):
-        adv = run_with_adversary(
-            Strategy("postpone"), P316, (0, 1, 0), (1,), root.stream(f"t/{k}")
-        )
-        assert adv.bits_learned == 0 and not adv.target_exceeded
+    out = _run(Strategy("postpone"), P316, 200, 22, (0, 1, 0), (1,))
+    assert (out.bits_learned == 0).all() and not out.target_exceeded.any()
 
 
 def test_commit_cheat_success_rate():
     """All (N-x)/n forged unveils must survive: rate p^s."""
     p, trials = 0.7, 30000
     q = p**P216.subset_size
-    root = RandomSource(31)
-    hits = sum(
-        run_with_adversary(
-            Strategy("commit-cheat", p=p), P216, (0, 0), (1,), root.stream(f"t/{k}")
-        ).target_exceeded
-        for k in range(trials)
-    )
-    assert _within_3sigma(hits / trials, q, trials)
+    out = _run(Strategy("commit-cheat", p=p), P216, trials, 31, (0, 0), (1,))
+    assert _within_3sigma(out.target_exceeded.mean(), q, trials)
 
 
 def test_commit_cheat_trials_vectorized_consistent():
@@ -160,22 +152,15 @@ def test_curious_alice_guess_rate_is_chance():
     available only on the completed fraction of runs."""
     q = float(Fraction(1, 3) * (1 - Fraction(7, 64)))
     trials = 4000
-    root = RandomSource(41)
-    hits = 0
-    for k in range(trials):
-        adv = run_with_adversary(
-            Strategy("curious-alice"), P316, (0, 0, 0), (2,), root.stream(f"t/{k}")
-        )
-        if adv.choice_guess == (2,):
-            hits += 1
-    assert _within_3sigma(hits / trials, q, trials)
+    out = _run(Strategy("curious-alice"), P316, trials, 41, (0, 0, 0), (2,))
+    # m = 1: a completed run's guess is one label; count the runs it is label 2
+    hits = (out.status == 0) & out.guess[:, 1]
+    assert _within_3sigma(hits.mean(), q, trials)
 
 
 def test_leaky_bob_placement_is_deterministic():
     """Positive control: chosen subsets always take the smallest matched
     surviving slots, in order."""
-    import numpy as np
-
     root = RandomSource(51)
     seen = 0
     for k in range(200):

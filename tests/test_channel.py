@@ -12,14 +12,8 @@ from qotsim.channel import (
     RandomSource,
     encode,
     measure,
-    random_bit,
     transmit_batch,
 )
-
-
-def test_basis_from_bit():
-    assert Basis.from_bit(0) is Basis.RECTILINEAR
-    assert Basis.from_bit(1) is Basis.DIAGONAL
 
 
 def test_encode_rejects_non_bit():
@@ -77,7 +71,7 @@ def test_random_source_stream_path_deterministic():
 
 def test_random_bit_is_binary():
     rng = RandomSource(0)
-    assert all(random_bit(rng) in (0, 1) for _ in range(64))
+    assert all(rng.bit() in (0, 1) for _ in range(64))
 
 
 @settings(max_examples=50, deadline=None)

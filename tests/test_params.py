@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qotsim.params import (
     _EVENTS,
     Case,
-    HoeffdingQuery,
     InvalidChoiceCount,
     InvalidN,
     build_bound_report,
@@ -165,10 +164,9 @@ def test_min_N_is_threshold_between_bounds():
 
 
 def test_hoeffding_bound_formula():
-    q = HoeffdingQuery(trials=18, deviation=1 / 6)
-    assert hoeffding_bound(q) == pytest.approx(2 / math.e, rel=1e-15)
-    with pytest.raises(ValueError):
-        HoeffdingQuery(trials=10, deviation=0)
+    assert hoeffding_bound(18, 1 / 6) == pytest.approx(2 / math.e, rel=1e-15)
+    with pytest.raises(ValueError, match="deviation must be positive"):
+        hoeffding_bound(10, 0)
 
 
 def test_commitment_attack_bound_values():

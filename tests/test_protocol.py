@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from qotsim.channel import RandomSource
 from qotsim.params import validate_params
 from qotsim.protocol import (
-    ChoiceVector,
     HonestBob,
-    InputBits,
     STATUSES,
     ProtocolOrderError,
     Status,
     Trials,
     announce_bases,
+    check_inputs,
     decode,
     draw_sessions,
     label_mask,
@@ -33,25 +32,45 @@ P4140 = validate_params(4, 1, 40)
 
 
 def test_choice_vector_validation():
-    with pytest.raises(ValueError):
-        ChoiceVector((1, 1), n=3)
-    with pytest.raises(ValueError):
-        ChoiceVector((0,), n=3)
-    with pytest.raises(ValueError):
-        ChoiceVector((4,), n=3)
-    ChoiceVector((3, 1), n=3)
+    for bad in ((1, 1), (0, 2), (4, 2), (True, 2)):
+        with pytest.raises(ValueError, match="choices"):
+            check_inputs(3, 2, None, bad)
+    check_inputs(3, 2, None, (3, 1))
 
 
 def test_input_bits_validation():
-    with pytest.raises(ValueError):
-        InputBits((0, 2, 1))
+    with pytest.raises(ValueError, match="bits"):
+        check_inputs(3, 1, (0, 2, 1), None)
 
 
 def test_run_rejects_wrong_lengths():
-    with pytest.raises(ValueError, match="input bits"):
+    with pytest.raises(ValueError, match="bits: need 3"):
         run_protocol(P316, (0, 1), (2,), 0)
     with pytest.raises(ValueError, match="choices"):
         run_protocol(P316, (0, 1, 1), (2, 3), 0)
+
+
+@pytest.mark.parametrize("path", ["session", "batch"])
+@pytest.mark.parametrize("nmN, bits, choices, message", [
+    pytest.param((3, 1, 6), (0, 1, 0), (0,), r"choices: choice indices must lie in \[1, 3\]",
+                 id="label-0"),
+    pytest.param((3, 1, 6), (0, 1, 0), (5,), r"choices: choice indices must lie in \[1, 3\]",
+                 id="label-5"),
+    pytest.param((4, 2, 20), (0, 1, 0, 1), (1, 1), "choices: choice indices must be distinct",
+                 id="repeated-label"),
+    pytest.param((4, 2, 20), (0, 1, 0, 1), (2,), "choices: need 2 values", id="one-label-of-2"),
+    pytest.param((3, 1, 6), (0, 1, 0), (True,), "choices: choice indices must be ints",
+                 id="bool-label"),
+    pytest.param((3, 1, 6), (0, 2, 0), (1,), "bits: input bits must be 0/1", id="bit-2"),
+    pytest.param((3, 1, 6), (0, 1), (1,), "bits: need 3 values", id="two-bits-of-3"),
+])
+def test_fixed_inputs_are_checked_on_both_paths(path, nmN, bits, choices, message):
+    """A single session and a Trials batch reject the same bad fixed
+    inputs with the same error, before any session runs."""
+    params = validate_params(*nmN)
+    seed = 3 if path == "session" else Trials(RandomSource(3), 0, 16)
+    with pytest.raises(ValueError, match=message):
+        run_protocol(params, bits, choices, seed)
 
 
 def test_completed_runs_decode_chosen_bits_exactly():
@@ -243,10 +262,9 @@ def test_manual_phase_drive_matches_run_protocol():
     phase2_challenge(state)
     announce_bases(state)
     removal_phase(state)
-    choices = ChoiceVector((3,), n=3)
-    select_subsets(state, label_mask(choices.indices, 1, 3))
-    masked = mask_bits([InputBits((1, 0, 1)).bits], state)
-    recovered = {c: int(decode(masked, state)[0, c - 1]) for c in choices.indices}
+    select_subsets(state, label_mask((3,), 1, 3))
+    masked = mask_bits([(1, 0, 1)], state)
+    recovered = {3: int(decode(masked, state)[0, 2])}
     assert auto.status is Status.COMPLETED
     assert recovered == auto.recovered
 
