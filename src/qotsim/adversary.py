@@ -48,7 +48,7 @@ _CHEAT = STATUSES.index(Status.ABORT_CHEAT_DETECTED)
 @dataclass(frozen=True)
 class Strategy:
     """A named adversary (a key of :data:`STRATEGIES`).  `p` is required for
-    commit-cheat; `strict_alice` selects the strict removal verifier."""
+    commit-cheat, refused elsewhere; `strict_alice` picks the strict removal verifier."""
 
     kind: str
     p: float | None = None
@@ -59,6 +59,8 @@ class Strategy:
             raise ValueError(f"unknown strategy {self.kind!r}; one of {tuple(STRATEGIES)}")
         if self.kind == "commit-cheat":
             check_cheat_probability(self.p)
+        elif self.p is not None:
+            raise ValueError(f"p applies only to commit-cheat, got p={self.p} for {self.kind!r}")
 
 
 class Outcomes:

@@ -4,9 +4,9 @@ Subcommands: `bounds` (security-bound report), `run` (honest Monte Carlo),
 `attack` (adversarial Monte Carlo), `privacy-test` (choice-vector
 distinguishability), `oracle` (exact event probability).  Exit code 0 iff
 every verdict passes; bad input (inadmissible parameters, malformed bits or
-choices, a cheat probability outside (0, 1), too few trials, a QOTSIM_SEED
-that is not an integer) prints one `error:` line and exits 2.  QOTSIM_SEED
-sets the default seed; flags override.
+choices, a cheat probability outside (0, 1) or not for commit-cheat, too few
+trials, a non-integer QOTSIM_SEED) prints one `error:` line and exits 2; a
+closed stdout exits 1.  QOTSIM_SEED sets the default seed; flags override.
 """
 
 from __future__ import annotations
@@ -104,10 +104,18 @@ def _write_out(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    print(text, flush=True)  # a closed stdout raises here, inside main
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _main(argv)
+    except BrokenPipeError:  # the reader is gone: no traceback, and no second error at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: list[str] | None) -> int:
     try:
         _default_seed()
     except ValueError:
@@ -123,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
                   "p": args.p, "seed": None}
         text = emit_report(config, extra={"bounds": dataclasses.asdict(report)},
                            fmt=args.format)
-        print(text)
+        _write_out(text, None)
         return 0
 
     if args.command == "run":
@@ -196,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
             config,
             extra={"probability": {"exact": str(value), "float": float(value)}},
         )
-        print(text)
+        _write_out(text, None)
         return 0
 
     return 2

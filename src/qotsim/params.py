@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 
 class Case(Enum):
     """Which side of 1/2 the target match rate (2m+1)/(2n) falls on."""
@@ -206,32 +208,44 @@ def commitment_attack_bound(p: float, n: int, N: int, x: int) -> tuple[float, fl
     return bound, eps
 
 
-def _honest_run_feasible(params: ProtocolParams, matches: int) -> bool:
+def _honest_run_feasible(params: ProtocolParams, matches):
     """Can an honest Bob with this survivor match count finish the protocol?"""
     if params.case is Case.LOW:
-        return matches >= params.x and (matches - params.x) >= params.m * params.subset_size
-    return (params.N - matches) >= params.x and matches >= params.m * params.subset_size
+        return (matches >= params.x) & (matches - params.x >= params.m * params.subset_size)
+    return (params.N - matches >= params.x) & (matches >= params.m * params.subset_size)
 
 
-def _extra_bit_feasible(params: ProtocolParams, matches: int) -> bool:
+def _extra_bit_feasible(params: ProtocolParams, matches):
     """Can a greedy Bob form m+1 all-matching subsets while complying with removal?"""
-    need = (params.m + 1) * params.subset_size
     if params.case is Case.LOW:
-        return matches >= params.x + need
-    return (params.N - matches) >= params.x and matches >= need
+        return matches >= params.x + (params.m + 1) * params.subset_size
+    return _dishonest_removal_feasible(params, matches)  # high case: both remove mismatches
 
 
-def _dishonest_removal_feasible(params: ProtocolParams, matches: int) -> bool:
+def _dishonest_removal_feasible(params: ProtocolParams, matches):
     """Low case: Bob removes mismatches instead, keeping all matches for subsets."""
     need = (params.m + 1) * params.subset_size
-    return (params.N - matches) >= params.x and matches >= need
+    return (params.N - matches >= params.x) & (matches >= need)
 
 
-_EVENTS = {
-    "correctness": lambda p, M: not _honest_run_feasible(p, M),
+_EVENTS = {  # predicate(params, M) takes M as an int or an int array and answers in kind
+    "correctness": lambda p, M: np.logical_not(_honest_run_feasible(p, M)),
     "privacy": _extra_bit_feasible,
     "privacy_dishonest_removal": _dishonest_removal_feasible,
 }
+
+
+def _binomial_run(N: int, a: int, b: int) -> int:
+    """sum(comb(N, M) for M in range(a, b)), from its cheaper side: a run over half
+    the support is 2^N minus the two sides outside it; a shorter one is walked from
+    comb(N, a) by comb(N, M+1) = comb(N, M) * (N-M) // (M+1)."""
+    if 2 * (b - a) > N + 1:
+        return (1 << N) - _binomial_run(N, 0, a) - _binomial_run(N, b, N + 1)
+    total, c = 0, math.comb(N, a)
+    for M in range(a, b):
+        total += c
+        c = c * (N - M) // (M + 1)
+    return total
 
 
 def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> Fraction:
@@ -240,23 +254,19 @@ def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> 
     Events: "correctness" (honest Bob cannot finish), "privacy" (a greedy
     Bob can decode m+1 bits), "privacy_dishonest_removal".
 
-    A literal sum over the binomial support in integers: walks M = 0..N,
-    carrying comb(N, M) by the exact recurrence
-    comb(N, M+1) = comb(N, M) * (N-M) // (M+1), adds it to a hit count
-    wherever the event's predicate holds, and builds one rational,
-    hits / 2^N, at the end.
+    A literal sum over the binomial support in integers: one predicate call
+    on M = 0..N marks the hits, each run [a, b) of consecutive hits adds its
+    comb(N, M) terms (:func:`_binomial_run`), and one rational, hits / 2^N,
+    is built at the end.
     """
-    try:
-        pred = _EVENTS[event]
-    except KeyError:
-        raise ValueError(f"unknown event {event!r}; one of {sorted(_EVENTS)}") from None
+    pred = _EVENTS.get(event)
+    if pred is None:
+        raise ValueError(f"unknown event {event!r}; one of {sorted(_EVENTS)}")
     N = params.N
-    hits = 0
-    c = 1  # comb(N, M)
-    for M in range(N + 1):
-        if pred(params, M):
-            hits += c
-        c = c * (N - M) // (M + 1)
+    holds = pred(params, np.arange(N + 1))
+    edges = [0, *(np.flatnonzero(holds[1:] != holds[:-1]) + 1).tolist(), N + 1]
+    runs = edges if holds[0] else edges[1:]  # start, end, start, end, ... of the hit runs
+    hits = sum(_binomial_run(N, a, b) for a, b in zip(runs[::2], runs[1::2]))
     return Fraction(hits, 1 << N)
 
 

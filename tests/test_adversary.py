@@ -50,6 +50,15 @@ def test_strategy_validation():
     Strategy("commit-cheat", p=0.5)
 
 
+@pytest.mark.parametrize("kind", [k for k in STRATEGIES if k != "commit-cheat"])
+def test_p_is_rejected_where_it_is_not_used(kind):
+    """Only commit-cheat reads p; strict_alice stays accepted for every kind."""
+    for p in (7.0, 0.5):
+        with pytest.raises(ValueError, match=f"p applies only to commit-cheat, got p={p}"):
+            Strategy(kind, p=p)
+    Strategy(kind, strict_alice=True)
+
+
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5, float("nan")])
 def test_cheat_probability_outside_unit_interval_is_rejected(p):
     """One range check serves the runner, the strategy and both bound reports."""

@@ -98,6 +98,32 @@ def test_attack_rejects_honest_strategy():
     assert proc.returncode == 2
 
 
+def test_attack_rejects_p_for_a_strategy_that_ignores_it():
+    proc = _cli("attack", "--strategy", "greedy", "--p", "7", "--n", "2", "--m", "1",
+                "--N", "6", "--trials", "100", "--seed", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: p applies only to commit-cheat, got p=7.0 for 'greedy'\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("attack", "--strategy", "greedy", "--n", "2", "--m", "1", "--N", "6",
+     "--trials", "100", "--seed", "1"),
+    ("oracle", "--n", "3", "--m", "1", "--N", "6", "--event", "correctness"),
+])
+def test_closed_stdout_ends_without_traceback(args):
+    """The reader's end of the pipe is closed before the CLI writes a byte."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qotsim.cli", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_privacy_test_subcommand(capsys):
     code = main(["privacy-test", "--n", "3", "--m", "1", "--N", "6",
                  "--trials-per-choice", "800", "--seed", "4"])

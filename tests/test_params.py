@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qotsim.params import (
     _EVENTS,
+    _binomial_run,
     Case,
     InvalidChoiceCount,
     InvalidN,
@@ -201,19 +203,58 @@ def test_bound_report_without_N():
 
 def test_exact_oracle_matches_comb_sum_past_brute_force():
     """The oracle against a plain sum of math.comb terms, at every admissible
-    N <= 400 for n <= 4; brute force (criterion 5) stops at N = 20."""
-    checked = 0
+    N <= 400 and the three largest N <= 1000 for n <= 4; brute force
+    (criterion 5) stops at N = 20.  The cases include a run of hits that
+    starts at M = 0, one that ends at M = N, and the high case's two-tailed
+    correctness event, which has both."""
+    checked, shapes = 0, set()
     for n in range(2, 5):
         for m in range(1, n):
-            N = smallest_valid_N(n, m)
-            while N <= 400:
+            Ns = _admissible_Ns(n, m, 1000)
+            for N in [N for N in Ns if N <= 400] + Ns[-3:]:
                 params = validate_params(n, m, N)
                 for event, pred in _EVENTS.items():
                     q = exact_failure_oracle(params, event)
-                    hits = sum(math.comb(N, M) for M in range(N + 1) if pred(params, M))
+                    holds = [bool(pred(params, M)) for M in range(N + 1)]
+                    hits = sum(math.comb(N, M) for M in range(N + 1) if holds[M])
                     assert q == Fraction(hits, 2**N), (n, m, N, event)
                     # a reduced hits / 2^N: the denominator is a power of two
                     assert q.denominator & (q.denominator - 1) == 0
+                    shapes.add((params.case, event, holds[0], holds[-1]))
                     checked += 1
-                N = smallest_valid_N(n, m, N + 1)
     assert checked > 1000
+    assert (Case.HIGH, "correctness", True, True) in shapes
+    assert any(first and not last for _, _, first, last in shapes)
+    assert any(last and not first for _, _, first, last in shapes)
+
+
+def test_binomial_run_sums_every_range():
+    """Every [a, b) at small N, and long and short runs at N = 1000, against
+    math.comb; a run longer than half the support is summed as 2^N minus
+    both sides, which no event's run reaches with both sides non-empty."""
+    cases = [(N, a, b) for N in range(1, 17) for a in range(N + 2) for b in range(a, N + 2)]
+    cases += [(1000, a, b) for a, b in ((0, 1001), (1, 1000), (200, 900), (0, 400),
+                                        (600, 1001), (450, 550), (1000, 1001))]
+    for N, a, b in cases:
+        assert _binomial_run(N, a, b) == sum(math.comb(N, M) for M in range(a, b)), (N, a, b)
+
+
+def _admissible_Ns(n, m, N_max):
+    Ns = [smallest_valid_N(n, m)]
+    while Ns[-1] <= N_max:
+        Ns.append(smallest_valid_N(n, m, Ns[-1] + 1))
+    return Ns[:-1]
+
+
+def test_event_predicates_agree_on_arrays_and_ints():
+    """The oracle calls each predicate once on the whole support; brute force
+    and the CLI call it on one int at a time."""
+    for n in range(2, 7):
+        for m in range(1, n):
+            for N in _admissible_Ns(n, m, 60):
+                params = validate_params(n, m, N)
+                for event, pred in _EVENTS.items():
+                    holds = pred(params, np.arange(N + 1))
+                    assert holds.dtype == bool and holds.shape == (N + 1,)
+                    assert holds.tolist() == [bool(pred(params, M)) for M in range(N + 1)], (
+                        params, event)
