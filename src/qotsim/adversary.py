@@ -122,9 +122,13 @@ class DishonestRemovalBob(GreedyBob):
     implication check is vacuous on mismatches, so the literal verifier never
     notices; the strict verifier always does."""
 
-    def removal_pool(self, state, match: np.ndarray) -> np.ndarray:
-        if state.params.case is not Case.LOW:
+    @staticmethod
+    def check_case(case: Case) -> None:
+        if case is not Case.LOW:
             raise ValueError("dishonest-removal strategy applies to the low case only")
+
+    def removal_pool(self, state, match: np.ndarray) -> np.ndarray:
+        self.check_case(state.params.case)
         return ~match
 
 

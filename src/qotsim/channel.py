@@ -50,13 +50,15 @@ class RandomSource:
     drawn in, and no generator is built per trial.  :attr:`gen` is a
     separate sequential generator for scalar draws (:meth:`bit`,
     :meth:`bits`); a single one must not be shared across concurrent
-    consumers.
+    consumers.  The seed must fit in a signed 64-bit word.
     """
 
     __slots__ = ("seed", "_digest", "_gen")
 
     def __init__(self, seed: int, _digest: bytes | None = None):
         self.seed = int(seed)
+        if not -2**63 <= self.seed < 2**63:
+            raise ValueError(f"seed must be in [-2**63, 2**63 - 1], got {self.seed}")
         if _digest is None:
             _digest = hashlib.blake2b(
                 self.seed.to_bytes(8, "little", signed=True), digest_size=16
@@ -91,7 +93,7 @@ class RandomSource:
         """
         if width % 4:
             raise ValueError(f"block width must be a multiple of 4, got {width}")
-        philox = np.random.Philox(key=self.key).advance(start * width // 4)
+        philox = np.random.Philox(key=self.key).advance(int(start) * width // 4)
         return philox.random_raw(count * width).reshape(count, width)
 
     def bit(self) -> int:

@@ -3,9 +3,9 @@
 Subcommands: `bounds` (security-bound report), `run` (honest Monte Carlo),
 `attack` (adversarial Monte Carlo), `privacy-test` (choice-vector
 distinguishability), `oracle` (exact event probability).  Exit code 0 iff
-every verdict passes; bad input (inadmissible parameters, malformed bits or
-choices, a cheat probability outside (0, 1) or not for commit-cheat, too few
-trials, a non-integer QOTSIM_SEED) prints one `error:` line and exits 2; a
+every verdict passes; bad input (inadmissible parameters, or strategy for
+them, malformed bits, choices or seed, a cheat probability outside (0, 1) or
+not for commit-cheat, too few trials) prints one `error:` line and exits 2; a
 closed stdout exits 1.  QOTSIM_SEED sets the default seed; flags override.
 """
 

@@ -28,11 +28,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .adversary import STRATEGIES, LeakyBob, Strategy
+from .adversary import STRATEGIES, DishonestRemovalBob, LeakyBob, Strategy
 from .channel import RandomSource
 from .params import (
     _EVENTS,
     ProtocolParams,
+    case_of,
     commitment_attack_bound,
     correctness_epsilon,
     exact_failure_oracle,  # re-exported: the oracle lives in params
@@ -42,7 +43,6 @@ from .params import (
 )
 from .protocol import (
     STATUSES,
-    HonestBob,
     Trials,
     check_inputs,
     chunks,
@@ -70,6 +70,9 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         check_inputs(self.n, self.m, self.bits, self.choices)
+        RandomSource(self.seed)  # refuses a seed outside the signed 64-bit range
+        if self.strategy.kind == "dishonest-removal":
+            DishonestRemovalBob.check_case(case_of(self.n, self.m))
 
 
 @dataclass
@@ -297,7 +300,6 @@ def privacy_independence_test(
     rngs = [root.stream(f"choice/{','.join(map(str, cv))}") for cv in choice_vectors]
     masks = np.zeros((len(choice_vectors), n), dtype=bool)
     np.put_along_axis(masks, np.array(choice_vectors) - 1, True, axis=1)
-    bob_cls = LeakyBob if leaky else HonestBob
     tally = np.zeros(len(choice_vectors) * n, dtype=np.int64)
     for start, count in chunks(len(choice_vectors) * T, params):
         stop = start + count
@@ -306,7 +308,8 @@ def privacy_independence_test(
         for v in range(vector[0], vector[-1] + 1):
             lo, hi = max(start, v * T), min(stop, (v + 1) * T)
             blocks.append(Trials(rngs[v], lo - v * T, hi - lo))
-        state = run_protocol(params, (0,) * n, masks[vector], blocks, bob=bob_cls())
+        state = run_protocol(params, (0,) * n, masks[vector], blocks,
+                             bob=LeakyBob() if leaky else None)
         if state.recovered is not None:  # some row completed
             live = state.live()
             # subsets are sorted: column 0 holds each subset's smallest slot

@@ -21,8 +21,8 @@ in the per-row status array (the first abort of a row wins) and the row's
 later results are ignored.  Phases are driven strictly in order; an
 out-of-order call raises :class:`ProtocolOrderError`.  That is a simulator
 bug, so it propagates to the caller instead of becoming a protocol abort.
-A single session's transcript is recorded on request and is byte-stable
-under a fixed seed.
+Step 1 sets the sessions' Bob and, on request, a transcript of row 0's
+messages on the state; a transcript is byte-stable under a fixed seed.
 """
 
 from __future__ import annotations
@@ -251,6 +251,8 @@ class ProtocolState:
     r_b: np.ndarray      # Bob's measured (or guessed) bits, (2, T, N) as in Draws
     session: CommitmentSession
     status: np.ndarray   # (T,) index into STATUSES
+    bob: HonestBob       # every row's Bob, set at step 1
+    transcript: Transcript | None = None  # row 0's messages, if recorded; set at step 1
     stage: int = 1
     r_s: np.ndarray | None = None      # r, beta, r_b, beta_b per survivor slot
     beta_s: np.ndarray | None = None
@@ -312,7 +314,8 @@ def phase1_transmit(
     """Step 1: Alice sends 2N photons per row; Bob measures each on arrival.
 
     A matching basis reproduces Alice's bit, a mismatched one gives Bob a
-    fair coin; a Bob who does not measure commits to the coins alone."""
+    fair coin; a Bob who does not measure commits to the coins alone.  The
+    state keeps `bob` (None: honest) and `transcript` for the later phases."""
     bob = bob or HonestBob()
     r_b = draws.coin
     if bob.measures:
@@ -322,17 +325,14 @@ def phase1_transmit(
             transcript.add(1, "A", "photon", index=i)
     return ProtocolState(
         params=params, draws=draws, r_b=r_b, session=CommitmentSession(),
-        status=np.zeros(draws.d.shape[0], dtype=np.int8),
+        status=np.zeros(draws.d.shape[0], dtype=np.int8), bob=bob, transcript=transcript,
     )
 
 
-def phase2_challenge(
-    state: ProtocolState,
-    transcript: Transcript | None = None,
-) -> ProtocolState:
+def phase2_challenge(state: ProtocolState) -> None:
     """Step 2: commit, challenge one of each (i, N+i) pair, keep the other."""
     state._require_stage(1)
-    N = state.params.N
+    N, transcript = state.params.N, state.transcript
     # commitment order per pair: r'_i, beta'_i, r'_{N+i}, beta'_{N+i}, so the
     # fresh ledger's ids of index i are 4i, 4i+1 and of index N+i 4i+2, 4i+3
     r, beta, r_b, beta_b = state.draws.r, state.draws.beta, state.r_b, state.draws.beta_b
@@ -342,9 +342,6 @@ def phase2_challenge(
     vals[:, 2::4] = r_b[1]
     vals[:, 3::4] = beta_b[1]
     ids = state.session.commit_many(vals)
-    if transcript is not None:
-        for cid in ids:
-            transcript.add(2, "B", "commit", id=int(cid))
 
     # d = 1: pair i's challenged index is N+i and slot i keeps index i;
     # d = 0: the other way round
@@ -359,6 +356,8 @@ def phase2_challenge(
     unveiled_r = state.session.unveil_many(cid_r)
     unveiled_beta = state.session.unveil_many(cid_r + 1)
     if transcript is not None:
+        for cid in ids:
+            transcript.add(2, "B", "commit", id=int(cid))
         for i in range(N):
             transcript.add(2, "A", "challenge", i=i, d=int(d[0, i]))
             transcript.unveil(2, cid_r[0, i], unveiled_r[0, i])
@@ -369,45 +368,33 @@ def phase2_challenge(
     state.removed = np.zeros((state.rows, N), dtype=bool)
     state.stage = 2
     state.abort(violation.any(axis=1), Status.ABORT_CHEAT_DETECTED)
-    return state
 
 
-def announce_bases(
-    state: ProtocolState, transcript: Transcript | None = None
-) -> np.ndarray:
+def announce_bases(state: ProtocolState) -> None:
     """Step 3: Alice announces her emission bases for the N survivor slots."""
     state._require_stage(2)
-    bases = state.beta_s
-    state.match = bases == state.beta_bs
+    state.match = state.beta_s == state.beta_bs
     state.stage = 3
-    if transcript is not None and state.status[0] == 0:
-        transcript.add(3, "A", "bases", bases=[int(b) for b in bases[0]])
-    return bases
+    if state.transcript is not None and state.status[0] == 0:
+        state.transcript.add(3, "A", "bases", bases=[int(b) for b in state.beta_s[0]])
 
 
-def removal_phase(
-    state: ProtocolState,
-    bob: HonestBob | None = None,
-    strict_removal: bool = False,
-    transcript: Transcript | None = None,
-) -> np.ndarray:
+def removal_phase(state: ProtocolState, strict_removal: bool = False) -> None:
     """Step 4: Bob unveils and removes x slots of the over-represented kind.
 
     Low case: removed slots must match; Alice's stated check is only the
     implication (basis equal implies bit equal).  With `strict_removal` she
     additionally rejects any removed slot whose unveiled basis mismatches.
     High case: removed slots must mismatch and Alice checks exactly that.
-    Returns the (T, x) removed slots, ascending per row.
+    The removed slots are marked in `state.removed`.
     """
     state._require_stage(3)
-    bob = bob or HonestBob()
     params = state.params
     x = params.x
-    match = state.match_flags()
     state.stage = 4
     if x == 0:
-        return np.empty((state.rows, 0), dtype=np.int64)
-    pool = bob.removal_pool(state, match)
+        return
+    pool = state.bob.removal_pool(state, state.match_flags())
     short = pool.sum(axis=1) < x
     state.abort(short, Status.ABORT_INSUFFICIENT_MATCHES)
     keys = np.where(pool, state.draws.removal_keys, _LAST)
@@ -418,10 +405,10 @@ def removal_phase(
     cid_r = 4 * removed_slots + 2 - 2 * state.draws.d.ravel()[cells]
     unveiled_r = state.session.unveil_many(cid_r)
     unveiled_beta = state.session.unveil_many(cid_r + 1)
-    if transcript is not None and state.status[0] == 0:
+    if state.transcript is not None and state.status[0] == 0:
         for j in range(x):
-            transcript.unveil(4, cid_r[0, j], unveiled_r[0, j])
-            transcript.unveil(4, cid_r[0, j] + 1, unveiled_beta[0, j])
+            state.transcript.unveil(4, cid_r[0, j], unveiled_r[0, j])
+            state.transcript.unveil(4, cid_r[0, j] + 1, unveiled_beta[0, j])
     alice_beta = state.beta_s.reshape(-1)[cells]
     alice_r = state.r_s.reshape(-1)[cells]
     # a row too short to remove x slots removed nothing
@@ -434,28 +421,21 @@ def removal_phase(
     else:
         bad = same_basis.any(axis=1)
     state.abort(bad, Status.ABORT_CHEAT_DETECTED)
-    return removed_slots
 
 
-def select_subsets(
-    state: ProtocolState,
-    choices: np.ndarray,
-    bob: HonestBob | None = None,
-    transcript: Transcript | None = None,
-) -> np.ndarray | None:
+def select_subsets(state: ProtocolState, choices: np.ndarray) -> None:
     """Step 5: Bob announces n disjoint subsets of size (N-x)/n covering the
     survivors, with the chosen ones all-matching.
 
     `choices` is the (T, n) chosen-label mask.  Bob gives up on a row whose
     surviving matches cannot fill the subsets he claims.  Alice checks each
-    family's structure: count, sizes, disjointness, coverage.  Returns the
-    (T, n, size) family, or None when its count or sizes are wrong, which
-    aborts every row."""
+    family's structure: count, sizes, disjointness, coverage.  The sorted
+    (T, n, size) family goes to `state.family`; a family whose count or
+    sizes are wrong aborts every row and leaves it None."""
     state._require_stage(4)
-    bob = bob or HonestBob()
     params = state.params
     n, s, N = params.n, params.subset_size, params.N
-    family, claimed = bob.build_family(state, choices, state.draws.family_keys)
+    family, claimed = state.bob.build_family(state, choices, state.draws.family_keys)
     state.claimed = claimed
     alive = ~state.removed
     matched = (state.match_flags() & alive).sum(axis=1)
@@ -463,7 +443,7 @@ def select_subsets(
     state.stage = 5
     if len(family) != n or any(np.shape(f) != (state.rows, s) for f in family):
         state.abort(np.ones(state.rows, dtype=bool), Status.ABORT_INVALID_MESSAGE)
-        return None
+        return
     fam = np.stack(family, axis=1).astype(np.int64, copy=False)
     # legal: in range, and every surviving slot in exactly one subset
     # (disjoint, covering, no removed slot)
@@ -482,27 +462,22 @@ def select_subsets(
     # (size, T, n), so that reductions over a subset run along whole rows
     state.cells = np.ascontiguousarray(
         (state.family + state.offsets[:, :, None]).transpose(2, 0, 1))
-    if transcript is not None and state.status[0] == 0:
-        transcript.add(
+    if state.transcript is not None and state.status[0] == 0:
+        state.transcript.add(
             5, "B", "subsets",
             subsets=[[int(j) for j in f] for f in state.family[0]],
         )
-    return state.family
 
 
-def mask_bits(
-    inputs: np.ndarray,
-    state: ProtocolState,
-    transcript: Transcript | None = None,
-) -> np.ndarray:
+def mask_bits(inputs: np.ndarray, state: ProtocolState) -> np.ndarray:
     """Step 6: Alice sends each (T, n) input bit XORed with her raw-bit
-    parity over its subset."""
+    parity over its subset; returns the (T, n) masked bits."""
     state._require_stage(5)
     parity = np.bitwise_xor.reduce(state.over_subsets(state.r_s), axis=2)
     masked = np.asarray(inputs, dtype=np.uint8) ^ parity
     state.stage = 6
-    if transcript is not None and state.status[0] == 0:
-        transcript.add(6, "A", "masked_bits", bits=[int(b) for b in masked[0]])
+    if state.transcript is not None and state.status[0] == 0:
+        state.transcript.add(6, "A", "masked_bits", bits=[int(b) for b in masked[0]])
     return masked
 
 
@@ -569,8 +544,9 @@ def run_protocol(
     With a :class:`Trials` block as `seed`, runs its trials as one batch and
     returns the final :class:`ProtocolState`; row k is exactly the single
     session of trial ``start + k``.  A list of blocks runs their rows
-    concatenated in order, as one batch of T rows.  No transcript is
-    recorded.  This is the engine of every Monte Carlo runner.
+    concatenated in order, as one batch of T rows.  This is the engine of
+    every Monte Carlo runner.  With `record_transcript`, the state's (or
+    outcome's) `transcript` logs row 0, so ``Trials(rng, k, 1)`` logs trial k.
 
     With an int or :class:`RandomSource` `seed`, runs trial 0 of the stream
     as a batch of one row and returns its :class:`TrialOutcome`, whose
@@ -588,8 +564,6 @@ def run_protocol(
     batch = isinstance(seed, (Trials, list))
     if not batch:
         seed = Trials(seed if isinstance(seed, RandomSource) else RandomSource(int(seed)))
-    bob = bob or HonestBob()
-    transcript = Transcript() if record_transcript and not batch else None
     blocks = seed if isinstance(seed, list) else [seed]
     width = session_width(params)
     words = [b.source.block(width, b.start, b.count) for b in blocks]
@@ -604,19 +578,19 @@ def run_protocol(
                              f"{params.m} labels per row")
     else:
         chosen = label_mask(choices, count, params.n)
-    state = phase1_transmit(params, draws, bob=bob, transcript=transcript)
+    state = phase1_transmit(params, draws, bob=bob,
+                            transcript=Transcript() if record_transcript else None)
     state.inputs = draws.inputs if inputs is None else np.broadcast_to(
         np.asarray(inputs, dtype=np.uint8), (count, params.n))
     state.chosen = chosen
-    phase2_challenge(state, transcript=transcript)
-    announce_bases(state, transcript=transcript)
+    phase2_challenge(state)
+    announce_bases(state)
     if state.live().any():
-        removal_phase(state, bob=bob, strict_removal=strict_removal,
-                      transcript=transcript)
+        removal_phase(state, strict_removal=strict_removal)
     if state.live().any():
-        select_subsets(state, state.chosen, bob=bob, transcript=transcript)
+        select_subsets(state, state.chosen)
     if state.live().any():
-        decode(mask_bits(state.inputs, state, transcript=transcript), state)
+        decode(mask_bits(state.inputs, state), state)
     if batch:
         return state
 
@@ -637,5 +611,5 @@ def run_protocol(
         recovered = {int(c) + 1: int(state.recovered[0, c])
                      for c in np.flatnonzero(state.chosen[0])}
     return TrialOutcome(
-        status=status, recovered=recovered, transcript=transcript, detail=detail
+        status=status, recovered=recovered, transcript=state.transcript, detail=detail
     )

@@ -56,6 +56,17 @@ def test_random_source_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [2**63, -2**63 - 1, 10**23])
+def test_random_source_seed_must_fit_64_bits(seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[-2\*\*63, 2\*\*63 - 1\]"):
+        RandomSource(seed)
+
+
+def test_block_start_may_be_a_numpy_integer():
+    rng = RandomSource(1)
+    assert np.array_equal(rng.block(8, np.int64(3), 2), rng.block(8, 3, 2))
+
+
 def test_random_source_streams_differ():
     root = RandomSource(42)
     a = root.stream("alice").bits(100)

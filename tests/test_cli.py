@@ -200,6 +200,9 @@ def test_run_bad_input_is_usage_error(flag, value, message):
      "cheat probability must be in (0,1)"),
     (("privacy-test", "--n", "3", "--m", "1", "--N", "6", "--trials-per-choice", "0"),
      "trials_per_choice must be >= 1"),
+    (("attack", "--strategy", "dishonest-removal", "--n", "2", "--m", "1", "--N", "6",
+      "--trials", "10", "--seed", "1"),
+     "dishonest-removal strategy applies to the low case only"),
 ])
 def test_bounds_and_privacy_bad_input_is_usage_error(args, message, capsys):
     """An escaping exception would fail the call itself, so no traceback."""
@@ -207,3 +210,39 @@ def test_bounds_and_privacy_bad_input_is_usage_error(args, message, capsys):
     out, err = capsys.readouterr()
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert out == ""
+
+
+SEED_COMMANDS = {
+    "run": ("run", "--n", "3", "--m", "1", "--N", "6", "--trials", "10"),
+    "attack": ("attack", "--strategy", "greedy", "--n", "3", "--m", "1", "--N", "6",
+               "--trials", "10"),
+    "privacy-test": ("privacy-test", "--n", "3", "--m", "1", "--N", "6",
+                     "--trials-per-choice", "10"),
+}
+SEED_RANGE_ERROR = "error: seed must be in [-2**63, 2**63 - 1], got "
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+@pytest.mark.parametrize("seed", [2**63, -2**63 - 1, 99999999999999999999999])
+def test_seed_outside_64_bits_is_usage_error(command, seed, capsys):
+    assert main([*SEED_COMMANDS[command], "--seed", str(seed)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"{SEED_RANGE_ERROR}{seed}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+def test_seed_env_var_outside_64_bits_is_usage_error(command):
+    proc = _cli(*SEED_COMMANDS[command], env={"QOTSIM_SEED": "99999999999999999999999"})
+    assert proc.returncode == 2
+    assert proc.stderr == f"{SEED_RANGE_ERROR}99999999999999999999999\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+@pytest.mark.parametrize("seed", [2**63 - 1, -2**63])
+def test_seed_at_the_64_bit_limits_runs(command, seed, capsys):
+    assert main([*SEED_COMMANDS[command], "--seed", str(seed)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["config"]["seed"] == seed

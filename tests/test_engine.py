@@ -87,6 +87,26 @@ def test_batch_row_equals_single_trial(nmN, label, kind, bob, strict):
         assert events.tolist() == single
 
 
+@pytest.mark.parametrize("nmN,label,kind,bob,strict", CASES)
+def test_batch_transcript_is_its_first_trials_transcript(nmN, label, kind, bob, strict):
+    """A batch logs its row 0: the transcript of trials k .. k+63 equals that
+    of trial k alone, for the first completed and the first aborted trials."""
+    params = validate_params(*nmN)
+    rng = RandomSource(2025).stream(label)
+
+    def transcript(start, count):
+        state = run_protocol(params, None, None, Trials(rng, start, count), bob=bob(),
+                             strict_removal=strict, record_transcript=True)
+        return state.transcript.to_jsonl()
+
+    status = run_protocol(params, None, None, Trials(rng, 0, 4 * ROWS), bob=bob(),
+                          strict_removal=strict).status
+    first = np.flatnonzero(status == 0)[:3].tolist() + np.flatnonzero(status != 0)[:3].tolist()
+    assert first
+    for k in first:
+        assert transcript(k, ROWS) == transcript(k, 1)
+
+
 def test_batches_cover_every_trial_and_shrink_at_large_N():
     assert list(chunks(CHUNK + 1, validate_params(4, 1, 40))) == [(0, CHUNK), (CHUNK, 1)]
     large = validate_params(4, 1, 1000)

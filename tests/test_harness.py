@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotsim.adversary import STRATEGIES, LeakyBob, Strategy
+from qotsim.adversary import STRATEGIES, LeakyBob, Strategy, run_with_adversary
 from qotsim.channel import RandomSource
 from qotsim.harness import (
     ExperimentConfig,
@@ -123,11 +123,13 @@ def test_run_experiment_validates_params():
         ("choices", (0,)),
         ("choices", (1, 2)),     # m = 1 needs one choice
         ("choices", (1.0,)),     # not an int
+        ("seed", 2**63),         # past a signed 64-bit word
+        ("seed", -2**63 - 1),
     ],
 )
 def test_experiment_config_rejects_bad_inputs(field, value):
     with pytest.raises(ValueError, match=field):
-        ExperimentConfig(n=3, m=1, N=6, trials=10, seed=0, **{field: value})
+        ExperimentConfig(**{"n": 3, "m": 1, "N": 6, "trials": 10, "seed": 0, field: value})
 
 
 @pytest.mark.parametrize("choices", [(np.int64(2),), (1.0,)])
@@ -142,6 +144,16 @@ def test_experiment_config_and_run_protocol_accept_the_same_choices(choices):
     config = accepts(lambda: ExperimentConfig(n=3, m=1, N=6, trials=10, seed=0,
                                               choices=choices))
     assert config == accepts(lambda: run_protocol(P316, (0, 1, 0), choices, 1))
+
+
+def test_dishonest_removal_is_refused_in_the_high_case_at_config_and_hook():
+    message = "dishonest-removal strategy applies to the low case only"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(n=2, m=1, N=6, trials=10, seed=1,
+                         strategy=Strategy("dishonest-removal"))
+    with pytest.raises(ValueError, match=message):  # a direct caller meets the hook's check
+        run_with_adversary(Strategy("dishonest-removal"), validate_params(2, 1, 6), None, None, 1)
+    ExperimentConfig(n=4, m=1, N=40, trials=10, seed=1, strategy=Strategy("dishonest-removal"))
 
 
 def test_experiment_config_rejects_repeated_choices():

@@ -2,7 +2,9 @@
 
 Each case runs 256 trials of one Bob at one parameter set through the batch
 engine and hashes every row's status and, for each completed row, its
-announced family, claimed labels and recovered bits.  The digests are
+announced family, claimed labels and recovered bits.  A second table hashes
+the message transcript of one single session per way a session can end:
+completed, or aborted at step 2, 4 or 5 for each reason.  The digests are
 fixed: an optimisation of the engine must leave them unchanged, and a
 change to the random-stream contract (which words a trial owns, or how a
 phase reads them) has to update this table on purpose and say so in
@@ -18,7 +20,9 @@ from qotsim.adversary import DishonestRemovalBob, GreedyBob, LeakyBob, PostponeB
 from qotsim.channel import RandomSource
 from qotsim.params import Case, validate_params
 from qotsim.protocol import (
+    STATUSES,
     HonestBob,
+    Status,
     Trials,
     draw_sessions,
     phase1_transmit,
@@ -96,3 +100,47 @@ def test_every_case_has_a_digest():
 def test_rows_match_the_recorded_digest(case):
     label, _, nmN = case.partition("/")
     assert digest(label, tuple(int(v) for v in nmN.split(","))) == DIGESTS[case]
+
+
+class _RepeatingBob(HonestBob):
+    """Announces his first subset n times: right count and sizes, not disjoint."""
+
+    def build_family(self, state, choices, keys):
+        family, claimed = super().build_family(state, choices, keys)
+        return [family[0]] * len(family), claimed
+
+
+# One single-session transcript per way a session can end.  case ->
+# (set, Bob, strict Alice, seed, status, stage at the end, digest).  Step 3
+# has no check and runs on every row, so a step-2 abort ends at stage 3.
+TRANSCRIPTS = {
+    "completed/3,1,6": ((3, 1, 6), HonestBob, False, 0, Status.COMPLETED, 7,
+                        "5b09168d52bcb8a7"),
+    "completed/2,1,18": ((2, 1, 18), HonestBob, False, 0, Status.COMPLETED, 7,
+                         "b731ad8db5055047"),
+    "completed/4,1,40": ((4, 1, 40), HonestBob, False, 0, Status.COMPLETED, 7,
+                         "a4065eeb62c9f5e1"),
+    "step2-cheat/3,1,6": ((3, 1, 6), PostponeBob, False, 0, Status.ABORT_CHEAT_DETECTED, 3,
+                          "c3b404eb4e3edc2e"),
+    "step4-short/2,1,18": ((2, 1, 18), HonestBob, False, 13,
+                           Status.ABORT_INSUFFICIENT_MATCHES, 4, "c393081c672c380e"),
+    "step5-insufficient/2,1,18": ((2, 1, 18), HonestBob, False, 12,
+                                  Status.ABORT_INSUFFICIENT_MATCHES, 5, "31a2bae7e4a74150"),
+    "step4-cheat/4,1,40": ((4, 1, 40), DishonestRemovalBob, True, 0,
+                           Status.ABORT_CHEAT_DETECTED, 4, "afffb06e280a4930"),
+    "step5-invalid/3,1,6": ((3, 1, 6), _RepeatingBob, False, 0,
+                            Status.ABORT_INVALID_MESSAGE, 5, "0fec994c2046ad65"),
+}
+
+
+@pytest.mark.parametrize("case", TRANSCRIPTS)
+def test_transcript_matches_the_recorded_digest(case):
+    nmN, bob, strict, seed, status, stage, expected = TRANSCRIPTS[case]
+    params = validate_params(*nmN)
+    outcome = run_protocol(params, None, None, seed, record_transcript=True, bob=bob(),
+                           strict_removal=strict)
+    # the same session as a one-row batch shows the stage it ended at
+    state = run_protocol(params, None, None, Trials(RandomSource(seed)), bob=bob(),
+                         strict_removal=strict)
+    assert (outcome.status, STATUSES[state.status[0]], state.stage) == (status, status, stage)
+    assert hashlib.sha256(outcome.transcript.to_jsonl()).hexdigest()[:16] == expected
