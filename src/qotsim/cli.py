@@ -5,8 +5,9 @@ Subcommands: `bounds` (security-bound report), `run` (honest Monte Carlo),
 distinguishability), `oracle` (exact event probability).  Exit code 0 iff
 every verdict passes; bad input (inadmissible parameters, or strategy for
 them, malformed bits, choices or seed, a cheat probability outside (0, 1) or
-not for commit-cheat, too few trials) prints one `error:` line and exits 2; a
-closed stdout exits 1.  QOTSIM_SEED sets the default seed; flags override.
+not for commit-cheat, too few trials, an `--out` file that will not open; it
+is opened before any work) prints one `error:` line and exits 2; a closed
+stdout exits 1.  QOTSIM_SEED sets the default seed; flags override.
 """
 
 from __future__ import annotations
@@ -100,10 +101,10 @@ def _usage_error(message) -> int:
     return 2
 
 
-def _write_out(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _write_out(text: str, out) -> None:
+    if out:
+        with out:
+            out.write(text + "\n")
     print(text, flush=True)  # a closed stdout raises here, inside main
 
 
@@ -146,7 +147,8 @@ def _main(argv: list[str] | None) -> int:
                 n=args.n, m=args.m, N=N, trials=args.trials, seed=args.seed,
                 strategy=Strategy("honest"), bits=bits, choices=choices,
             )
-        except ValueError as exc:
+            out = open(args.out, "w", encoding="utf-8") if args.out else None
+        except (ValueError, OSError) as exc:
             return _usage_error(exc)
         stats = run_experiment(config)
         verdicts = check_bounds(stats, params)
@@ -155,7 +157,7 @@ def _main(argv: list[str] | None) -> int:
                    "bits": list(bits) if bits else None,
                    "choices": list(choices) if choices else None}
         text = emit_report(doc_cfg, stats=stats, verdicts=verdicts, fmt=args.format)
-        _write_out(text, args.out)
+        _write_out(text, out)
         return 0 if all_verdicts_pass(verdicts) else 1
 
     if args.command == "attack":
@@ -166,7 +168,8 @@ def _main(argv: list[str] | None) -> int:
                 n=args.n, m=args.m, N=args.N, trials=args.trials, seed=args.seed,
                 strategy=strategy,
             )
-        except ValueError as exc:
+            out = open(args.out, "w", encoding="utf-8") if args.out else None
+        except (ValueError, OSError) as exc:
             return _usage_error(exc)
         stats = run_experiment(config)
         verdicts = check_bounds(stats, params)
@@ -174,22 +177,26 @@ def _main(argv: list[str] | None) -> int:
                    "strict_alice": args.strict_alice, "n": args.n, "m": args.m,
                    "N": args.N, "trials": args.trials, "seed": args.seed}
         text = emit_report(doc_cfg, stats=stats, verdicts=verdicts, fmt=args.format)
-        _write_out(text, args.out)
+        _write_out(text, out)
         return 0 if all_verdicts_pass(verdicts) else 1
 
     if args.command == "privacy-test":
+        out = None
         try:
             params = validate_params(args.n, args.m, args.N)
+            out = open(args.out, "w", encoding="utf-8") if args.out else None
             report = privacy_independence_test(
                 params, args.trials_per_choice, args.seed, leaky=args.leaky
             )
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
+            if out:
+                out.close()
             return _usage_error(exc)
         doc_cfg = {"command": "privacy-test", "n": args.n, "m": args.m,
                    "N": args.N, "trials_per_choice": args.trials_per_choice,
                    "seed": args.seed, "leaky": args.leaky}
         text = emit_report(doc_cfg, extra={"independence": report})
-        _write_out(text, args.out)
+        _write_out(text, out)
         return 0 if report["all_pass"] else 1
 
     if args.command == "oracle":

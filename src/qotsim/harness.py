@@ -14,7 +14,8 @@ The privacy test runs the trials of every choice vector through the same
 engine, in one row sequence, and compares the vectors pairwise with a
 chi-square test of independence (:func:`chi2_contingency`).  That test
 does scipy.stats' arithmetic in numpy and loads only ``scipy.special``,
-for the p-value, on its first call.
+for the p-value, on its first call.  Reports come from a one-pass writer,
+byte-identical to ``json.dumps(indent=2)`` of the :func:`round_sig` document.
 """
 
 from __future__ import annotations
@@ -123,20 +124,22 @@ def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple[float
 def brute_force_failure_probability(params: ProtocolParams, event: str = "correctness") -> Fraction:
     """Independent check of the oracle: enumerate all 2^N basis-coin outcomes.
 
-    Walks every outcome of the N survivor basis-agreement coins, replays the
-    eligibility logic per outcome, and counts.  Restricted to N <= 20.
+    Walks every outcome of the N <= 20 survivor basis-agreement coins in
+    chunks: a uint8 table holds the match counts of the 2^min(N,16) low mask
+    bits, high prefix h adds popcount(h), and each outcome's count is looked
+    up in the per-count event table and tallied.
     """
     N = params.N
     if N > 20:
         raise ValueError("brute force enumeration is limited to N <= 20")
     pred = _EVENTS[event]
-    masks = np.arange(2**N, dtype=np.uint64)
-    match_counts = np.bitwise_count(masks)
     # predicate depends on the match count only; evaluate once per count,
     # but tally outcome-by-outcome so the enumeration stays the checked route
     by_count = np.array([bool(pred(params, M)) for M in range(N + 1)])
-    hits = int(by_count[match_counts].sum())
-    return Fraction(hits, 2**N)
+    low = np.bitwise_count(np.arange(1 << min(N, 16), dtype=np.uint32))
+    hits = sum(int(np.count_nonzero(by_count.take(low + h.bit_count())))
+               for h in range(1 << max(N - 16, 0)))
+    return Fraction(hits, 1 << N)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +371,39 @@ def round_sig(value, digits: int = 12):
     return value
 
 
+_quote = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(value, newline: str, put) -> None:
+    """Write json.dumps(round_sig(value), indent=2) at indent `newline` through `put`."""
+    if isinstance(value, str):
+        put(_quote(value))
+    elif isinstance(value, float):
+        text = float.__repr__(float(f"{value:.12g}"))
+        put(_NON_FINITE.get(text, text))
+    elif isinstance(value, (dict, list, tuple)):
+        is_dict = isinstance(value, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        inner = newline + "  "
+        sep = opening + inner
+        for key, item in value.items() if is_dict else enumerate(value):
+            if is_dict:  # keys are not rounded; json.dumps itself writes or refuses them
+                sep += (_quote(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]) + ": "
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + closing if value else opening + closing)
+    elif value is None or value is True or value is False:
+        put("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, Fraction):
+        put(_quote(str(value)))
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def emit_report(
     config: dict,
     stats: AggregateStats | None = None,
@@ -381,18 +417,20 @@ def emit_report(
         "seed": config.get("seed"),
         "config": config,
     }
-    # the dataclasses' own field dicts: round_sig copies every container
+    # the dataclasses' own field dicts, which the writers only read
     if stats is not None:
         doc["stats"] = vars(stats)
     if verdicts is not None:
         doc["verdicts"] = [vars(v) for v in verdicts]
     if extra:
         doc.update(extra)
-    doc = round_sig(doc)
-    if fmt == "structured":
-        return json.dumps(doc, indent=2)
+    if fmt == "structured":  # one walk, no rounded copy
+        out: list[str] = []
+        _write_json(doc, "\n", out.append)
+        return "".join(out)
     if fmt != "table":
         raise ValueError(f"unknown format {fmt!r}")
+    doc = round_sig(doc)
     lines = [f"qotsim {__version__}  seed={doc.get('seed')}"]
     for key, val in doc.items():
         if key in ("verdicts", "version", "seed"):

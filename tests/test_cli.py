@@ -212,6 +212,23 @@ def test_bounds_and_privacy_bad_input_is_usage_error(args, message, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("run", "--n", "3", "--m", "1", "--N", "6", "--trials", "10", "--seed", "1"),
+    ("attack", "--strategy", "greedy", "--n", "2", "--m", "1", "--N", "6", "--trials", "10",
+     "--seed", "1"),
+    ("privacy-test", "--n", "3", "--m", "1", "--N", "6", "--trials-per-choice", "10",
+     "--seed", "1"),
+])
+def test_unwritable_out_is_usage_error(args, tmp_path, capsys):
+    """The --out file opens before the experiment runs, so a bad path costs no work."""
+    path = tmp_path / "missing" / "report.json"
+    assert main([*args, "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: [Errno 2] No such file or directory") and err.count("\n") == 1
+    assert str(path) in err
+    assert out == ""
+
+
 SEED_COMMANDS = {
     "run": ("run", "--n", "3", "--m", "1", "--N", "6", "--trials", "10"),
     "attack": ("attack", "--strategy", "greedy", "--n", "3", "--m", "1", "--N", "6",

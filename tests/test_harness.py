@@ -1,19 +1,23 @@
 """Harness tests: oracles vs brute force, experiments, verdicts, reports."""
 
+import collections
+import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qotsim.adversary import STRATEGIES, LeakyBob, Strategy, run_with_adversary
 from qotsim.channel import RandomSource
 from qotsim.harness import (
     ExperimentConfig,
+    _write_json,
     all_verdicts_pass,
     brute_force_failure_probability,
     check_bounds,
@@ -25,7 +29,7 @@ from qotsim.harness import (
     run_experiment,
     wilson_interval,
 )
-from qotsim.params import InvalidN, validate_params
+from qotsim.params import _EVENTS, InvalidN, validate_params
 from qotsim.protocol import CHUNK, STATUSES, HonestBob, Trials, chunks, run_protocol
 
 P316 = validate_params(3, 1, 6)
@@ -60,6 +64,43 @@ def test_brute_force_matches_oracle_small_sets():
             assert exact_failure_oracle(params, event) == (
                 brute_force_failure_probability(params, event)
             )
+
+
+def _admissible(N):
+    for n in range(2, N + 1):
+        for m in range(1, n):
+            try:
+                yield validate_params(n, m, N)
+            except InvalidN:
+                pass
+
+
+# N = 16 admits no (n, m): its edge (all 2^16 masks in one chunk) runs on a
+# set whose N is replaced, which the count identity does not need admissible
+EDGE_SETS = [params for N in (15, 17, 20) for params in _admissible(N)] + [
+    dataclasses.replace(validate_params(4, 1, 20), N=16)]
+
+
+@pytest.mark.parametrize("params", EDGE_SETS, ids=lambda p: f"{p.n},{p.m},{p.N}")
+def test_brute_force_equals_the_binomial_count_at_the_chunk_edges(params):
+    """Masks split into 2^min(N,16) low and 2^(N-16) high parts; the count is
+    sum(comb(N, M) for M where the event holds) over 2^N, for every event."""
+    N = params.N
+    for event, pred in _EVENTS.items():
+        hits = sum(math.comb(N, M) for M in range(N + 1) if pred(params, M))
+        assert brute_force_failure_probability(params, event) == Fraction(hits, 2**N)
+
+
+def test_brute_force_memory_stays_one_chunk_wide():
+    params = validate_params(4, 2, 20)
+    brute_force_failure_probability(params)  # numpy's one-time setup is not counted
+    tracemalloc.start()
+    try:
+        brute_force_failure_probability(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # the whole 2^20-mask array alone would be 8 MiB
 
 
 def test_brute_force_rejects_large_N():
@@ -370,6 +411,48 @@ def test_round_sig_recursion():
     assert rounded["b"][1] == 2.00000000000
     assert rounded["c"] == "x" and rounded["d"] == "7/64"
     assert rounded["e"] is None and rounded["f"] is True
+
+
+def _report_json(doc) -> str:
+    """The text emit_report(fmt="structured") writes for `doc`."""
+    out = []
+    _write_json(doc, "\n", out.append)
+    return "".join(out)
+
+
+_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_LEAVES = st.one_of(
+    st.integers(), st.integers(min_value=-10**400, max_value=10**400), st.booleans(),
+    st.none(), st.floats(), st.floats().map(np.float64), st.fractions(), st.text(),
+)
+_DOCS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4),
+), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCS)
+@example({"": [], "e": {}, "t": (), 1.5: [(), {}], None: {True: 5e-324, False: -0.0}})
+@example([float("nan"), float("inf"), -float("inf"), np.float64(0.1 + 0.2), 2**200])
+@example({"\x00\n\t\"\\\u2028": "\u00e9\ud800\U0001f600\x7f", 0.1 + 0.2: Fraction(-7, 3)})
+@example({float("nan"): 1, float("inf"): [1e16, 1e-7, 123456789012.5]})
+@example([type("Int", (int,), {})(7), type("Str", (str,), {})("s"),
+          collections.OrderedDict(a=np.float64(1 / 3)), type("List", (list,), {})([1])])
+def test_report_writer_matches_json_dumps_of_the_rounded_doc(doc):
+    assert _report_json(doc) == json.dumps(round_sig(doc), indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    np.int64(3), {"a": [1, {2, 3}]}, [b"bytes"], {"a": {(1, 2): 0}}, {Fraction(1, 2): 0},
+    {"a": [0.5, np.bool_(True)]},
+], ids=["int64", "set", "bytes", "tuple-key", "fraction-key", "bool_"])
+def test_report_writer_raises_where_json_dumps_does(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(round_sig(doc), indent=2)
+    with pytest.raises(TypeError) as raised:
+        _report_json(doc)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_emit_report_round_trip():

@@ -18,6 +18,7 @@ import pytest
 
 from qotsim.adversary import DishonestRemovalBob, GreedyBob, LeakyBob, PostponeBob
 from qotsim.channel import RandomSource
+from qotsim.cli import main
 from qotsim.params import Case, validate_params
 from qotsim.protocol import (
     STATUSES,
@@ -144,3 +145,38 @@ def test_transcript_matches_the_recorded_digest(case):
                          strict_removal=strict)
     assert (outcome.status, STATUSES[state.status[0]], state.stage) == (status, status, stage)
     assert hashlib.sha256(outcome.transcript.to_jsonl()).hexdigest()[:16] == expected
+
+
+# The stdout of one CLI command per report shape, byte for byte: case ->
+# (digest, arguments).  The report writer and the float rounding must leave
+# every digest unchanged.
+CLI_DIGESTS = {
+    "oracle/structured": (
+        "d7c9c1e9b37df649", "oracle --n 4 --m 1 --N 40 --event privacy_dishonest_removal"),
+    "run/structured": ("648effa48ba86f5a", "run --n 3 --m 1 --N 6 --trials 300 --seed 5"),
+    "run/table": (
+        "e68a3a86269240c3",
+        "run --n 2 --m 1 --N 18 --trials 300 --seed 5 --bits 1,0 --choices 2 --format table"),
+    "attack/structured": (
+        "9c7c7858fc62799a",
+        "attack --strategy commit-cheat --p 0.3 --n 3 --m 1 --N 6 --trials 300 --seed 2"),
+    "attack/table": (
+        "a3db7783ee16e47d",
+        "attack --strategy dishonest-removal --n 4 --m 1 --N 40 --trials 100 --seed 2 "
+        "--format table"),
+    "bounds/structured": ("da61e83c0517ec05", "bounds --n 4 --m 1 --N 40 --p 0.5"),
+    "bounds/table": ("64c08a5e54b159db", "bounds --n 3 --m 2 --p 1e-300 --format table"),
+    "privacy-test/structured": (
+        "e6fb400964120230", "privacy-test --n 3 --m 1 --N 6 --trials-per-choice 100 --seed 4"),
+    # every session of choice vector (3) aborts: the untestable-vector report
+    "privacy-test/untestable": (
+        "4cb1c6a43fc81ebf", "privacy-test --n 3 --m 1 --N 6 --trials-per-choice 1 --seed 7"),
+}
+
+
+@pytest.mark.parametrize("case", CLI_DIGESTS)
+def test_cli_stdout_matches_the_recorded_digest(case, capsys):
+    expected, args = CLI_DIGESTS[case]
+    main(args.split())
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected
