@@ -53,7 +53,8 @@ for rec in t.records[12:16]:
 # Commitments hide Bob's measurements until he unveils them: Alice's view of
 # step 2 is ids only, never values.
 
-commits = [r for r in t.view("A") if r["kind"] == "commit"]
+# Alice receives what Bob sends: the records from "B".
+commits = [r for r in t.records if r["from"] == "B" and r["kind"] == "commit"]
 print("\nfirst commit message Alice saw:", commits[0])
 
 ###############################################################################

@@ -33,7 +33,6 @@ from .protocol import (
     HonestBob,
     ProtocolState,
     Status,
-    Trials,
     _legal_family,
     check_inputs,
     draw_sessions,
@@ -162,7 +161,7 @@ def _sessions(bob: type[HonestBob]) -> Callable:
     """Batched runner of full protocol sessions against `bob`."""
 
     def run(params, strategy, rng, start, count, inputs=None, choices=None):
-        state = run_protocol(params, inputs, choices, Trials(rng, start, count),
+        state = run_protocol(params, inputs, choices, draw_sessions(params, rng, start, count),
                              bob=bob(), strict_removal=strategy.strict_alice)
         return _outcomes(params, state)
 

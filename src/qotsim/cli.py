@@ -22,6 +22,7 @@ from .harness import (
     ExperimentConfig,
     all_verdicts_pass,
     check_bounds,
+    check_privacy_test,
     emit_report,
     exact_failure_oracle,
     privacy_independence_test,
@@ -66,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-choices", action="store_true")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("structured", "table"), default="structured")
+    p.set_defaults(strategy="honest", p=None, strict_alice=False)
 
     p = sub.add_parser("attack", help="adversarial Monte Carlo experiment")
     _add_common(p)
@@ -78,6 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("structured", "table"), default="structured")
+    p.set_defaults(auto_N=None, bits=None, random_bits=False, choices=None,
+                   random_choices=False)
 
     p = sub.add_parser("privacy-test", help="choice-vector distinguishability test")
     _add_common(p)
@@ -135,7 +139,7 @@ def _main(argv: list[str] | None) -> int:
         _write_out(text, None)
         return 0
 
-    if args.command == "run":
+    if args.command in ("run", "attack"):
         if args.N is None and args.auto_N is None:
             return _usage_error("one of --N or --auto-N is required")
         bits = None if args.random_bits else args.bits
@@ -145,53 +149,34 @@ def _main(argv: list[str] | None) -> int:
             params = validate_params(args.n, args.m, N)
             config = ExperimentConfig(
                 n=args.n, m=args.m, N=N, trials=args.trials, seed=args.seed,
-                strategy=Strategy("honest"), bits=bits, choices=choices,
+                strategy=Strategy(args.strategy, p=args.p, strict_alice=args.strict_alice),
+                bits=bits, choices=choices,
             )
             out = open(args.out, "w", encoding="utf-8") if args.out else None
         except (ValueError, OSError) as exc:
             return _usage_error(exc)
         stats = run_experiment(config)
         verdicts = check_bounds(stats, params)
-        doc_cfg = {"command": "run", "n": args.n, "m": args.m, "N": N,
-                   "trials": args.trials, "seed": args.seed,
-                   "bits": list(bits) if bits else None,
-                   "choices": list(choices) if choices else None}
-        text = emit_report(doc_cfg, stats=stats, verdicts=verdicts, fmt=args.format)
-        _write_out(text, out)
-        return 0 if all_verdicts_pass(verdicts) else 1
-
-    if args.command == "attack":
-        try:
-            params = validate_params(args.n, args.m, args.N)
-            strategy = Strategy(args.strategy, p=args.p, strict_alice=args.strict_alice)
-            config = ExperimentConfig(
-                n=args.n, m=args.m, N=args.N, trials=args.trials, seed=args.seed,
-                strategy=strategy,
-            )
-            out = open(args.out, "w", encoding="utf-8") if args.out else None
-        except (ValueError, OSError) as exc:
-            return _usage_error(exc)
-        stats = run_experiment(config)
-        verdicts = check_bounds(stats, params)
-        doc_cfg = {"command": "attack", "strategy": args.strategy, "p": args.p,
-                   "strict_alice": args.strict_alice, "n": args.n, "m": args.m,
-                   "N": args.N, "trials": args.trials, "seed": args.seed}
+        doc_cfg = {"command": args.command}
+        if args.command == "attack":
+            doc_cfg |= {"strategy": args.strategy, "p": args.p, "strict_alice": args.strict_alice}
+        doc_cfg |= {"n": args.n, "m": args.m, "N": N, "trials": args.trials, "seed": args.seed}
+        if args.command == "run":
+            doc_cfg |= {"bits": list(bits) if bits else None,
+                        "choices": list(choices) if choices else None}
         text = emit_report(doc_cfg, stats=stats, verdicts=verdicts, fmt=args.format)
         _write_out(text, out)
         return 0 if all_verdicts_pass(verdicts) else 1
 
     if args.command == "privacy-test":
-        out = None
         try:
             params = validate_params(args.n, args.m, args.N)
+            check_privacy_test(args.trials_per_choice, args.seed)
             out = open(args.out, "w", encoding="utf-8") if args.out else None
-            report = privacy_independence_test(
-                params, args.trials_per_choice, args.seed, leaky=args.leaky
-            )
         except (ValueError, OSError) as exc:
-            if out:
-                out.close()
             return _usage_error(exc)
+        report = privacy_independence_test(params, args.trials_per_choice, args.seed,
+                                           leaky=args.leaky)
         doc_cfg = {"command": "privacy-test", "n": args.n, "m": args.m,
                    "N": args.N, "trials_per_choice": args.trials_per_choice,
                    "seed": args.seed, "leaky": args.leaky}

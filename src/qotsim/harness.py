@@ -44,10 +44,11 @@ from .params import (
 )
 from .protocol import (
     STATUSES,
-    Trials,
+    Draws,
     check_inputs,
     chunks,
     run_protocol,
+    session_width,
 )
 
 # 99% two-sided normal quantile, for Wilson intervals
@@ -266,6 +267,16 @@ def chi2_contingency(table):
     return stat, chdtrc(dof, stat), dof, expected
 
 
+def check_privacy_test(trials_per_choice: int, seed: int, significance: float = 0.001) -> None:
+    """Refuse a privacy test that cannot run: fewer than one trial per choice
+    vector, a significance outside (0, 1) or a seed outside 64 bits."""
+    if trials_per_choice < 1:
+        raise ValueError(f"trials_per_choice must be >= 1, got {trials_per_choice}")
+    if not 0.0 < significance < 1.0:
+        raise ValueError(f"significance must be in (0, 1), got {significance}")
+    RandomSource(seed)
+
+
 def privacy_independence_test(
     params: ProtocolParams,
     trials_per_choice: int,
@@ -292,10 +303,7 @@ def privacy_independence_test(
     its pairs has a null ``p_value`` and total variation, ``untestable``
     set and ``passed`` false, so ``all_pass`` is false.
     """
-    if trials_per_choice < 1:
-        raise ValueError(f"trials_per_choice must be >= 1, got {trials_per_choice}")
-    if not 0.0 < significance < 1.0:
-        raise ValueError(f"significance must be in (0, 1), got {significance}")
+    check_privacy_test(trials_per_choice, seed, significance)
     n, m = params.n, params.m
     T = trials_per_choice
     choice_vectors = list(itertools.combinations(range(1, n + 1), m))
@@ -304,14 +312,15 @@ def privacy_independence_test(
     masks = np.zeros((len(choice_vectors), n), dtype=bool)
     np.put_along_axis(masks, np.array(choice_vectors) - 1, True, axis=1)
     tally = np.zeros(len(choice_vectors) * n, dtype=np.int64)
+    width = session_width(params)
     for start, count in chunks(len(choice_vectors) * T, params):
         stop = start + count
         vector = np.arange(start, stop) // T  # row r is trial r % T of vector r // T
-        blocks = []
+        words = []
         for v in range(vector[0], vector[-1] + 1):
             lo, hi = max(start, v * T), min(stop, (v + 1) * T)
-            blocks.append(Trials(rngs[v], lo - v * T, hi - lo))
-        state = run_protocol(params, (0,) * n, masks[vector], blocks,
+            words.append(rngs[v].block(width, lo - v * T, hi - lo))
+        state = run_protocol(params, (0,) * n, masks[vector], Draws(params, np.concatenate(words)),
                              bob=LeakyBob() if leaky else None)
         if state.recovered is not None:  # some row completed
             live = state.live()

@@ -89,10 +89,6 @@ class Transcript:
         """Record Bob's accepted unveil of one commitment."""
         self.add(step, "B", "unveil", id=int(cid), value=int(value), verdict="accepted")
 
-    def view(self, party: str) -> list[dict]:
-        """Messages the given party received (sent by the other party)."""
-        return [r for r in self.records if r["from"] != party]
-
     def to_jsonl(self) -> bytes:
         lines = [json.dumps(r, separators=(",", ":")) for r in self.records]
         return ("\n".join(lines) + "\n").encode("utf-8")
@@ -167,13 +163,6 @@ def chunks(trials: int, params: ProtocolParams):
     """(start, count) of each batch of `trials` trials at `params`."""
     rows = max(1, min(CHUNK, BATCH_WORDS // session_width(params)))
     return ((start, min(rows, trials - start)) for start in range(0, trials, rows))
-
-
-def label_mask(labels, rows: int, n: int) -> np.ndarray:
-    """(rows, n) bool mask of the 1-based `labels`, the same in every row."""
-    mask = np.zeros(n, dtype=bool)
-    mask[np.asarray(labels, dtype=np.int64) - 1] = True
-    return np.broadcast_to(mask, (rows, n))
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +505,6 @@ def check_inputs(n: int, m: int, bits, choices) -> None:
             raise ValueError(f"choices: need {m} values, got {choices!r}")
 
 
-@dataclass(frozen=True)
-class Trials:
-    """Trials `start` .. `start+count-1` of `source`'s stream, run as one batch."""
-
-    source: RandomSource
-    start: int = 0
-    count: int = 1
-
-
 def run_protocol(
     params: ProtocolParams,
     inputs,
@@ -541,12 +521,13 @@ def run_protocol(
     (T, n) chosen-label mask, or None to draw them likewise.  Fixed bits and
     labels must pass :func:`check_inputs`.
 
-    With a :class:`Trials` block as `seed`, runs its trials as one batch and
-    returns the final :class:`ProtocolState`; row k is exactly the single
-    session of trial ``start + k``.  A list of blocks runs their rows
-    concatenated in order, as one batch of T rows.  This is the engine of
-    every Monte Carlo runner.  With `record_transcript`, the state's (or
-    outcome's) `transcript` logs row 0, so ``Trials(rng, k, 1)`` logs trial k.
+    With a :class:`Draws` as `seed`, runs its T rows as one batch and returns
+    the final :class:`ProtocolState`; with ``draw_sessions(params, rng, k,
+    T)``, row j is exactly the single session of trial k + j.  This is the
+    engine of every Monte Carlo runner.  Draws cut for another (n, N) raise
+    ValueError.  With `record_transcript`, the state's (or outcome's)
+    `transcript` logs row 0, so ``draw_sessions(params, rng, k, 1)`` logs
+    trial k.
 
     With an int or :class:`RandomSource` `seed`, runs trial 0 of the stream
     as a batch of one row and returns its :class:`TrialOutcome`, whose
@@ -561,14 +542,13 @@ def run_protocol(
     :class:`ProtocolOrderError`.
     """
     check_inputs(params.n, params.m, inputs, None if np.ndim(choices) == 2 else choices)
-    batch = isinstance(seed, (Trials, list))
-    if not batch:
-        seed = Trials(seed if isinstance(seed, RandomSource) else RandomSource(int(seed)))
-    blocks = seed if isinstance(seed, list) else [seed]
-    width = session_width(params)
-    words = [b.source.block(width, b.start, b.count) for b in blocks]
-    draws = Draws(params, words[0] if len(words) == 1 else np.concatenate(words))
-    count = draws.inputs.shape[0]
+    batch = isinstance(seed, Draws)
+    draws = seed if batch else draw_sessions(
+        params, seed if isinstance(seed, RandomSource) else RandomSource(int(seed)), 0, 1)
+    count, n = draws.inputs.shape
+    if (n, draws.d.shape[1]) != (params.n, params.N):
+        raise ValueError(f"draws are cut for n={n}, N={draws.d.shape[1]}, "
+                         f"not n={params.n}, N={params.N}")
     if choices is None:
         chosen = draws.chosen(params.m)
     elif np.ndim(choices) == 2:
@@ -576,8 +556,10 @@ def run_protocol(
         if chosen.shape != (count, params.n) or (chosen.sum(axis=1) != params.m).any():
             raise ValueError(f"choice mask must be ({count}, {params.n}) with "
                              f"{params.m} labels per row")
-    else:
-        chosen = label_mask(choices, count, params.n)
+    else:  # the same m labels in every row
+        chosen = np.zeros(params.n, dtype=bool)
+        chosen[[c - 1 for c in choices]] = True
+        chosen = np.broadcast_to(chosen, (count, params.n))
     state = phase1_transmit(params, draws, bob=bob,
                             transcript=Transcript() if record_transcript else None)
     state.inputs = draws.inputs if inputs is None else np.broadcast_to(

@@ -229,6 +229,22 @@ def test_unwritable_out_is_usage_error(args, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("privacy-test", "--n", "3", "--m", "1", "--N", "6", "--trials-per-choice", "0"),
+    ("privacy-test", "--n", "3", "--m", "1", "--N", "6", "--trials-per-choice", "10",
+     "--seed", str(2**63)),
+    ("run", "--n", "3", "--m", "1", "--N", "6", "--trials", "0"),
+    ("attack", "--strategy", "commit-cheat", "--n", "3", "--m", "1", "--N", "6",
+     "--trials", "10"),
+], ids=["privacy-no-trials", "privacy-seed", "run-no-trials", "attack-no-p"])
+def test_refused_command_leaves_no_out_file(args, tmp_path, capsys):
+    """Every argument is checked before --out is opened: exit 2 creates no file."""
+    path = tmp_path / "report.json"
+    assert main([*args, "--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not path.exists()
+
+
 SEED_COMMANDS = {
     "run": ("run", "--n", "3", "--m", "1", "--N", "6", "--trials", "10"),
     "attack": ("attack", "--strategy", "greedy", "--n", "3", "--m", "1", "--N", "6",

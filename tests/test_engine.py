@@ -18,8 +18,8 @@ from qotsim.params import Case, validate_params
 from qotsim.protocol import (
     BATCH_WORDS,
     CHUNK,
+    Draws,
     HonestBob,
-    Trials,
     chunks,
     draw_sessions,
     phase1_transmit,
@@ -55,8 +55,8 @@ def _run(params, rng, start, count, bob, strict):
         state = phase1_transmit(params, draw_sessions(params, rng, start, count), bob=bob())
         phase2_challenge(state)
         return state
-    return run_protocol(params, None, None, Trials(rng, start, count), bob=bob(),
-                        strict_removal=strict)
+    return run_protocol(params, None, None, draw_sessions(params, rng, start, count),
+                        bob=bob(), strict_removal=strict)
 
 
 def _row(state, k):
@@ -95,12 +95,12 @@ def test_batch_transcript_is_its_first_trials_transcript(nmN, label, kind, bob, 
     rng = RandomSource(2025).stream(label)
 
     def transcript(start, count):
-        state = run_protocol(params, None, None, Trials(rng, start, count), bob=bob(),
-                             strict_removal=strict, record_transcript=True)
+        state = run_protocol(params, None, None, draw_sessions(params, rng, start, count),
+                             bob=bob(), strict_removal=strict, record_transcript=True)
         return state.transcript.to_jsonl()
 
-    status = run_protocol(params, None, None, Trials(rng, 0, 4 * ROWS), bob=bob(),
-                          strict_removal=strict).status
+    status = run_protocol(params, None, None, draw_sessions(params, rng, 0, 4 * ROWS),
+                          bob=bob(), strict_removal=strict).status
     first = np.flatnonzero(status == 0)[:3].tolist() + np.flatnonzero(status != 0)[:3].tolist()
     assert first
     for k in first:
@@ -119,22 +119,33 @@ def test_batches_cover_every_trial_and_shrink_at_large_N():
 
 @pytest.mark.parametrize("bob", [HonestBob, LeakyBob])
 def test_concatenated_blocks_with_row_masks_equal_separate_batches(bob):
-    """Rows of several Trials blocks, each with its own chosen labels, run as
-    one batch exactly as each block does alone."""
+    """The rows of several streams' blocks, each with its own chosen labels,
+    run as one batch of concatenated draws exactly as each block does alone."""
     params = validate_params(4, 2, 20)
     root = RandomSource(77)
-    parts = [(Trials(root.stream("a"), 5, 30), (1, 3)), (Trials(root.stream("b"), 0, 20), (2, 4))]
-    mask = np.concatenate([np.isin(np.arange(1, 5), labels)[None].repeat(t.count, axis=0)
-                           for t, labels in parts])
-    batch = run_protocol(params, (0,) * 4, mask, [t for t, _ in parts], bob=bob())
-    alone = [run_protocol(params, (0,) * 4, labels, t, bob=bob()) for t, labels in parts]
+    parts = [(root.stream("a"), 5, 30, (1, 3)), (root.stream("b"), 0, 20, (2, 4))]
+    mask = np.concatenate([np.isin(np.arange(1, 5), labels)[None].repeat(count, axis=0)
+                           for _, _, count, labels in parts])
+    words = [rng.block(session_width(params), start, count) for rng, start, count, _ in parts]
+    batch = run_protocol(params, (0,) * 4, mask, Draws(params, np.concatenate(words)), bob=bob())
+    alone = [run_protocol(params, (0,) * 4, labels, draw_sessions(params, rng, start, count),
+                          bob=bob()) for rng, start, count, labels in parts]
     assert [_row(batch, k) for k in range(batch.rows)] == [
         _row(state, k) for state in alone for k in range(state.rows)]
 
 
 def test_row_mask_must_fit_the_batch():
     params = validate_params(3, 1, 6)
-    block = Trials(RandomSource(1), 0, 4)
+    block = draw_sessions(params, RandomSource(1), 0, 4)
     for mask in (np.eye(3, dtype=bool), np.ones((4, 3), dtype=bool)):
         with pytest.raises(ValueError, match="choice mask"):
             run_protocol(params, None, mask, block)
+
+
+def test_draws_must_fit_the_parameters():
+    """Draws cut for another (n, N) are refused before any session runs."""
+    params = validate_params(3, 1, 6)
+    for other in ((4, 1, 40), (3, 1, 12), (2, 1, 6)):
+        draws = draw_sessions(validate_params(*other), RandomSource(1), 0, 4)
+        with pytest.raises(ValueError, match=r"draws are cut for n=\d+, N=\d+"):
+            run_protocol(params, None, None, draws)

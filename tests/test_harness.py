@@ -13,7 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qotsim.adversary import STRATEGIES, LeakyBob, Strategy, run_with_adversary
+from qotsim.adversary import (
+    STRATEGIES,
+    GreedyBob,
+    LeakyBob,
+    Strategy,
+    _outcomes,
+    run_with_adversary,
+)
 from qotsim.channel import RandomSource
 from qotsim.harness import (
     ExperimentConfig,
@@ -30,7 +37,7 @@ from qotsim.harness import (
     wilson_interval,
 )
 from qotsim.params import _EVENTS, InvalidN, validate_params
-from qotsim.protocol import CHUNK, STATUSES, HonestBob, Trials, chunks, run_protocol
+from qotsim.protocol import CHUNK, STATUSES, HonestBob, chunks, draw_sessions, run_protocol
 
 P316 = validate_params(3, 1, 6)
 P216 = validate_params(2, 1, 6)
@@ -112,6 +119,35 @@ def test_dishonest_removal_oracle_low_case_only_values():
     q = exact_failure_oracle(P4140, "privacy_dishonest_removal")
     honest_q = exact_failure_oracle(P4140, "privacy")
     assert q > honest_q  # keeping matches strictly helps the adversary
+
+
+def _forced_draws(params, M, rows=32):
+    """Draws of `rows` sessions with exactly M survivor basis matches, at
+    random slots: Bob's basis is set on both members of each pair, so the
+    pattern holds whichever member Alice's coin keeps."""
+    rng = RandomSource(2027).stream(f"forced/{params.n},{params.m},{params.N}/{M}")
+    draws = draw_sessions(params, rng, 0, rows)
+    pattern = np.random.default_rng(M).random((rows, params.N)).argsort(axis=1) < M
+    draws.beta_b[...] = draws.beta ^ (1 - pattern)
+    return draws
+
+
+@pytest.mark.parametrize("nmN", [(3, 1, 6), (2, 1, 18), (4, 1, 40), (4, 2, 20), (5, 2, 25)],
+                         ids=str)
+def test_engine_events_at_forced_match_counts_follow_the_oracle_predicates(nmN):
+    """At each M = 0..N, sessions forced to M survivor matches: honest Bob
+    aborts, and greedy Bob learns more than m bits, exactly where the
+    oracle's predicates say."""
+    params = validate_params(*nmN)
+    for M in range(params.N + 1):
+        honest = run_protocol(params, None, None, _forced_draws(params, M))
+        greedy = run_protocol(params, None, None, _forced_draws(params, M), bob=GreedyBob())
+        assert (honest.match_flags().sum(axis=1) == M).all()
+        out = _outcomes(params, honest)
+        assert not out.wrong_decode.any()
+        assert set((out.status != 0).tolist()) == {bool(_EVENTS["correctness"](params, M))}, M
+        assert set(_outcomes(params, greedy).target_exceeded.tolist()) == {
+            bool(_EVENTS["privacy"](params, M))}, M
 
 
 # -- wilson intervals -------------------------------------------------------
@@ -376,7 +412,7 @@ def _privacy_by_vector(params, trials, seed, leaky):
     for cv in itertools.combinations(range(1, n + 1), m):
         label = ",".join(map(str, cv))
         state = run_protocol(params, (0,) * n, cv,
-                             Trials(root.stream(f"choice/{label}"), 0, trials),
+                             draw_sessions(params, root.stream(f"choice/{label}"), 0, trials),
                              bob=(LeakyBob if leaky else HonestBob)())
         firsts = state.family[state.live(), :, 0].argmin(axis=1)
         counts[label] = np.bincount(firsts, minlength=n)

@@ -258,3 +258,30 @@ def test_event_predicates_agree_on_arrays_and_ints():
                     assert holds.dtype == bool and holds.shape == (N + 1,)
                     assert holds.tolist() == [bool(pred(params, M)) for M in range(N + 1)], (
                         params, event)
+
+
+def test_bounds_dominate_the_exact_oracles_past_min_N():
+    """Every admissible set with n <= 8 and N <= 600, each event from N >=
+    min_N of its bound's deviation on: the correctness and greedy-privacy
+    oracles never exceed 2*exp(-2*N*delta^2) or eps^N, and literal
+    dishonest removal (a low-case attack) exceeds both at 423 pairs."""
+    pairs, over = 0, {"correctness": [], "privacy": [], "privacy_dishonest_removal": []}
+    for n in range(2, 9):
+        for m in range(1, n):
+            events = [("correctness", correctness_epsilon), ("privacy", privacy_epsilon)]
+            if case_of(n, m) is Case.LOW:
+                events.append(("privacy_dishonest_removal", privacy_epsilon))
+            for N in _admissible_Ns(n, m, 600):
+                params = validate_params(n, m, N)
+                for event, bound in events:
+                    delta, eps = bound(n, m)
+                    if N < min_N(delta):
+                        continue
+                    pairs += 1
+                    q = exact_failure_oracle(params, event)
+                    exceeds = (q > hoeffding_bound(N, float(delta)), q > eps**N)
+                    if any(exceeds):
+                        over[event].append(exceeds)
+    assert pairs == 3727
+    assert over["correctness"] == over["privacy"] == []
+    assert over["privacy_dishonest_removal"] == [(True, True)] * 423

@@ -12,12 +12,10 @@ from qotsim.protocol import (
     STATUSES,
     ProtocolOrderError,
     Status,
-    Trials,
     announce_bases,
     check_inputs,
     decode,
     draw_sessions,
-    label_mask,
     mask_bits,
     phase1_transmit,
     phase2_challenge,
@@ -65,10 +63,10 @@ def test_run_rejects_wrong_lengths():
     pytest.param((3, 1, 6), (0, 1), (1,), "bits: need 3 values", id="two-bits-of-3"),
 ])
 def test_fixed_inputs_are_checked_on_both_paths(path, nmN, bits, choices, message):
-    """A single session and a Trials batch reject the same bad fixed
+    """A single session and a batch of draws reject the same bad fixed
     inputs with the same error, before any session runs."""
     params = validate_params(*nmN)
-    seed = 3 if path == "session" else Trials(RandomSource(3), 0, 16)
+    seed = 3 if path == "session" else draw_sessions(params, RandomSource(3), 0, 16)
     with pytest.raises(ValueError, match=message):
         run_protocol(params, bits, choices, seed)
 
@@ -140,9 +138,10 @@ def test_transcript_records_and_views():
     assert seqs == list(range(len(seqs)))
     kinds = {r["kind"] for r in t.records}
     assert {"photon", "commit", "challenge", "unveil", "bases"} <= kinds
-    # each party's view excludes its own messages
-    assert all(r["from"] == "B" for r in t.view("A"))
-    assert all(r["from"] == "A" for r in t.view("B"))
+    # what each party receives: the messages the other one sent
+    sent = {party: {r["kind"] for r in t.records if r["from"] == party} for party in "AB"}
+    assert sent == {"A": {"photon", "challenge", "bases", "masked_bits"},
+                    "B": {"commit", "unveil", "subsets"}}
 
 
 def test_transcript_byte_stable():
@@ -242,9 +241,9 @@ def test_illegal_family_aborts_invalid_message(mangle):
 @pytest.mark.parametrize("mangle", MANGLES)
 def test_illegal_family_aborts_its_rows_of_a_batch(mangle):
     """Rows given an illegal family abort; the other rows end as honest ones."""
-    trials = Trials(RandomSource(8), 0, 64)
-    honest = run_protocol(P316, None, None, trials)
-    state = run_protocol(P316, None, None, trials, bob=_BadFamilyBob(mangle))
+    honest = run_protocol(P316, None, None, draw_sessions(P316, RandomSource(8), 0, 64))
+    state = run_protocol(P316, None, None, draw_sessions(P316, RandomSource(8), 0, 64),
+                         bob=_BadFamilyBob(mangle))
     changed = state.status != honest.status
     assert changed.any()
     assert {STATUSES[k] for k in state.status[changed]} == {Status.ABORT_INVALID_MESSAGE}
@@ -262,7 +261,7 @@ def test_manual_phase_drive_matches_run_protocol():
     phase2_challenge(state)
     announce_bases(state)
     removal_phase(state)
-    select_subsets(state, label_mask((3,), 1, 3))
+    select_subsets(state, np.array([[False, False, True]]))
     masked = mask_bits([(1, 0, 1)], state)
     recovered = {3: int(decode(masked, state)[0, 2])}
     assert auto.status is Status.COMPLETED

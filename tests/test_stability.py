@@ -24,7 +24,6 @@ from qotsim.protocol import (
     STATUSES,
     HonestBob,
     Status,
-    Trials,
     draw_sessions,
     phase1_transmit,
     phase2_challenge,
@@ -74,8 +73,8 @@ def digest(label: str, nmN: tuple[int, int, int]) -> str:
         state = phase1_transmit(params, draw_sessions(params, rng, 0, ROWS), bob=bob())
         phase2_challenge(state)
     else:
-        state = run_protocol(params, None, None, Trials(rng, 0, ROWS), bob=bob(),
-                             strict_removal=strict)
+        state = run_protocol(params, None, None, draw_sessions(params, rng, 0, ROWS),
+                             bob=bob(), strict_removal=strict)
     h = hashlib.sha256(state.status.astype("<i1").tobytes())
     if state.recovered is not None:
         done = state.status == 0
@@ -141,8 +140,8 @@ def test_transcript_matches_the_recorded_digest(case):
     outcome = run_protocol(params, None, None, seed, record_transcript=True, bob=bob(),
                            strict_removal=strict)
     # the same session as a one-row batch shows the stage it ended at
-    state = run_protocol(params, None, None, Trials(RandomSource(seed)), bob=bob(),
-                         strict_removal=strict)
+    state = run_protocol(params, None, None, draw_sessions(params, RandomSource(seed), 0, 1),
+                         bob=bob(), strict_removal=strict)
     assert (outcome.status, STATUSES[state.status[0]], state.stage) == (status, status, stage)
     assert hashlib.sha256(outcome.transcript.to_jsonl()).hexdigest()[:16] == expected
 
