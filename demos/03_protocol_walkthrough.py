@@ -22,8 +22,7 @@ print(f"n={params.n} m={params.m} N={params.N} "
 
 alice_bits = (1, 0, 1)
 bob_choice = (2,)
-outcome = run_protocol(params, alice_bits, bob_choice, seed=5,
-                       record_transcript=True)
+outcome = run_protocol(params, alice_bits, bob_choice, seed=5)
 
 print("\nstatus:      ", outcome.status.value)
 print("recovered:   ", outcome.recovered)

@@ -43,8 +43,13 @@ def target_rate(n: int, m: int) -> Fraction:
     return Fraction(2 * m + 1, 2 * n)
 
 
+def _is_int(value) -> bool:
+    """An int proper: a bool, float or numpy integer is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_choice_count(n: int, m: int) -> None:
-    if not (isinstance(n, int) and isinstance(m, int)):
+    if not (_is_int(n) and _is_int(m)):
         raise InvalidChoiceCount(f"n and m must be integers, got n={n!r}, m={m!r}")
     if not 1 <= m < n:
         raise InvalidChoiceCount(f"require 1 <= m < n, got n={n}, m={m}")
@@ -63,8 +68,8 @@ def compute_x(n: int, m: int, N: int) -> int:
     is not exact.
     """
     _require_choice_count(n, m)
-    if N < 1:
-        raise InvalidN(f"require N >= 1, got {N}")
+    if not _is_int(N) or N < 1:
+        raise InvalidN(f"require an integer N >= 1, got N={N!r}")
     if case_of(n, m) is Case.LOW:
         num, den = (n - (2 * m + 1)) * N, 2 * n - (2 * m + 1)
     else:
@@ -93,9 +98,10 @@ class ProtocolParams:
 def validate_params(n: int, m: int, N: int) -> ProtocolParams:
     """Check every admissibility constraint and return the populated params.
 
-    Constraints: 1 <= m < n; N >= 1; the removal count x exact; and (N-x)
-    divisible by n so equal-size subsets exist.  The first violated
-    constraint raises (:class:`InvalidChoiceCount` or :class:`InvalidN`).
+    Constraints: n, m and N are ints (not bools); 1 <= m < n; N >= 1; the
+    removal count x exact; and (N-x) divisible by n so equal-size subsets
+    exist.  The first violated constraint raises (:class:`InvalidChoiceCount`
+    or :class:`InvalidN`).
     """
     x = compute_x(n, m, N)
     if (N - x) % n != 0:
@@ -238,9 +244,12 @@ _EVENTS = {  # predicate(params, M) takes M as an int or an int array and answer
 def _binomial_run(N: int, a: int, b: int) -> int:
     """sum(comb(N, M) for M in range(a, b)), from its cheaper side: a run over half
     the support is 2^N minus the two sides outside it; a shorter one is walked from
-    comb(N, a) by comb(N, M+1) = comb(N, M) * (N-M) // (M+1)."""
+    comb(N, a) by comb(N, M+1) = comb(N, M) * (N-M) // (M+1), or from its mirror
+    [N+1-b, N+1-a) when that starts lower."""
     if 2 * (b - a) > N + 1:
         return (1 << N) - _binomial_run(N, 0, a) - _binomial_run(N, b, N + 1)
+    if a + b > N + 1:  # comb(N, M) == comb(N, N-M): walk the mirror run from the small end
+        a, b = N + 1 - b, N + 1 - a
     total, c = 0, math.comb(N, a)
     for M in range(a, b):
         total += c

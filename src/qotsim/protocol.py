@@ -21,15 +21,15 @@ in the per-row status array (the first abort of a row wins) and the row's
 later results are ignored.  Phases are driven strictly in order; an
 out-of-order call raises :class:`ProtocolOrderError`.  That is a simulator
 bug, so it propagates to the caller instead of becoming a protocol abort.
-Step 1 sets the sessions' Bob and, on request, a transcript of row 0's
-messages on the state; a transcript is byte-stable under a fixed seed.
+Step 1 sets the sessions' Bob; :class:`TrialOutcome` reads any row of the
+finished state as one session, with its byte-stable message transcript.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -85,23 +85,72 @@ class Transcript:
             }
         )
 
-    def unveil(self, step: int, cid, value) -> None:
-        """Record Bob's accepted unveil of one commitment."""
-        self.add(step, "B", "unveil", id=int(cid), value=int(value), verdict="accepted")
-
     def to_jsonl(self) -> bytes:
-        lines = [json.dumps(r, separators=(",", ":")) for r in self.records]
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        return ("\n".join(map(encode, self.records)) + "\n").encode("utf-8")
 
 
-@dataclass
 class TrialOutcome:
-    """Result of one protocol run."""
+    """Row `row` of a finished :class:`ProtocolState`, read as one session.
 
-    status: Status
-    recovered: dict[int, int]
-    transcript: Transcript | None = None
-    detail: dict = field(default_factory=dict, repr=False)
+    `status` is the row's :class:`Status`; the rest is built on first read.
+    `recovered` maps each chosen label, ascending, to Bob's unmasked bit
+    (empty unless completed).  `detail` carries ground truth used by
+    verification code: the survivor match flags and count, the removed
+    slots, the commitment count and, for a completed row, the announced
+    family, Bob's claimed labels and the truly all-matching labels.
+    `transcript` is the row's messages up to the step where it aborted."""
+
+    def __init__(self, state: ProtocolState, row: int = 0):
+        self.state, self.row = state, row
+        self.status = STATUSES[state.status[row]]
+
+    @cached_property
+    def recovered(self) -> dict[int, int]:
+        state, k = self.state, self.row
+        chosen = np.flatnonzero(state.chosen[k]) if self.status is Status.COMPLETED else ()
+        return {int(c) + 1: int(state.recovered[k, c]) for c in chosen}
+
+    @cached_property
+    def detail(self) -> dict:
+        state, k = self.state, self.row
+        match = state.match_flags()[k]
+        detail = {"matches": int(match.sum()), "match": match, "removed": state.removed[k],
+                  "commitments": len(state.session)}
+        if self.status is Status.COMPLETED:
+            detail["family"] = list(state.family[k])
+            detail["claimed"] = tuple((np.flatnonzero(state.claimed[k]) + 1).tolist())
+            detail["all_matching_labels"] = tuple(
+                (np.flatnonzero(match[state.family[k]].all(axis=1)) + 1).tolist())
+        return detail
+
+    @cached_property
+    def transcript(self) -> Transcript:
+        state, k, t = self.state, self.row, Transcript()
+        N, d = state.params.N, state.draws.d[k].tolist()
+        # commitment id 4i + 2h + b holds (r_b, beta_b)[b][h][k, i]
+        committed = np.stack([state.r_b[:, k], state.draws.beta_b[:, k]]).transpose(2, 1, 0)
+
+        def unveil(step, cid):
+            for c in (cid, cid + 1):
+                t.add(step, "B", "unveil", id=c, value=int(committed.flat[c]), verdict="accepted")
+
+        for i in range(2 * N):
+            t.add(1, "A", "photon", index=i)
+        for cid in range(4 * N):
+            t.add(2, "B", "commit", id=cid)
+        for i in range(N):
+            t.add(2, "A", "challenge", i=i, d=d[i])
+            unveil(2, 4 * i + 2 * d[i])
+        if state.aborted_at[k] == 2:
+            return t
+        t.add(3, "A", "bases", bases=state.beta_s[k].tolist())
+        for j in np.flatnonzero(state.removed[k]).tolist():  # slot j keeps index j + N(1 - d_j)
+            unveil(4, 4 * j + 2 - 2 * d[j])
+        if self.status is Status.COMPLETED:
+            t.add(5, "B", "subsets", subsets=state.family[k].tolist())
+            t.add(6, "A", "masked_bits", bits=state.masked[k].tolist())
+        return t
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +179,10 @@ class Draws:
     """
 
     def __init__(self, params: ProtocolParams, words: np.ndarray):
-        n, N = params.n, params.N
+        n, N, width = params.n, params.N, session_width(params)
         words = np.ascontiguousarray(words, dtype="<u8")
+        if words.ndim != 2 or words.shape[1] != width:
+            raise ValueError(f"draws need a (T, {width}) block of words, got shape {words.shape}")
         bits = np.unpackbits(words.view(np.uint8), axis=1, count=n + 9 * N,
                              bitorder="little")
         self.inputs = bits[:, :n]
@@ -241,7 +292,7 @@ class ProtocolState:
     session: CommitmentSession
     status: np.ndarray   # (T,) index into STATUSES
     bob: HonestBob       # every row's Bob, set at step 1
-    transcript: Transcript | None = None  # row 0's messages, if recorded; set at step 1
+    aborted_at: np.ndarray  # (T,) stage at which each row aborted, or 0
     stage: int = 1
     r_s: np.ndarray | None = None      # r, beta, r_b, beta_b per survivor slot
     beta_s: np.ndarray | None = None
@@ -254,6 +305,7 @@ class ProtocolState:
     claimed: np.ndarray | None = None  # (T, n) labels Bob claims all-matching
     inputs: np.ndarray | None = None   # (T, n) Alice's input bits
     chosen: np.ndarray | None = None   # (T, n) Bob's chosen labels
+    masked: np.ndarray | None = None   # (T, n) Alice's masked input bits, from step 6
     recovered: np.ndarray | None = None  # (T, n) Bob's unmasking of every label
 
     def _require_stage(self, expected: int) -> None:
@@ -276,8 +328,10 @@ class ProtocolState:
         return self.status == 0
 
     def abort(self, rows: np.ndarray, status: Status) -> None:
-        """Record `status` for the given rows that have not aborted yet."""
-        self.status[rows & self.live()] = STATUSES.index(status)
+        """Record `status` and the stage for the given rows not yet aborted."""
+        rows = rows & self.live()
+        self.status[rows] = STATUSES.index(status)
+        self.aborted_at[rows] = self.stage
 
     def match_flags(self) -> np.ndarray:
         """Per-slot basis agreement; only knowable to Bob once bases are announced."""
@@ -298,30 +352,25 @@ def phase1_transmit(
     params: ProtocolParams,
     draws: Draws,
     bob: HonestBob | None = None,
-    transcript: Transcript | None = None,
 ) -> ProtocolState:
     """Step 1: Alice sends 2N photons per row; Bob measures each on arrival.
 
     A matching basis reproduces Alice's bit, a mismatched one gives Bob a
     fair coin; a Bob who does not measure commits to the coins alone.  The
-    state keeps `bob` (None: honest) and `transcript` for the later phases."""
+    state keeps `bob` (None: honest) for the later phases."""
     bob = bob or HonestBob()
     r_b = draws.coin
     if bob.measures:
         r_b = transmit_batch(draws.r, draws.beta, draws.beta_b, draws.coin)
-    if transcript is not None:
-        for i in range(2 * params.N):
-            transcript.add(1, "A", "photon", index=i)
-    return ProtocolState(
-        params=params, draws=draws, r_b=r_b, session=CommitmentSession(),
-        status=np.zeros(draws.d.shape[0], dtype=np.int8), bob=bob, transcript=transcript,
-    )
+    status = np.zeros(draws.d.shape[0], dtype=np.int8)
+    return ProtocolState(params=params, draws=draws, r_b=r_b, session=CommitmentSession(),
+                         status=status, bob=bob, aborted_at=np.zeros_like(status))
 
 
 def phase2_challenge(state: ProtocolState) -> None:
     """Step 2: commit, challenge one of each (i, N+i) pair, keep the other."""
     state._require_stage(1)
-    N, transcript = state.params.N, state.transcript
+    N = state.params.N
     # commitment order per pair: r'_i, beta'_i, r'_{N+i}, beta'_{N+i}, so the
     # fresh ledger's ids of index i are 4i, 4i+1 and of index N+i 4i+2, 4i+3
     r, beta, r_b, beta_b = state.draws.r, state.draws.beta, state.r_b, state.draws.beta_b
@@ -330,7 +379,7 @@ def phase2_challenge(state: ProtocolState) -> None:
     vals[:, 1::4] = beta_b[0]
     vals[:, 2::4] = r_b[1]
     vals[:, 3::4] = beta_b[1]
-    ids = state.session.commit_many(vals)
+    state.session.commit_many(vals)
 
     # d = 1: pair i's challenged index is N+i and slot i keeps index i;
     # d = 0: the other way round
@@ -344,13 +393,6 @@ def phase2_challenge(state: ProtocolState) -> None:
     cid_r = 4 * np.arange(N) + 2 * d  # the beta' commitment is the next id
     unveiled_r = state.session.unveil_many(cid_r)
     unveiled_beta = state.session.unveil_many(cid_r + 1)
-    if transcript is not None:
-        for cid in ids:
-            transcript.add(2, "B", "commit", id=int(cid))
-        for i in range(N):
-            transcript.add(2, "A", "challenge", i=i, d=int(d[0, i]))
-            transcript.unveil(2, cid_r[0, i], unveiled_r[0, i])
-            transcript.unveil(2, cid_r[0, i] + 1, unveiled_beta[0, i])
     (r_c, state.r_s), (beta_c, state.beta_s) = split(r), split(beta)
     state.r_bs, state.beta_bs = split(r_b)[1], split(beta_b)[1]
     violation = (beta_c == unveiled_beta) & (r_c != unveiled_r)
@@ -364,8 +406,6 @@ def announce_bases(state: ProtocolState) -> None:
     state._require_stage(2)
     state.match = state.beta_s == state.beta_bs
     state.stage = 3
-    if state.transcript is not None and state.status[0] == 0:
-        state.transcript.add(3, "A", "bases", bases=[int(b) for b in state.beta_s[0]])
 
 
 def removal_phase(state: ProtocolState, strict_removal: bool = False) -> None:
@@ -375,7 +415,7 @@ def removal_phase(state: ProtocolState, strict_removal: bool = False) -> None:
     implication (basis equal implies bit equal).  With `strict_removal` she
     additionally rejects any removed slot whose unveiled basis mismatches.
     High case: removed slots must mismatch and Alice checks exactly that.
-    The removed slots are marked in `state.removed`.
+    The removed slots of the live rows are marked in `state.removed`.
     """
     state._require_stage(3)
     params = state.params
@@ -394,14 +434,10 @@ def removal_phase(state: ProtocolState, strict_removal: bool = False) -> None:
     cid_r = 4 * removed_slots + 2 - 2 * state.draws.d.ravel()[cells]
     unveiled_r = state.session.unveil_many(cid_r)
     unveiled_beta = state.session.unveil_many(cid_r + 1)
-    if state.transcript is not None and state.status[0] == 0:
-        for j in range(x):
-            state.transcript.unveil(4, cid_r[0, j], unveiled_r[0, j])
-            state.transcript.unveil(4, cid_r[0, j] + 1, unveiled_beta[0, j])
     alice_beta = state.beta_s.reshape(-1)[cells]
     alice_r = state.r_s.reshape(-1)[cells]
-    # a row too short to remove x slots removed nothing
-    state.removed.reshape(-1)[cells] = ~short[:, None]
+    # a row that has aborted (too short to remove x slots, say) removed nothing
+    state.removed.reshape(-1)[cells] = state.live()[:, None]
     same_basis = alice_beta == unveiled_beta
     if params.case is Case.LOW:
         bad = (same_basis & (alice_r != unveiled_r)).any(axis=1)
@@ -428,8 +464,8 @@ def select_subsets(state: ProtocolState, choices: np.ndarray) -> None:
     state.claimed = claimed
     alive = ~state.removed
     matched = (state.match_flags() & alive).sum(axis=1)
-    state.abort(matched < claimed.sum(axis=1) * s, Status.ABORT_INSUFFICIENT_MATCHES)
     state.stage = 5
+    state.abort(matched < claimed.sum(axis=1) * s, Status.ABORT_INSUFFICIENT_MATCHES)
     if len(family) != n or any(np.shape(f) != (state.rows, s) for f in family):
         state.abort(np.ones(state.rows, dtype=bool), Status.ABORT_INVALID_MESSAGE)
         return
@@ -451,11 +487,6 @@ def select_subsets(state: ProtocolState, choices: np.ndarray) -> None:
     # (size, T, n), so that reductions over a subset run along whole rows
     state.cells = np.ascontiguousarray(
         (state.family + state.offsets[:, :, None]).transpose(2, 0, 1))
-    if state.transcript is not None and state.status[0] == 0:
-        state.transcript.add(
-            5, "B", "subsets",
-            subsets=[[int(j) for j in f] for f in state.family[0]],
-        )
 
 
 def mask_bits(inputs: np.ndarray, state: ProtocolState) -> np.ndarray:
@@ -463,11 +494,9 @@ def mask_bits(inputs: np.ndarray, state: ProtocolState) -> np.ndarray:
     parity over its subset; returns the (T, n) masked bits."""
     state._require_stage(5)
     parity = np.bitwise_xor.reduce(state.over_subsets(state.r_s), axis=2)
-    masked = np.asarray(inputs, dtype=np.uint8) ^ parity
+    state.masked = np.asarray(inputs, dtype=np.uint8) ^ parity
     state.stage = 6
-    if state.transcript is not None and state.status[0] == 0:
-        state.transcript.add(6, "A", "masked_bits", bits=[int(b) for b in masked[0]])
-    return masked
+    return state.masked
 
 
 def decode(masked: np.ndarray, state: ProtocolState) -> np.ndarray:
@@ -510,7 +539,6 @@ def run_protocol(
     inputs,
     choices,
     seed,
-    record_transcript: bool = False,
     bob: HonestBob | None = None,
     strict_removal: bool = False,
 ) -> TrialOutcome | ProtocolState:
@@ -523,19 +551,12 @@ def run_protocol(
 
     With a :class:`Draws` as `seed`, runs its T rows as one batch and returns
     the final :class:`ProtocolState`; with ``draw_sessions(params, rng, k,
-    T)``, row j is exactly the single session of trial k + j.  This is the
-    engine of every Monte Carlo runner.  Draws cut for another (n, N) raise
-    ValueError.  With `record_transcript`, the state's (or outcome's)
-    `transcript` logs row 0, so ``draw_sessions(params, rng, k, 1)`` logs
-    trial k.
+    T)``, row j is exactly the single session of trial k + j, and
+    ``TrialOutcome(state, j)`` reads it.  This is the engine of every Monte
+    Carlo runner.  Draws cut for another (n, N) raise ValueError.
 
     With an int or :class:`RandomSource` `seed`, runs trial 0 of the stream
-    as a batch of one row and returns its :class:`TrialOutcome`, whose
-    `recovered` maps each chosen label, ascending, to Bob's unmasked bit.
-    The outcome's `detail` carries ground truth used by verification code:
-    the survivor match flags and count, the removed slots, the commitment
-    count and, for a completed run, the announced family, Bob's claimed
-    labels and the truly all-matching labels.
+    as a batch of one row and returns its :class:`TrialOutcome`.
 
     Phases after the point where every row has aborted are skipped.  A phase
     driven out of order (e.g. by a faulty Bob hook) raises
@@ -560,8 +581,7 @@ def run_protocol(
         chosen = np.zeros(params.n, dtype=bool)
         chosen[[c - 1 for c in choices]] = True
         chosen = np.broadcast_to(chosen, (count, params.n))
-    state = phase1_transmit(params, draws, bob=bob,
-                            transcript=Transcript() if record_transcript else None)
+    state = phase1_transmit(params, draws, bob=bob)
     state.inputs = draws.inputs if inputs is None else np.broadcast_to(
         np.asarray(inputs, dtype=np.uint8), (count, params.n))
     state.chosen = chosen
@@ -573,25 +593,4 @@ def run_protocol(
         select_subsets(state, state.chosen)
     if state.live().any():
         decode(mask_bits(state.inputs, state), state)
-    if batch:
-        return state
-
-    status = STATUSES[state.status[0]]
-    match = state.match_flags()[0]
-    detail: dict = {
-        "matches": int(match.sum()),
-        "match": match,
-        "removed": state.removed[0],
-        "commitments": len(state.session),
-    }
-    recovered: dict[int, int] = {}
-    if status is Status.COMPLETED:
-        detail["family"] = list(state.family[0])
-        detail["claimed"] = tuple(int(k) + 1 for k in np.flatnonzero(state.claimed[0]))
-        detail["all_matching_labels"] = tuple(
-            int(k) + 1 for k in np.flatnonzero(state.all_matching()[0]))
-        recovered = {int(c) + 1: int(state.recovered[0, c])
-                     for c in np.flatnonzero(state.chosen[0])}
-    return TrialOutcome(
-        status=status, recovered=recovered, transcript=state.transcript, detail=detail
-    )
+    return state if batch else TrialOutcome(state)

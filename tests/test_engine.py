@@ -20,6 +20,7 @@ from qotsim.protocol import (
     CHUNK,
     Draws,
     HonestBob,
+    TrialOutcome,
     chunks,
     draw_sessions,
     phase1_transmit,
@@ -27,6 +28,7 @@ from qotsim.protocol import (
     run_protocol,
     session_width,
 )
+from test_stability import _RepeatingBob
 
 SETS = ((3, 1, 6), (2, 1, 18), (4, 1, 40))
 ROWS = 64
@@ -89,15 +91,16 @@ def test_batch_row_equals_single_trial(nmN, label, kind, bob, strict):
 
 @pytest.mark.parametrize("nmN,label,kind,bob,strict", CASES)
 def test_batch_transcript_is_its_first_trials_transcript(nmN, label, kind, bob, strict):
-    """A batch logs its row 0: the transcript of trials k .. k+63 equals that
-    of trial k alone, for the first completed and the first aborted trials."""
+    """Row 0 of a batch that starts mid-stream: the transcript of trials
+    k .. k+63 read at row 0 equals that of trial k alone, for the first
+    completed and the first aborted trials."""
     params = validate_params(*nmN)
     rng = RandomSource(2025).stream(label)
 
     def transcript(start, count):
         state = run_protocol(params, None, None, draw_sessions(params, rng, start, count),
-                             bob=bob(), strict_removal=strict, record_transcript=True)
-        return state.transcript.to_jsonl()
+                             bob=bob(), strict_removal=strict)
+        return TrialOutcome(state).transcript.to_jsonl()
 
     status = run_protocol(params, None, None, draw_sessions(params, rng, 0, 4 * ROWS),
                           bob=bob(), strict_removal=strict).status
@@ -105,6 +108,35 @@ def test_batch_transcript_is_its_first_trials_transcript(nmN, label, kind, bob, 
     assert first
     for k in first:
         assert transcript(k, ROWS) == transcript(k, 1)
+
+
+VIEW_CASES = [
+    pytest.param(nmN, label, bob, strict, id=f"{label}-{nmN}")
+    for nmN in (*SETS, (4, 2, 20), (5, 2, 25))
+    for label, _, bob, strict in [*SESSIONS, ("repeating", None, _RepeatingBob, False)]
+    if bob is not DishonestRemovalBob or validate_params(*nmN).case is Case.LOW
+]
+
+
+@pytest.mark.parametrize("nmN,label,bob,strict", VIEW_CASES)
+def test_every_row_reads_as_its_single_trial(nmN, label, bob, strict):
+    """TrialOutcome(state, k) of a 256-row batch equals the outcome of trial
+    k run alone: status, recovered bits, detail and transcript bytes."""
+    params = validate_params(*nmN)
+    rng = RandomSource(2026).stream(label)
+
+    def run(start, count):
+        return run_protocol(params, None, None, draw_sessions(params, rng, start, count),
+                            bob=bob(), strict_removal=strict)
+
+    state = run(0, 4 * ROWS)
+    for k in range(state.rows):
+        row, alone = TrialOutcome(state, k), TrialOutcome(run(k, 1))
+        assert (row.status, row.recovered) == (alone.status, alone.recovered), k
+        assert row.detail.keys() == alone.detail.keys(), k
+        for key, value in row.detail.items():
+            assert np.array_equal(value, alone.detail[key]), (k, key)
+        assert row.transcript.to_jsonl() == alone.transcript.to_jsonl(), k
 
 
 def test_batches_cover_every_trial_and_shrink_at_large_N():
@@ -140,6 +172,17 @@ def test_row_mask_must_fit_the_batch():
     for mask in (np.eye(3, dtype=bool), np.ones((4, 3), dtype=bool)):
         with pytest.raises(ValueError, match="choice mask"):
             run_protocol(params, None, mask, block)
+
+
+def test_draws_need_one_full_block_per_row():
+    """Words that are not a (T, session_width) block are refused: a short
+    row, a long one (rows cut apart at the wrong place) or a 1-D row."""
+    params = validate_params(4, 1, 40)
+    rng = RandomSource(1)
+    for words in (*(rng.block(width, 0, 2) for width in (8, 64, 128, 136)),
+                  rng.block(session_width(params), 0, 1)[0]):
+        with pytest.raises(ValueError, match=r"\(T, 132\) block"):
+            Draws(params, words)
 
 
 def test_draws_must_fit_the_parameters():

@@ -1,6 +1,7 @@
 """Parameter/bound formula tests: exact rational values and properties."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,13 @@ def test_choice_count_validation():
     for n, m in ((1, 1), (3, 0), (3, 3), (2, 2)):
         with pytest.raises(InvalidChoiceCount):
             target_rate(n, m)
+    # n, m and N must be ints proper: no float, bool or numpy integer
+    for nmN, error, value in (((3, 1, 6.0), InvalidN, "6.0"),
+                              ((3, 1, np.int64(6)), InvalidN, "np.int64(6)"),
+                              ((3, True, 6), InvalidChoiceCount, "True"),
+                              ((3.0, 1, 6), InvalidChoiceCount, "3.0")):
+        with pytest.raises(error, match=re.escape(value)):
+            validate_params(*nmN)
 
 
 def test_validate_params_populates_derived_fields():
@@ -237,6 +245,23 @@ def test_binomial_run_sums_every_range():
                                         (600, 1001), (450, 550), (1000, 1001))]
     for N, a, b in cases:
         assert _binomial_run(N, a, b) == sum(math.comb(N, M) for M in range(a, b)), (N, a, b)
+
+
+def test_binomial_run_mirror_walk_equals_the_direct_walk():
+    """An upper-tail run is walked from its mirror [N+1-b, N+1-a); the sum is
+    that of the walk from comb(N, a), for every short run up to N = 60."""
+
+    def walk(N, a, b):
+        total, c = 0, math.comb(N, a)
+        for M in range(a, b):
+            total += c
+            c = c * (N - M) // (M + 1)
+        return total
+
+    for N in range(1, 61):
+        for a in range(N + 2):
+            for b in range(a, min(N + 2, a + (N + 1) // 2 + 1)):  # runs walked, not folded
+                assert _binomial_run(N, a, b) == walk(N, a, b), (N, a, b)
 
 
 def _admissible_Ns(n, m, N_max):

@@ -131,7 +131,7 @@ def test_family_partitions_survivors():
 
 
 def test_transcript_records_and_views():
-    outcome = run_protocol(P316, (0, 1, 0), (2,), 5, record_transcript=True)
+    outcome = run_protocol(P316, (0, 1, 0), (2,), 5)
     t = outcome.transcript
     assert t is not None
     seqs = [r["seq"] for r in t.records]
@@ -145,8 +145,8 @@ def test_transcript_records_and_views():
 
 
 def test_transcript_byte_stable():
-    a = run_protocol(P316, (0, 1, 0), (2,), 5, record_transcript=True)
-    b = run_protocol(P316, (0, 1, 0), (2,), 5, record_transcript=True)
+    a = run_protocol(P316, (0, 1, 0), (2,), 5)
+    b = run_protocol(P316, (0, 1, 0), (2,), 5)
     assert a.transcript.to_jsonl() == b.transcript.to_jsonl()
 
 

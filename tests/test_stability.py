@@ -137,8 +137,7 @@ TRANSCRIPTS = {
 def test_transcript_matches_the_recorded_digest(case):
     nmN, bob, strict, seed, status, stage, expected = TRANSCRIPTS[case]
     params = validate_params(*nmN)
-    outcome = run_protocol(params, None, None, seed, record_transcript=True, bob=bob(),
-                           strict_removal=strict)
+    outcome = run_protocol(params, None, None, seed, bob=bob(), strict_removal=strict)
     # the same session as a one-row batch shows the stage it ended at
     state = run_protocol(params, None, None, draw_sessions(params, RandomSource(seed), 0, 1),
                          bob=bob(), strict_removal=strict)
