@@ -16,6 +16,8 @@ chi-square test of independence (:func:`chi2_contingency`).  That test
 does scipy.stats' arithmetic in numpy and loads only ``scipy.special``,
 for the p-value, on its first call.  Reports come from a one-pass writer,
 byte-identical to ``json.dumps(indent=2)`` of the :func:`round_sig` document.
+The brute-force check enumerates all 2^N outcomes in chunks and reads each
+outcome's event bit from an integer bit table indexed by match count.
 """
 
 from __future__ import annotations
@@ -126,9 +128,10 @@ def brute_force_failure_probability(params: ProtocolParams, event: str = "correc
     """Independent check of the oracle: enumerate all 2^N basis-coin outcomes.
 
     Walks every outcome of the N <= 20 survivor basis-agreement coins in
-    chunks: a uint8 table holds the match counts of the 2^min(N,16) low mask
-    bits, high prefix h adds popcount(h), and each outcome's count is looked
-    up in the per-count event table and tallied.
+    chunks.  The event table is an int with bit M set iff the event holds at match
+    count M; a uint32 array holds 1 << popcount(l) for the 2^min(N,16) low mask
+    bits l, and for high prefix h each outcome ANDs its entry with the table
+    shifted down by popcount(h).  The nonzero results are tallied.
     """
     N = params.N
     if N > 20:
@@ -136,9 +139,9 @@ def brute_force_failure_probability(params: ProtocolParams, event: str = "correc
     pred = _EVENTS[event]
     # predicate depends on the match count only; evaluate once per count,
     # but tally outcome-by-outcome so the enumeration stays the checked route
-    by_count = np.array([bool(pred(params, M)) for M in range(N + 1)])
-    low = np.bitwise_count(np.arange(1 << min(N, 16), dtype=np.uint32))
-    hits = sum(int(np.count_nonzero(by_count.take(low + h.bit_count())))
+    table = sum(1 << M for M in range(N + 1) if pred(params, M))
+    low = np.uint32(1) << np.bitwise_count(np.arange(1 << min(N, 16), dtype=np.uint32))
+    hits = sum(int(np.count_nonzero(low & np.uint32(table >> h.bit_count())))
                for h in range(1 << max(N - 16, 0)))
     return Fraction(hits, 1 << N)
 

@@ -168,11 +168,6 @@ def privacy_deviation_signed(n: int, m: int) -> Fraction:
     return Fraction(m + 1, 2 * m + 1) - Fraction(1, 2)
 
 
-def privacy_sign_anomaly(n: int, m: int) -> bool:
-    """True when the stated privacy deviation is non-positive as written."""
-    return privacy_deviation_signed(n, m) <= 0
-
-
 def privacy_epsilon(n: int, m: int) -> tuple[Fraction, float]:
     """(|delta_p|, eps_p) with eps_p = exp(-delta_p^2) < 1; |delta_p| equals
     delta_c in both cases, so it is always positive."""
@@ -241,20 +236,25 @@ _EVENTS = {  # predicate(params, M) takes M as an int or an int array and answer
 }
 
 
-def _binomial_run(N: int, a: int, b: int) -> int:
-    """sum(comb(N, M) for M in range(a, b)), from its cheaper side: a run over half
-    the support is 2^N minus the two sides outside it; a shorter one is walked from
-    comb(N, a) by comb(N, M+1) = comb(N, M) * (N-M) // (M+1), or from its mirror
-    [N+1-b, N+1-a) when that starts lower."""
-    if 2 * (b - a) > N + 1:
-        return (1 << N) - _binomial_run(N, 0, a) - _binomial_run(N, b, N + 1)
-    if a + b > N + 1:  # comb(N, M) == comb(N, N-M): walk the mirror run from the small end
-        a, b = N + 1 - b, N + 1 - a
-    total, c = 0, math.comb(N, a)
-    for M in range(a, b):
-        total += c
-        c = c * (N - M) // (M + 1)
-    return total
+def _binomial_walk(N: int, weights: dict[int, int]) -> int:
+    """sum(w * sum(comb(N, M) for M in range(low, k)) for k, w in weights.items()),
+    low the least k, in one walk up that adds comb(N, M) + comb(N, M+1) =
+    comb(N+1, M+1) by the step comb(N+1, j+2) = comb(N+1, j) * (N+1-j)(N-j) //
+    ((j+1)(j+2)), after one single term where a segment's length is odd."""
+    points = sorted(weights)
+    M = points[0]
+    pair, total, hits = math.comb(N + 1, M + 1), 0, 0  # pair = comb(N+1, M+1)
+    for k in points:
+        if (k - M) & 1:
+            total += pair * (M + 1) // (N + 1)
+            pair = pair * (N - M) // (M + 2)
+            M += 1
+        for M in range(M, k, 2):
+            total += pair
+            pair = pair * ((N - M) * (N - M - 1)) // ((M + 2) * (M + 3))
+        M = k
+        hits += weights[k] * total
+    return hits
 
 
 def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> Fraction:
@@ -263,20 +263,26 @@ def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> 
     Events: "correctness" (honest Bob cannot finish), "privacy" (a greedy
     Bob can decode m+1 bits), "privacy_dishonest_removal".
 
-    A literal sum over the binomial support in integers: one predicate call
-    on M = 0..N marks the hits, each run [a, b) of consecutive hits adds its
-    comb(N, M) terms (:func:`_binomial_run`), and one rational, hits / 2^N,
-    is built at the end.
+    A literal sum in integers: one predicate call on M = 0..N marks the hits, a run
+    [a, b) of hits adds P(b) - P(a) with P(k) = sum(comb(N, M) for M < k), a P(k)
+    with 2k > N+1 is 2^N - P(N+1-k), and one walk (:func:`_binomial_walk`) gives
+    the rest.  One rational, hits / 2^N, is built at the end.
     """
     pred = _EVENTS.get(event)
     if pred is None:
         raise ValueError(f"unknown event {event!r}; one of {sorted(_EVENTS)}")
     N = params.N
-    holds = pred(params, np.arange(N + 1))
-    edges = [0, *(np.flatnonzero(holds[1:] != holds[:-1]) + 1).tolist(), N + 1]
-    runs = edges if holds[0] else edges[1:]  # start, end, start, end, ... of the hit runs
-    hits = sum(_binomial_run(N, a, b) for a, b in zip(runs[::2], runs[1::2]))
-    return Fraction(hits, 1 << N)
+    padded = np.zeros(N + 3, dtype=bool)
+    padded[1:-1] = pred(params, np.arange(N + 1))
+    full, weights = 0, {}
+    for i, k in enumerate(np.flatnonzero(padded[1:] != padded[:-1]).tolist()):
+        w = 1 if i & 1 else -1  # a run starts at an even edge and ends at an odd one
+        if 2 * k > N + 1:  # P(k) = 2^N - P(N+1-k)
+            full, k, w = full + w, N + 1 - k, -w
+        weights[k] = weights.get(k, 0) + w
+    if full or not weights:  # weights sum to -2 * full: unless they cancel, walk from P(0) = 0
+        weights.setdefault(0, 0)
+    return Fraction((full << N) + _binomial_walk(N, weights), 1 << N)
 
 
 @dataclass(frozen=True)
@@ -323,22 +329,25 @@ def build_bound_report(
     commitment-attack figures (commitment_bound additionally needs N)."""
     if p is not None:
         check_cheat_probability(p)
-    delta_c, eps_c = correctness_epsilon(n, m)
-    delta_p, eps_p = privacy_epsilon(n, m)
+    case, delta_c = case_of(n, m), correctness_deviation(n, m)
+    signed = privacy_deviation_signed(n, m)
+    delta_p = abs(signed)
+    fc, fp = float(delta_c), float(delta_p)
+    eps_c, eps_p = math.exp(-fc**2), math.exp(-fp**2)
     fields: dict = dict(
         n=n,
         m=m,
-        case=case_of(n, m).value,
+        case=case.value,
         target_rate=str(target_rate(n, m)),
         delta_correctness=str(delta_c),
         delta_privacy=str(delta_p),
-        privacy_sign_anomaly=privacy_sign_anomaly(n, m),
+        privacy_sign_anomaly=signed <= 0,
         eps_correctness=eps_c,
         eps_privacy=eps_p,
         hoeffding_correctness_form=_bound_form(delta_c),
         hoeffding_privacy_form=_bound_form(delta_p),
-        min_N_correctness=min_N(delta_c),
-        min_N_privacy=min_N(delta_p),
+        min_N_correctness=min_N(fc),
+        min_N_privacy=min_N(fp),
         p=p,
     )
     if N is not None:
@@ -347,8 +356,8 @@ def build_bound_report(
             N=N,
             x=params.x,
             subset_size=params.subset_size,
-            hoeffding_correctness=hoeffding_bound(N, float(delta_c)),
-            hoeffding_privacy=hoeffding_bound(N, float(delta_p)),
+            hoeffding_correctness=hoeffding_bound(N, fc),
+            hoeffding_privacy=hoeffding_bound(N, fp),
             eps_correctness_pow_N=eps_c**N,
             eps_privacy_pow_N=eps_p**N,
         )

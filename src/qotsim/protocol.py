@@ -86,8 +86,9 @@ class Transcript:
         )
 
     def to_jsonl(self) -> bytes:
-        encode = json.JSONEncoder(separators=(",", ":")).encode
-        return ("\n".join(map(encode, self.records)) + "\n").encode("utf-8")
+        # one encode; no payload holds a dict or a brace, so "},{" only joins records
+        body = json.dumps(self.records, separators=(",", ":"))[1:-1]
+        return (body.replace("},{", "}\n{") + "\n").encode("utf-8")
 
 
 class TrialOutcome:

@@ -136,7 +136,7 @@ def test_criterion_05_oracle_brute_force_equivalence(report):
                     params = validate_params(n, m, N)
                 except Exception:
                     continue
-                for event in ("correctness", "privacy"):
+                for event in ("correctness", "privacy", "privacy_dishonest_removal"):
                     exact = exact_failure_oracle(params, event)
                     brute = brute_force_failure_probability(params, event)
                     ok = ok and exact == brute

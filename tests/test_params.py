@@ -1,5 +1,6 @@
 """Parameter/bound formula tests: exact rational values and properties."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from qotsim.params import (
     _EVENTS,
-    _binomial_run,
+    _binomial_walk,
     Case,
     InvalidChoiceCount,
     InvalidN,
@@ -26,7 +27,6 @@ from qotsim.params import (
     min_N,
     privacy_deviation_signed,
     privacy_epsilon,
-    privacy_sign_anomaly,
     smallest_valid_N,
     target_rate,
     validate_params,
@@ -128,11 +128,11 @@ def test_correctness_deviation_values():
 def test_privacy_deviation_and_sign_anomaly():
     # high case: positive as written
     assert privacy_deviation_signed(2, 1) == Fraction(1, 6)
-    assert not privacy_sign_anomaly(2, 1)
+    assert not build_bound_report(2, 1).privacy_sign_anomaly
     assert privacy_deviation_signed(3, 1) == Fraction(1, 6)
     # low case: the stated expression is negative; flagged, abs used
     assert privacy_deviation_signed(4, 1) == Fraction(-1, 10)
-    assert privacy_sign_anomaly(4, 1)
+    assert build_bound_report(4, 1).privacy_sign_anomaly
     delta, eps = privacy_epsilon(4, 1)
     assert delta == Fraction(1, 10)
     assert eps == pytest.approx(math.exp(-0.01), rel=1e-15)
@@ -154,7 +154,7 @@ def test_low_case_privacy_expression_always_negative(nm):
     n, m = nm
     if case_of(n, m) is Case.LOW:
         assert privacy_deviation_signed(n, m) < 0
-        assert privacy_sign_anomaly(n, m)
+        assert build_bound_report(n, m).privacy_sign_anomaly
 
 
 def test_min_N_values():
@@ -236,32 +236,44 @@ def test_exact_oracle_matches_comb_sum_past_brute_force():
     assert any(last and not first for _, _, first, last in shapes)
 
 
-def test_binomial_run_sums_every_range():
-    """Every [a, b) at small N, and long and short runs at N = 1000, against
-    math.comb; a run longer than half the support is summed as 2^N minus
-    both sides, which no event's run reaches with both sides non-empty."""
-    cases = [(N, a, b) for N in range(1, 17) for a in range(N + 2) for b in range(a, N + 2)]
-    cases += [(1000, a, b) for a, b in ((0, 1001), (1, 1000), (200, 900), (0, 400),
-                                        (600, 1001), (450, 550), (1000, 1001))]
-    for N, a, b in cases:
-        assert _binomial_run(N, a, b) == sum(math.comb(N, M) for M in range(a, b)), (N, a, b)
+def _prefixes(N):
+    """P[k] = sum(comb(N, M) for M < k), k = 0..N+1, from math.comb."""
+    return [0, *itertools.accumulate(math.comb(N, M) for M in range(N + 1))]
 
 
-def test_binomial_run_mirror_walk_equals_the_direct_walk():
-    """An upper-tail run is walked from its mirror [N+1-b, N+1-a); the sum is
-    that of the walk from comb(N, a), for every short run up to N = 60."""
+def _walk_sum(P, weights):
+    low = min(weights)
+    return sum(w * (P[k] - P[low]) for k, w in weights.items())
 
-    def walk(N, a, b):
-        total, c = 0, math.comb(N, a)
-        for M in range(a, b):
-            total += c
-            c = c * (N - M) // (M + 1)
-        return total
 
-    for N in range(1, 61):
-        for a in range(N + 2):
-            for b in range(a, min(N + 2, a + (N + 1) // 2 + 1)):  # runs walked, not folded
-                assert _binomial_run(N, a, b) == walk(N, a, b), (N, a, b)
+def test_binomial_walk_sums_every_point_list():
+    """Every set of 2 and 3 points in 0..N+1 at N <= 40: segments of odd and
+    even length, walks from 0 and from past 0.  The i-th point weighs
+    2^((N+1)i); every partial sum is below 2^(N+1), so the one integer the
+    walk returns holds each point's partial sum as a separate digit."""
+    checked = 0
+    for N in range(1, 41):
+        P = _prefixes(N)
+        for size in (2, 3):
+            for points in itertools.combinations(range(N + 2), size):
+                weights = {k: 1 << (N + 1) * i for i, k in enumerate(points)}
+                assert _binomial_walk(N, weights) == _walk_sum(P, weights), (N, points)
+                checked += 1
+    assert checked > 100_000
+
+
+def test_binomial_walk_at_large_N():
+    """Seven point sets at N = 1000, with the oracle's signed weights, and one
+    short run at N = 33,000, where the step factors (N-M)(N-M-1) no longer
+    fit one 30-bit digit."""
+    P = _prefixes(1000)
+    for weights in ({0: -1, 500: 1}, {0: 2, 1: -1, 2: 1, 3: -1}, {1: -1, 499: 1, 500: -1, 501: 2},
+                    {137: -1, 400: 1}, {250: 1, 251: -2, 501: 1}, {0: -2, 501: 1},
+                    {0: 1, 333: -1, 334: 1, 336: -1, 339: 1, 343: -1, 499: 3}):
+        assert _binomial_walk(1000, weights) == _walk_sum(P, weights), weights
+    N = 33_000
+    assert (N - 3) * (N - 4) >= 1 << 30
+    assert _binomial_walk(N, {3: -1, 10: 1}) == sum(math.comb(N, M) for M in range(3, 10))
 
 
 def _admissible_Ns(n, m, N_max):

@@ -12,6 +12,7 @@ CHANGES.md.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -143,6 +144,17 @@ def test_transcript_matches_the_recorded_digest(case):
                          bob=bob(), strict_removal=strict)
     assert (outcome.status, STATUSES[state.status[0]], state.stage) == (status, status, stage)
     assert hashlib.sha256(outcome.transcript.to_jsonl()).hexdigest()[:16] == expected
+
+
+@pytest.mark.parametrize("case", TRANSCRIPTS)
+def test_transcript_lines_read_back_as_its_records(case):
+    """to_jsonl encodes the whole list at once and cuts it between records;
+    each line must still be exactly one record."""
+    nmN, bob, strict, seed, *_ = TRANSCRIPTS[case]
+    outcome = run_protocol(validate_params(*nmN), None, None, seed, bob=bob(), strict_removal=strict)
+    lines = outcome.transcript.to_jsonl().decode("utf-8").split("\n")
+    assert lines[-1] == ""
+    assert [json.loads(line) for line in lines[:-1]] == outcome.transcript.records
 
 
 # The stdout of one CLI command per report shape, byte for byte: case ->
