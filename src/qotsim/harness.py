@@ -16,8 +16,8 @@ chi-square test of independence (:func:`chi2_contingency`).  That test
 does scipy.stats' arithmetic in numpy and loads only ``scipy.special``,
 for the p-value, on its first call.  Reports come from a one-pass writer,
 byte-identical to ``json.dumps(indent=2)`` of the :func:`round_sig` document.
-The brute-force check enumerates all 2^N outcomes in chunks and reads each
-outcome's event bit from an integer bit table indexed by match count.
+The brute-force check enumerates all 2^N outcomes in uint16 chunks of 2^15 and
+reads each outcome's event bit from an integer bit table indexed by match count.
 """
 
 from __future__ import annotations
@@ -129,20 +129,23 @@ def brute_force_failure_probability(params: ProtocolParams, event: str = "correc
 
     Walks every outcome of the N <= 20 survivor basis-agreement coins in
     chunks.  The event table is an int with bit M set iff the event holds at match
-    count M; a uint32 array holds 1 << popcount(l) for the 2^min(N,16) low mask
-    bits l, and for high prefix h each outcome ANDs its entry with the table
-    shifted down by popcount(h).  The nonzero results are tallied.
+    count M; a uint16 array holds 1 << popcount(l) for the 2^min(N,15) low mask
+    bits l, and for high prefix h each outcome ANDs its entry with the low 16 bits
+    of the table shifted down by popcount(h).  The nonzero results are tallied.
     """
     N = params.N
     if N > 20:
         raise ValueError("brute force enumeration is limited to N <= 20")
-    pred = _EVENTS[event]
+    pred = _EVENTS.get(event)  # the oracle's lookup and error, kept apart from it
+    if pred is None:
+        raise ValueError(f"unknown event {event!r}; one of {sorted(_EVENTS)}")
     # predicate depends on the match count only; evaluate once per count,
-    # but tally outcome-by-outcome so the enumeration stays the checked route
+    # but tally outcome-by-outcome so the enumeration stays the checked route;
+    # popcount a uint32 arange, as numpy's bitwise_count is ~3x slower on uint16
     table = sum(1 << M for M in range(N + 1) if pred(params, M))
-    low = np.uint32(1) << np.bitwise_count(np.arange(1 << min(N, 16), dtype=np.uint32))
-    hits = sum(int(np.count_nonzero(low & np.uint32(table >> h.bit_count())))
-               for h in range(1 << max(N - 16, 0)))
+    low = np.uint16(1) << np.bitwise_count(np.arange(1 << min(N, 15), dtype=np.uint32))
+    hits = sum(int(np.count_nonzero(low & np.uint16(table >> h.bit_count() & 0xFFFF)))
+               for h in range(1 << max(N - 15, 0)))
     return Fraction(hits, 1 << N)
 
 

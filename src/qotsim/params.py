@@ -70,7 +70,7 @@ def compute_x(n: int, m: int, N: int) -> int:
     _require_choice_count(n, m)
     if not _is_int(N) or N < 1:
         raise InvalidN(f"require an integer N >= 1, got N={N!r}")
-    if case_of(n, m) is Case.LOW:
+    if 2 * m + 1 < n:  # the low case
         num, den = (n - (2 * m + 1)) * N, 2 * n - (2 * m + 1)
     else:
         num, den = ((2 * m + 1) - n) * N, 2 * m + 1
@@ -109,14 +109,14 @@ def validate_params(n: int, m: int, N: int) -> ProtocolParams:
             f"(N - x) = {N - x} must be divisible by n = {n} "
             f"to form equal-size subsets"
         )
-    return ProtocolParams(
+    return ProtocolParams(  # compute_x has checked (n, m)
         n=n,
         m=m,
         N=N,
-        case=case_of(n, m),
+        case=Case.LOW if 2 * m + 1 < n else Case.HIGH,
         x=x,
         subset_size=(N - x) // n,
-        target_rate=target_rate(n, m),
+        target_rate=Fraction(2 * m + 1, 2 * n),
     )
 
 
@@ -137,16 +137,17 @@ def hoeffding_bound(trials: int, deviation: float) -> float:
 
     May exceed 1 (vacuous) for small N; callers clamp for reporting.
     """
-    if deviation <= 0:
+    if not deviation > 0:  # NaN too
         raise ValueError("deviation must be positive")
     return 2.0 * math.exp(-2.0 * trials * float(deviation) ** 2)
 
 
 def correctness_deviation(n: int, m: int) -> Fraction:
     """Deviation delta_c in the correctness tail bound (exact rational)."""
-    if case_of(n, m) is Case.LOW:
-        return Fraction(n - m, 2 * n - (2 * m + 1)) - Fraction(1, 2)
-    return Fraction(1, 2) - Fraction(m, 2 * m + 1)
+    if case_of(n, m) is Case.LOW:  # (n-m)/(2n-(2m+1)) - 1/2
+        d = 2 * n - (2 * m + 1)
+        return Fraction(2 * (n - m) - d, 2 * d)
+    return Fraction((2 * m + 1) - 2 * m, 2 * (2 * m + 1))  # 1/2 - m/(2m+1)
 
 
 def correctness_epsilon(n: int, m: int) -> tuple[Fraction, float]:
@@ -163,9 +164,10 @@ def privacy_deviation_signed(n: int, m: int) -> Fraction:
     for every admissible (n, m) despite being asserted positive; callers use
     the absolute value and flag the sign anomaly rather than guessing intent.
     """
-    if case_of(n, m) is Case.LOW:
-        return Fraction(1, 2) - Fraction(n - m, 2 * n - (2 * m + 1))
-    return Fraction(m + 1, 2 * m + 1) - Fraction(1, 2)
+    if case_of(n, m) is Case.LOW:  # over the common denominator, as correctness_deviation
+        d = 2 * n - (2 * m + 1)
+        return Fraction(d - 2 * (n - m), 2 * d)
+    return Fraction(2 * (m + 1) - (2 * m + 1), 2 * (2 * m + 1))  # (m+1)/(2m+1) - 1/2
 
 
 def privacy_epsilon(n: int, m: int) -> tuple[Fraction, float]:
@@ -182,7 +184,7 @@ def min_N(delta) -> int:
     simplified form exp(-N*delta^2).
     """
     d = float(delta)
-    if d <= 0:
+    if not d > 0:  # NaN too
         raise ValueError("deviation must be positive")
     return math.floor(math.log(2.0) / d**2) + 1
 
@@ -315,11 +317,12 @@ class BoundReport:
 
 
 def _bound_form(delta: Fraction) -> str:
-    """Closed form of the raw tail bound, with exact rational exponent rate."""
-    rate = 2 * delta * delta
-    if rate.numerator == 1:
-        return f"2*exp(-N/{rate.denominator})"
-    return f"2*exp(-{rate.numerator}*N/{rate.denominator})"
+    """Closed form of the raw tail bound, with exact rational exponent rate 2*delta^2."""
+    num, den = 2 * delta.numerator**2, delta.denominator**2
+    g = math.gcd(num, den)
+    if num == g:
+        return f"2*exp(-N/{den // g})"
+    return f"2*exp(-{num // g}*N/{den // g})"
 
 
 def build_bound_report(
@@ -331,17 +334,18 @@ def build_bound_report(
         check_cheat_probability(p)
     case, delta_c = case_of(n, m), correctness_deviation(n, m)
     signed = privacy_deviation_signed(n, m)
-    delta_p = abs(signed)
+    anomaly = signed.numerator <= 0
+    delta_p = -signed if anomaly else signed
     fc, fp = float(delta_c), float(delta_p)
     eps_c, eps_p = math.exp(-fc**2), math.exp(-fp**2)
     fields: dict = dict(
         n=n,
         m=m,
         case=case.value,
-        target_rate=str(target_rate(n, m)),
+        target_rate=str(Fraction(2 * m + 1, 2 * n)),
         delta_correctness=str(delta_c),
         delta_privacy=str(delta_p),
-        privacy_sign_anomaly=signed <= 0,
+        privacy_sign_anomaly=anomaly,
         eps_correctness=eps_c,
         eps_privacy=eps_p,
         hoeffding_correctness_form=_bound_form(delta_c),

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -61,8 +62,10 @@ def test_oracle_4140_matches_binomial_tail():
 
 
 def test_oracle_unknown_event():
-    with pytest.raises(ValueError, match="unknown event"):
-        exact_failure_oracle(P316, "nope")
+    message = "unknown event 'nope'; one of ['correctness', 'privacy', 'privacy_dishonest_removal']"
+    for check in (exact_failure_oracle, brute_force_failure_probability):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check(P316, "nope")
 
 
 def test_brute_force_matches_oracle_small_sets():
@@ -82,15 +85,16 @@ def _admissible(N):
                 pass
 
 
-# N = 16 admits no (n, m): its edge (all 2^16 masks in one chunk) runs on a
-# set whose N is replaced, which the count identity does not need admissible
-EDGE_SETS = [params for N in (15, 17, 20) for params in _admissible(N)] + [
+# the chunk edge is 15 low bits: N = 14 and 15 run in one chunk, 16 and up in
+# 2^(N-15).  N = 16 admits no (n, m), so it runs on a set whose N is replaced,
+# which the count identity does not need admissible
+EDGE_SETS = [params for N in (14, 15, 17, 20) for params in _admissible(N)] + [
     dataclasses.replace(validate_params(4, 1, 20), N=16)]
 
 
 @pytest.mark.parametrize("params", EDGE_SETS, ids=lambda p: f"{p.n},{p.m},{p.N}")
 def test_brute_force_equals_the_binomial_count_at_the_chunk_edges(params):
-    """Masks split into 2^min(N,16) low and 2^(N-16) high parts; the count is
+    """Masks split into 2^min(N,15) low and 2^(N-15) high parts; the count is
     sum(comb(N, M) for M where the event holds) over 2^N, for every event."""
     N = params.N
     for event, pred in _EVENTS.items():
@@ -107,7 +111,7 @@ def test_brute_force_memory_stays_one_chunk_wide():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20  # the whole 2^20-mask array alone would be 8 MiB
+    assert peak < 2**19  # the whole 2^20-mask array alone would be 8 MiB
 
 
 def test_brute_force_rejects_large_N():

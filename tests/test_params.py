@@ -1,6 +1,9 @@
 """Parameter/bound formula tests: exact rational values and properties."""
 
+import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -160,8 +163,9 @@ def test_low_case_privacy_expression_always_negative(nm):
 def test_min_N_values():
     assert min_N(Fraction(1, 6)) == 25
     assert min_N(Fraction(1, 10)) == 70
-    with pytest.raises(ValueError):
-        min_N(0)
+    for bad in (0, float("nan")):
+        with pytest.raises(ValueError, match="deviation must be positive"):
+            min_N(bad)
 
 
 def test_min_N_is_threshold_between_bounds():
@@ -175,8 +179,9 @@ def test_min_N_is_threshold_between_bounds():
 
 def test_hoeffding_bound_formula():
     assert hoeffding_bound(18, 1 / 6) == pytest.approx(2 / math.e, rel=1e-15)
-    with pytest.raises(ValueError, match="deviation must be positive"):
-        hoeffding_bound(10, 0)
+    for bad in (0, float("nan")):
+        with pytest.raises(ValueError, match="deviation must be positive"):
+            hoeffding_bound(10, bad)
 
 
 def test_commitment_attack_bound_values():
@@ -199,6 +204,52 @@ def test_bound_report_forms():
     assert report.x == 6 and report.subset_size == 6
     assert report.commitment_bound == pytest.approx(0.5**6, rel=1e-15)
     assert report.commitment_eps == pytest.approx(0.5**0.25, rel=1e-15)
+
+
+# sha256 over the JSON of every accepted report below, and over (type, message)
+# of every refused call; recorded before the bound layer moved to plain integers
+ACCEPTED_REPORTS_SHA256 = "adab9badee44df94678e52359dfec102308f70f3ea3e9e0c149a0588bef99c4f"
+REFUSED_CALLS_SHA256 = "f74c1c78b29e676aee342c81ade8a86999f0d4a34f2cf373a56e8eff1dad476d"
+
+
+def test_bound_layer_is_pinned():
+    for n in range(2, 61):  # both deviations are the source's expressions
+        for m in range(1, n):
+            if 2 * m + 1 < n:
+                delta_c = Fraction(n - m, 2 * n - (2 * m + 1)) - Fraction(1, 2)
+                signed = Fraction(1, 2) - Fraction(n - m, 2 * n - (2 * m + 1))
+            else:
+                delta_c = Fraction(1, 2) - Fraction(m, 2 * m + 1)
+                signed = Fraction(m + 1, 2 * m + 1) - Fraction(1, 2)
+            assert correctness_deviation(n, m) == delta_c
+            assert privacy_deviation_signed(n, m) == signed
+    accepted, count = hashlib.sha256(), 0
+    for n in range(2, 21):
+        for m in range(1, n):
+            for N in [None, *range(1, 301)]:
+                if N is not None:
+                    try:
+                        validate_params(n, m, N)
+                    except InvalidN:
+                        continue
+                for p in (None, 0.5, 1e-300):
+                    report = dataclasses.asdict(build_bound_report(n, m, N, p))
+                    accepted.update(json.dumps(report).encode())
+                    count += 1
+    assert count == 10_947
+    assert accepted.hexdigest() == ACCEPTED_REPORTS_SHA256
+    refused, count = hashlib.sha256(), 0
+    for n, m, N, p in itertools.product(
+        [*range(-1, 9), True, 3.0], [*range(-1, 9), True, 1.0],
+        [None, *range(-1, 61), True, 6.0], [None, 0.5, 0.0, 1.0, float("nan"), -1],
+    ):
+        try:
+            build_bound_report(n, m, N, p)
+        except ValueError as e:
+            refused.update(json.dumps([type(e).__name__, str(e)]).encode())
+            count += 1
+    assert count == 55_666
+    assert refused.hexdigest() == REFUSED_CALLS_SHA256
 
 
 def test_bound_report_without_N():
