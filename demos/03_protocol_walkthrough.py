@@ -6,7 +6,7 @@ Alice holds n input bits; Bob wants m of them without revealing which.
 The session runs the seven protocol steps over 2N photons: transmit,
 commit-and-challenge, basis announcement, removal, subset announcement,
 masking, and decoding.  The transcript records every message either party
-sends, and each party's view contains only the messages addressed to it.
+sends, one JSON line each; what a party receives is what the other one sent.
 """
 
 import json

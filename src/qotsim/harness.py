@@ -16,8 +16,8 @@ chi-square test of independence (:func:`chi2_contingency`).  That test
 does scipy.stats' arithmetic in numpy and loads only ``scipy.special``,
 for the p-value, on its first call.  Reports come from a one-pass writer,
 byte-identical to ``json.dumps(indent=2)`` of the :func:`round_sig` document.
-The brute-force check enumerates all 2^N outcomes in uint16 chunks of 2^15 and
-reads each outcome's event bit from an integer bit table indexed by match count.
+The brute-force check enumerates all 2^N outcomes: it checks the oracle's
+binomial sum, but not the oracle's per-count events, which it shares.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from .protocol import (
     session_width,
 )
 
-# 99% two-sided normal quantile, for Wilson intervals
-_Z99 = 2.5758293035489004
+_ROUNDED = "%.12g"  # every float in a report, to 12 significant digits
 
 
 @dataclass(frozen=True)
@@ -109,10 +108,11 @@ class Verdict:
     tolerance: float | None = None
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at 99% confidence."""
     if trials == 0:
         return 0.0, 1.0
+    z = 2.5758293035489004  # the 99% two-sided normal quantile
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -125,13 +125,16 @@ def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple[float
 # ---------------------------------------------------------------------------
 
 def brute_force_failure_probability(params: ProtocolParams, event: str = "correctness") -> Fraction:
-    """Independent check of the oracle: enumerate all 2^N basis-coin outcomes.
+    """Check the oracle's binomial sum: enumerate, in chunks, all 2^N outcomes
+    of the N <= 20 survivor basis-agreement coins.
 
-    Walks every outcome of the N <= 20 survivor basis-agreement coins in
-    chunks.  The event table is an int with bit M set iff the event holds at match
-    count M; a uint16 array holds 1 << popcount(l) for the 2^min(N,15) low mask
-    bits l, and for high prefix h each outcome ANDs its entry with the low 16 bits
-    of the table shifted down by popcount(h).  The nonzero results are tallied.
+    The event at each match count comes from ``params._EVENTS``, the
+    oracle's own predicates, so this checks the sum, not a predicate.  The
+    event table is an int with bit M set iff the event holds at match
+    count M; a uint16 array holds 1 << popcount(l) for the 2^min(N,15) low
+    mask bits l, and for high prefix h each outcome ANDs its entry with the
+    low 16 bits of the table shifted down by popcount(h).  The nonzero
+    results are tallied.
     """
     N = params.N
     if N > 20:
@@ -371,18 +374,18 @@ def privacy_independence_test(
 # report emission
 # ---------------------------------------------------------------------------
 
-def round_sig(value, digits: int = 12):
-    """Recursively round floats to `digits` significant digits for stable output."""
+def round_sig(value):
+    """Recursively round floats to 12 significant digits (:data:`_ROUNDED`) for stable output."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
-        return float(f"{value:.{digits}g}")
+        return float(_ROUNDED % value)
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, dict):
-        return {k: round_sig(v, digits) for k, v in value.items()}
+        return {k: round_sig(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [round_sig(v, digits) for v in value]
+        return [round_sig(v) for v in value]
     return value
 
 
@@ -395,7 +398,7 @@ def _write_json(value, newline: str, put) -> None:
     if isinstance(value, str):
         put(_quote(value))
     elif isinstance(value, float):
-        text = float.__repr__(float(f"{value:.12g}"))
+        text = float.__repr__(float(_ROUNDED % value))
         put(_NON_FINITE.get(text, text))
     elif isinstance(value, (dict, list, tuple)):
         is_dict = isinstance(value, dict)

@@ -122,7 +122,10 @@ def validate_params(n: int, m: int, N: int) -> ProtocolParams:
 
 def smallest_valid_N(n: int, m: int, floor: int = 1) -> int:
     """Least admissible N >= floor.  Always terminates: admissibility is periodic."""
-    N = max(1, int(floor))
+    try:
+        N = max(1, int(floor))
+    except (ValueError, OverflowError) as exc:  # NaN, +-inf
+        raise ValueError(f"floor must be a finite number, got {floor!r}") from exc
     while True:
         try:
             validate_params(n, m, N)
@@ -137,6 +140,8 @@ def hoeffding_bound(trials: int, deviation: float) -> float:
 
     May exceed 1 (vacuous) for small N; callers clamp for reporting.
     """
+    if not (_is_int(trials) and trials > 0):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not deviation > 0:  # NaN too
         raise ValueError("deviation must be positive")
     return 2.0 * math.exp(-2.0 * trials * float(deviation) ** 2)

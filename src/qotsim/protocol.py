@@ -62,33 +62,27 @@ STATUSES = tuple(Status)
 # positions of its eligible slots, and two of those tie with probability
 # about N^2 / 2^65, so the sort need not be stable.
 _LAST = np.uint64(2**64 - 1)
+_compact = json.JSONEncoder(separators=(",", ":")).encode  # JSON without spaces, as in a transcript
 
 
 class ProtocolOrderError(RuntimeError):
     """A phase was invoked out of protocol order."""
 
 
+@dataclass
 class Transcript:
-    """Ordered log of protocol messages, one record per message."""
+    """Ordered log of protocol messages, one compact JSON line per message:
+    {"seq", "step", "from", "kind", "payload"}, where every payload value is
+    an int, an int list or "accepted".  `records` parses the lines."""
 
-    def __init__(self):
-        self.records: list[dict] = []
+    lines: list[str]
 
-    def add(self, step: int, sender: str, kind: str, **payload) -> None:
-        self.records.append(
-            {
-                "seq": len(self.records),
-                "step": step,
-                "from": sender,
-                "kind": kind,
-                "payload": payload,
-            }
-        )
+    @cached_property
+    def records(self) -> list[dict]:
+        return [json.loads(line) for line in self.lines]
 
     def to_jsonl(self) -> bytes:
-        # one encode; no payload holds a dict or a brace, so "},{" only joins records
-        body = json.dumps(self.records, separators=(",", ":"))[1:-1]
-        return (body.replace("},{", "}\n{") + "\n").encode("utf-8")
+        return ("\n".join(self.lines) + "\n").encode("utf-8")
 
 
 class TrialOutcome:
@@ -127,31 +121,32 @@ class TrialOutcome:
 
     @cached_property
     def transcript(self) -> Transcript:
-        state, k, t = self.state, self.row, Transcript()
+        state, k, lines = self.state, self.row, []
         N, d = state.params.N, state.draws.d[k].tolist()
         # commitment id 4i + 2h + b holds (r_b, beta_b)[b][h][k, i]
-        committed = np.stack([state.r_b[:, k], state.draws.beta_b[:, k]]).transpose(2, 1, 0)
+        committed = np.stack([state.r_b[:, k], state.draws.beta_b[:, k]]).T.ravel().tolist()
 
-        def unveil(step, cid):
-            for c in (cid, cid + 1):
-                t.add(step, "B", "unveil", id=c, value=int(committed.flat[c]), verdict="accepted")
+        def send(step, sender, kind, *payloads):  # a payload is its object's fields
+            head = f'"step":{step},"from":"{sender}","kind":"{kind}","payload":{{'
+            lines.extend(head + payload for payload in payloads)
 
-        for i in range(2 * N):
-            t.add(1, "A", "photon", index=i)
-        for cid in range(4 * N):
-            t.add(2, "B", "commit", id=cid)
+        def unveil(step, *cids):
+            send(step, "B", "unveil", *(f'"id":{c},"value":{committed[c]},"verdict":"accepted"'
+                                        for cid in cids for c in (cid, cid + 1)))
+
+        send(1, "A", "photon", *(f'"index":{i}' for i in range(2 * N)))
+        send(2, "B", "commit", *(f'"id":{cid}' for cid in range(4 * N)))
         for i in range(N):
-            t.add(2, "A", "challenge", i=i, d=d[i])
+            send(2, "A", "challenge", f'"i":{i},"d":{d[i]}')
             unveil(2, 4 * i + 2 * d[i])
-        if state.aborted_at[k] == 2:
-            return t
-        t.add(3, "A", "bases", bases=state.beta_s[k].tolist())
-        for j in np.flatnonzero(state.removed[k]).tolist():  # slot j keeps index j + N(1 - d_j)
-            unveil(4, 4 * j + 2 - 2 * d[j])
-        if self.status is Status.COMPLETED:
-            t.add(5, "B", "subsets", subsets=state.family[k].tolist())
-            t.add(6, "A", "masked_bits", bits=state.masked[k].tolist())
-        return t
+        if state.aborted_at[k] != 2:
+            send(3, "A", "bases", f'"bases":{_compact(state.beta_s[k].tolist())}')
+            # slot j keeps index j + N(1 - d_j)
+            unveil(4, *(4 * j + 2 - 2 * d[j] for j in np.flatnonzero(state.removed[k]).tolist()))
+            if self.status is Status.COMPLETED:
+                send(5, "B", "subsets", f'"subsets":{_compact(state.family[k].tolist())}')
+                send(6, "A", "masked_bits", f'"bits":{_compact(state.masked[k].tolist())}')
+        return Transcript([f'{{"seq":{seq},{line}}}}}' for seq, line in enumerate(lines)])
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +223,7 @@ class HonestBob:
 
     def removal_pool(self, state: "ProtocolState", match: np.ndarray) -> np.ndarray:
         """(T, N) mask of survivor slots eligible for removal."""
-        if state.params.case is Case.LOW:
-            return match
-        return ~match
+        return match if state.params.case is Case.LOW else ~match
 
     def build_family(
         self,
@@ -311,9 +304,7 @@ class ProtocolState:
 
     def _require_stage(self, expected: int) -> None:
         if self.stage != expected:
-            raise ProtocolOrderError(
-                f"phase expects stage {expected}, session is at {self.stage}"
-            )
+            raise ProtocolOrderError(f"phase expects stage {expected}, session is at {self.stage}")
 
     @property
     def rows(self) -> int:

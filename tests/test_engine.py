@@ -1,5 +1,6 @@
 """Batched-engine tests: row k of a batch is exactly the single run of trial k."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -137,6 +138,49 @@ def test_every_row_reads_as_its_single_trial(nmN, label, bob, strict):
         for key, value in row.detail.items():
             assert np.array_equal(value, alone.detail[key]), (k, key)
         assert row.transcript.to_jsonl() == alone.transcript.to_jsonl(), k
+
+
+# The transcript bytes of every row of a 64-row batch at each acceptance set,
+# for every Bob of VIEW_CASES (dishonest removal in the low case only):
+# case -> sha256 prefix over the rows' to_jsonl(), in row order.
+BOBS = {label: (bob, strict) for label, _, bob, strict in
+        [*SESSIONS, ("repeating", None, _RepeatingBob, False)]}
+BATCH_TRANSCRIPTS = {
+    "honest/3,1,6": "a6213d2a35f46e9d",
+    "greedy/3,1,6": "eaa14d9122b19948",
+    "curious-alice/3,1,6": "085c6377ed51fa19",
+    "leaky/3,1,6": "64a2a6a1a40e36f9",
+    "postpone/3,1,6": "27ddb410483ef23d",
+    "repeating/3,1,6": "6793a52f8191555b",
+    "honest/2,1,18": "eb1b976e11e12223",
+    "greedy/2,1,18": "f45d1c6aa3a255cb",
+    "curious-alice/2,1,18": "0176ca9f2d8f0758",
+    "leaky/2,1,18": "f6b4d1f261afd283",
+    "postpone/2,1,18": "dc96e8da47b5cbe1",
+    "repeating/2,1,18": "5a1a6ff7514477f1",
+    "honest/4,1,40": "83a671da1e3a70eb",
+    "greedy/4,1,40": "ba87d3428f6d88bd",
+    "dishonest-removal/4,1,40": "84606476360d26c4",
+    "dishonest-removal-strict/4,1,40": "434a7ec5a893152e",
+    "curious-alice/4,1,40": "313a245dc443986a",
+    "leaky/4,1,40": "515e68c5e03e4162",
+    "postpone/4,1,40": "d689ff3d7c738ee7",
+    "repeating/4,1,40": "d09fcc3d0eebe4d1",
+}
+
+
+@pytest.mark.parametrize("case", BATCH_TRANSCRIPTS)
+def test_batch_transcripts_match_the_recorded_digest(case):
+    label, _, nmN = case.partition("/")
+    bob, strict = BOBS[label]
+    params = validate_params(*(int(v) for v in nmN.split(",")))
+    state = run_protocol(params, None, None,
+                         draw_sessions(params, RandomSource(2027).stream(label), 0, ROWS),
+                         bob=bob(), strict_removal=strict)
+    digest = hashlib.sha256()
+    for k in range(state.rows):
+        digest.update(TrialOutcome(state, k).transcript.to_jsonl())
+    assert digest.hexdigest()[:16] == BATCH_TRANSCRIPTS[case]
 
 
 def test_batches_cover_every_trial_and_shrink_at_large_N():

@@ -184,6 +184,20 @@ def test_hoeffding_bound_formula():
             hoeffding_bound(10, bad)
 
 
+def test_hoeffding_bound_refuses_a_bad_sample_size():
+    for bad in (0, -1, True, 18.0, np.int64(18)):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            hoeffding_bound(bad, 1 / 6)
+
+
+def test_smallest_valid_N_refuses_a_floor_that_is_not_finite():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="floor must be a finite number"):
+            smallest_valid_N(2, 1, bad)
+    assert smallest_valid_N(2, 1, 4.5) == smallest_valid_N(2, 1, 4) == 6
+    assert smallest_valid_N(2, 1, -7.0) == 3
+
+
 def test_commitment_attack_bound_values():
     bound, eps = commitment_attack_bound(0.5, 4, 40, 8)
     assert bound == 0.5**8
