@@ -64,20 +64,29 @@ class Strategy:
 
 class Outcomes:
     """What T sessions achieved, one row each: `status` (T,) indexes
-    :data:`~qotsim.protocol.STATUSES`; `wrong_decode` (T,) marks a completed
-    row that recovered a wrong chosen bit.  Few strategies read the rest, so
-    it is computed from the final `state` on first access: `bits_learned`
-    (T,), the claimed subsets truly all-matching; `target_exceeded` (T,),
-    more than m of them; `guess` (T, n), curious Alice's guess of the
-    `chosen` (T, n) labels, read from the announced family.  A run without
-    full sessions passes `bits_learned` and has no `chosen` or `guess`."""
+    :data:`~qotsim.protocol.STATUSES`.  The rest is computed from the final
+    `state` on first access: `wrong_decode` (T,) marks a completed row that
+    recovered a wrong chosen bit; `bits_learned` (T,), the claimed subsets
+    truly all-matching; `target_exceeded` (T,), more than m of them; `guess`
+    (T, n), curious Alice's guess of the `chosen` (T, n) labels, read from
+    the announced family (all False on a row that did not reach step 7).
+    A run without an engine passes `status` and `bits_learned` instead of
+    a state, and has no `chosen` or `guess`."""
 
-    def __init__(self, status: np.ndarray, wrong_decode: np.ndarray, m: int,
-                 bits_learned: np.ndarray | None = None, state: ProtocolState | None = None):
-        self.status, self.wrong_decode, self.m, self._state = status, wrong_decode, m, state
+    def __init__(self, m: int, state: ProtocolState | None = None,
+                 status: np.ndarray | None = None, bits_learned: np.ndarray | None = None):
+        self.m, self._state = m, state
+        self.status = state.status if state is not None else status
         self.chosen = None if state is None else state.chosen
         if bits_learned is not None:
             self.bits_learned = bits_learned
+
+    @cached_property
+    def wrong_decode(self) -> np.ndarray:
+        state = self._state
+        if state is None or state.recovered is None:  # no row reached step 7
+            return np.zeros(len(self.status), dtype=bool)
+        return state.live() & ((state.recovered != state.inputs) & state.chosen).any(axis=1)
 
     @cached_property
     def bits_learned(self) -> np.ndarray:
@@ -106,13 +115,12 @@ class GreedyBob(HonestBob):
     """Follows the protocol but builds one extra all-matching subset when the
     surviving matches allow it, decoding m+1 bits."""
 
-    def build_family(self, state, choices: np.ndarray, keys: np.ndarray):
-        params = state.params
+    def build_family(self, state):
+        params, chosen = state.params, state.chosen
         matched = (state.match_flags() & ~state.removed).sum(axis=1)
-        extra = np.arange(params.n) == np.argmax(~choices, axis=1)[:, None]
+        extra = np.arange(params.n) == np.argmax(~chosen, axis=1)[:, None]
         room = matched >= (params.m + 1) * params.subset_size
-        targets = choices | (extra & room[:, None])
-        return _legal_family(state, targets, keys[:, :params.N], keys[:, params.N:])
+        return _legal_family(state, chosen | (extra & room[:, None]), state.draws.family_keys)
 
 
 class DishonestRemovalBob(GreedyBob):
@@ -126,9 +134,9 @@ class DishonestRemovalBob(GreedyBob):
         if case is not Case.LOW:
             raise ValueError("dishonest-removal strategy applies to the low case only")
 
-    def removal_pool(self, state, match: np.ndarray) -> np.ndarray:
+    def removal_pool(self, state) -> np.ndarray:
         self.check_case(state.params.case)
-        return ~match
+        return ~state.match_flags()
 
 
 class PostponeBob(HonestBob):
@@ -143,18 +151,9 @@ class LeakyBob(HonestBob):
     """Deliberately leaky positive control: deterministic subset placement
     that puts the chosen subsets lexicographically first."""
 
-    def build_family(self, state, choices: np.ndarray, keys: np.ndarray):
-        slots = np.broadcast_to(np.arange(state.params.N, dtype=np.uint64),
-                                state.removed.shape)
-        return _legal_family(state, choices, slots, slots)
-
-
-def _outcomes(params: ProtocolParams, state: ProtocolState) -> Outcomes:
-    """Per-row outcomes of full sessions, from ground truth."""
-    wrong = np.zeros(state.rows, dtype=bool)
-    if state.recovered is not None:  # some row reached step 7
-        wrong = state.live() & ((state.recovered != state.inputs) & state.chosen).any(axis=1)
-    return Outcomes(state.status, wrong, params.m, state=state)
+    def build_family(self, state):
+        slots = np.tile(np.arange(state.params.N, dtype=np.uint64), 2)
+        return _legal_family(state, state.chosen, np.broadcast_to(slots, (state.rows, slots.size)))
 
 
 def _sessions(bob: type[HonestBob]) -> Callable:
@@ -163,7 +162,7 @@ def _sessions(bob: type[HonestBob]) -> Callable:
     def run(params, strategy, rng, start, count, inputs=None, choices=None):
         state = run_protocol(params, inputs, choices, draw_sessions(params, rng, start, count),
                              bob=bob(), strict_removal=strategy.strict_alice)
-        return _outcomes(params, state)
+        return Outcomes(params.m, state)
 
     return run
 
@@ -173,8 +172,7 @@ def postpone_bob(params, strategy, rng, start, count, inputs=None, choices=None)
     state = phase1_transmit(params, draw_sessions(params, rng, start, count),
                             bob=PostponeBob())
     phase2_challenge(state)
-    return Outcomes(state.status, np.zeros(count, dtype=bool), params.m,
-                    bits_learned=np.zeros(count, dtype=np.int64))
+    return Outcomes(params.m, state)
 
 
 def _forgeries_accepted(params: ProtocolParams, p: float, rng: RandomSource,
@@ -189,8 +187,7 @@ def _forgeries_accepted(params: ProtocolParams, p: float, rng: RandomSource,
 def _commit_cheat(params, strategy, rng, start, count, inputs=None, choices=None) -> Outcomes:
     accepted = _forgeries_accepted(params, strategy.p, rng, start, count)
     status = np.where(accepted, 0, _CHEAT).astype(np.int8)
-    return Outcomes(status, np.zeros(count, dtype=bool), params.m,
-                    bits_learned=params.m + accepted)
+    return Outcomes(params.m, status=status, bits_learned=params.m + accepted)
 
 
 def commit_cheat_trials(params: ProtocolParams, p: float, trials: int,

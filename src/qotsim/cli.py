@@ -61,10 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the smallest admissible N >= FLOOR")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--bits", type=_csv_ints, default=None)
-    p.add_argument("--random-bits", action="store_true")
-    p.add_argument("--choices", type=_csv_ints, default=None)
-    p.add_argument("--random-choices", action="store_true")
+    p.add_argument("--bits", type=_csv_ints, default=None, help="default: drawn per trial")
+    p.add_argument("--choices", type=_csv_ints, default=None, help="default: drawn per trial")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("structured", "table"), default="structured")
     p.set_defaults(strategy="honest", p=None, strict_alice=False)
@@ -80,8 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("structured", "table"), default="structured")
-    p.set_defaults(auto_N=None, bits=None, random_bits=False, choices=None,
-                   random_choices=False)
+    p.set_defaults(auto_N=None, bits=None, choices=None)
 
     p = sub.add_parser("privacy-test", help="choice-vector distinguishability test")
     _add_common(p)
@@ -142,15 +139,13 @@ def _main(argv: list[str] | None) -> int:
     if args.command in ("run", "attack"):
         if args.N is None and args.auto_N is None:
             return _usage_error("one of --N or --auto-N is required")
-        bits = None if args.random_bits else args.bits
-        choices = None if args.random_choices else args.choices
         try:
             N = args.N if args.N is not None else smallest_valid_N(args.n, args.m, args.auto_N)
             params = validate_params(args.n, args.m, N)
             config = ExperimentConfig(
                 n=args.n, m=args.m, N=N, trials=args.trials, seed=args.seed,
                 strategy=Strategy(args.strategy, p=args.p, strict_alice=args.strict_alice),
-                bits=bits, choices=choices,
+                bits=args.bits, choices=args.choices,
             )
             out = open(args.out, "w", encoding="utf-8") if args.out else None
         except (ValueError, OSError) as exc:
@@ -162,8 +157,8 @@ def _main(argv: list[str] | None) -> int:
             doc_cfg |= {"strategy": args.strategy, "p": args.p, "strict_alice": args.strict_alice}
         doc_cfg |= {"n": args.n, "m": args.m, "N": N, "trials": args.trials, "seed": args.seed}
         if args.command == "run":
-            doc_cfg |= {"bits": list(bits) if bits else None,
-                        "choices": list(choices) if choices else None}
+            doc_cfg |= {"bits": list(args.bits) if args.bits else None,
+                        "choices": list(args.choices) if args.choices else None}
         text = emit_report(doc_cfg, stats=stats, verdicts=verdicts, fmt=args.format)
         _write_out(text, out)
         return 0 if all_verdicts_pass(verdicts) else 1

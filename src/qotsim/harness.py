@@ -54,6 +54,7 @@ from .protocol import (
 )
 
 _ROUNDED = "%.12g"  # every float in a report, to 12 significant digits
+PRIVACY_SIGNIFICANCE = 0.001  # the privacy test's family-wise level, before Bonferroni
 
 
 @dataclass(frozen=True)
@@ -276,13 +277,11 @@ def chi2_contingency(table):
     return stat, chdtrc(dof, stat), dof, expected
 
 
-def check_privacy_test(trials_per_choice: int, seed: int, significance: float = 0.001) -> None:
+def check_privacy_test(trials_per_choice: int, seed: int) -> None:
     """Refuse a privacy test that cannot run: fewer than one trial per choice
-    vector, a significance outside (0, 1) or a seed outside 64 bits."""
+    vector or a seed outside 64 bits."""
     if trials_per_choice < 1:
         raise ValueError(f"trials_per_choice must be >= 1, got {trials_per_choice}")
-    if not 0.0 < significance < 1.0:
-        raise ValueError(f"significance must be in (0, 1), got {significance}")
     RandomSource(seed)
 
 
@@ -290,16 +289,16 @@ def privacy_independence_test(
     params: ProtocolParams,
     trials_per_choice: int,
     seed: int,
-    significance: float = 0.001,
     leaky: bool = False,
 ) -> dict:
     """Distinguishability test of Alice's view across Bob's choice vectors.
 
     For every choice vector, runs honest sessions and records which announced
     subset holds the smallest surviving slot (a feature of Alice's view).
-    Pairwise chi-square tests at Bonferroni-corrected significance; under the
-    uniform-announcement claim all pairs should be indistinguishable.  The
-    `leaky` flag swaps in the deterministic positive-control Bob.
+    Pairwise chi-square tests at :data:`PRIVACY_SIGNIFICANCE`, Bonferroni-
+    corrected over the pairs; under the uniform-announcement claim all pairs
+    should be indistinguishable.  The `leaky` flag swaps in the
+    deterministic positive-control Bob.
 
     Vector v's trials are trials 0 .. `trials_per_choice`-1 of the stream
     ``RandomSource(seed).stream("choice/<labels>")``.  The trials of all
@@ -312,7 +311,7 @@ def privacy_independence_test(
     its pairs has a null ``p_value`` and total variation, ``untestable``
     set and ``passed`` false, so ``all_pass`` is false.
     """
-    check_privacy_test(trials_per_choice, seed, significance)
+    check_privacy_test(trials_per_choice, seed)
     n, m = params.n, params.m
     T = trials_per_choice
     choice_vectors = list(itertools.combinations(range(1, n + 1), m))
@@ -340,7 +339,7 @@ def privacy_independence_test(
 
     pairs = []
     n_pairs = math.comb(len(choice_vectors), 2)
-    corrected = significance / max(1, n_pairs)
+    corrected = PRIVACY_SIGNIFICANCE / max(1, n_pairs)
     max_tv = 0.0
     all_pass = True
     # a vector that completed no session has no feature distribution to test
@@ -363,7 +362,8 @@ def privacy_independence_test(
         pairs.append({"choice_a": list(a), "choice_b": list(b), "p_value": float(p_value),
                       "total_variation": tv, "passed": bool(passed)})
     report = {"n": n, "m": m, "N": params.N, "trials_per_choice": trials_per_choice,
-              "leaky": leaky, "significance": significance, "corrected_significance": corrected,
+              "leaky": leaky, "significance": PRIVACY_SIGNIFICANCE,
+              "corrected_significance": corrected,
               "feature_counts": {",".join(map(str, cv)): c.tolist() for cv, c in counts.items()}}
     if untestable:
         report["untestable_vectors"] = [list(cv) for cv in untestable]

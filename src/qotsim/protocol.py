@@ -21,8 +21,11 @@ in the per-row status array (the first abort of a row wins) and the row's
 later results are ignored.  Phases are driven strictly in order; an
 out-of-order call raises :class:`ProtocolOrderError`.  That is a simulator
 bug, so it propagates to the caller instead of becoming a protocol abort.
-Step 1 sets the sessions' Bob; :class:`TrialOutcome` reads any row of the
-finished state as one session, with its byte-stable message transcript.
+Step 1 is the one place a session's settings are set: Alice's input bits,
+Bob's chosen labels, Bob himself and Alice's step-4 check go on the state,
+and every later phase, like each of Bob's hooks, takes the state alone.
+:class:`TrialOutcome` reads any row of the finished state as one session,
+with its byte-stable message transcript.
 """
 
 from __future__ import annotations
@@ -221,47 +224,40 @@ class HonestBob:
 
     measures = True  # False: commit to guesses without measuring (postpone)
 
-    def removal_pool(self, state: "ProtocolState", match: np.ndarray) -> np.ndarray:
+    def removal_pool(self, state: "ProtocolState") -> np.ndarray:
         """(T, N) mask of survivor slots eligible for removal."""
-        return match if state.params.case is Case.LOW else ~match
+        return state.match_flags() if state.params.case is Case.LOW else ~state.match_flags()
 
-    def build_family(
-        self,
-        state: "ProtocolState",
-        choices: np.ndarray,
-        keys: np.ndarray,
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Return (family, claimed labels) for the (T, n) chosen-label mask.
+    def build_family(self, state: "ProtocolState") -> tuple[list[np.ndarray], np.ndarray]:
+        """Return (family, claimed labels) for the state's chosen labels.
 
         The family is a list of n (T, size) index arrays, the claimed labels
         a (T, n) mask.  Chosen subsets are uniform over all-matching sets of
         surviving matches; the rest of the survivors are distributed
-        uniformly among the remaining labels.  `keys` are the rows' (T, 2N)
-        family sort keys."""
-        N = state.params.N
-        return _legal_family(state, choices, keys[:, :N], keys[:, N:])
+        uniformly among the remaining labels."""
+        return _legal_family(state, state.chosen, state.draws.family_keys)
 
 
 def _legal_family(
     state: "ProtocolState",
     targets: np.ndarray,
-    target_keys: np.ndarray,
-    rest_keys: np.ndarray,
+    keys: np.ndarray,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Fill the `targets` labels (ascending) with surviving matches in order
-    of `target_keys`, then the other labels with the remaining survivors in
-    order of `rest_keys`.  A row with too few matches gets other slots in
-    its target subsets; Bob gives up on it in :func:`select_subsets`."""
+    of the first N of the rows' (T, 2N) `keys`, then the other labels with
+    the remaining survivors in order of the last N.  A row with too few
+    matches gets other slots in its target subsets; Bob gives up on it in
+    :func:`select_subsets`."""
     n, s = state.params.n, state.params.subset_size
     rows, N = state.removed.shape
     alive = ~state.removed
-    first = np.argsort(np.where(alive & state.match_flags(), target_keys, _LAST), axis=1)
+    first = np.argsort(np.where(alive & state.match_flags(), keys[:, :N], _LAST), axis=1)
     need = targets.sum(axis=1, keepdims=True) * s
     # the first `need` positions of `first` go to the targets, ties included
     head = int(need.max())
     picked = np.zeros(rows * N, dtype=bool)
     picked[first[:, :head] + state.offsets] = np.arange(head) < need
-    rest = np.argsort(np.where(alive & ~picked.reshape(rows, N), rest_keys, _LAST), axis=1)
+    rest = np.argsort(np.where(alive & ~picked.reshape(rows, N), keys[:, N:], _LAST), axis=1)
     # blocks 0..n-1 of a row are the first n blocks of `first`, blocks
     # n..2n-1 those of `rest`; the k-th target label (ascending) takes block
     # k, the k-th other label block n+k
@@ -287,6 +283,9 @@ class ProtocolState:
     status: np.ndarray   # (T,) index into STATUSES
     bob: HonestBob       # every row's Bob, set at step 1
     aborted_at: np.ndarray  # (T,) stage at which each row aborted, or 0
+    inputs: np.ndarray | None = None   # (T, n) Alice's input bits, set at step 1
+    chosen: np.ndarray | None = None   # (T, n) Bob's chosen labels, set at step 1
+    strict_removal: bool = False       # Alice's step-4 check, set at step 1
     stage: int = 1
     r_s: np.ndarray | None = None      # r, beta, r_b, beta_b per survivor slot
     beta_s: np.ndarray | None = None
@@ -297,8 +296,6 @@ class ProtocolState:
     family: np.ndarray | None = None   # (T, n, size), each subset sorted
     cells: np.ndarray | None = None    # family as flat positions in (T, N) arrays, (size, T, n)
     claimed: np.ndarray | None = None  # (T, n) labels Bob claims all-matching
-    inputs: np.ndarray | None = None   # (T, n) Alice's input bits
-    chosen: np.ndarray | None = None   # (T, n) Bob's chosen labels
     masked: np.ndarray | None = None   # (T, n) Alice's masked input bits, from step 6
     recovered: np.ndarray | None = None  # (T, n) Bob's unmasking of every label
 
@@ -344,19 +341,26 @@ def phase1_transmit(
     params: ProtocolParams,
     draws: Draws,
     bob: HonestBob | None = None,
+    inputs: np.ndarray | None = None,
+    chosen: np.ndarray | None = None,
+    strict_removal: bool = False,
 ) -> ProtocolState:
     """Step 1: Alice sends 2N photons per row; Bob measures each on arrival.
 
     A matching basis reproduces Alice's bit, a mismatched one gives Bob a
     fair coin; a Bob who does not measure commits to the coins alone.  The
-    state keeps `bob` (None: honest) for the later phases."""
+    state keeps the sessions' settings for the later phases: `bob` (None:
+    honest), Alice's (T, n) input bits `inputs`, Bob's (T, n) chosen-label
+    mask `chosen`, and `strict_removal`, Alice's step-4 check.  A run that
+    stops before step 5 needs no inputs or labels."""
     bob = bob or HonestBob()
     r_b = draws.coin
     if bob.measures:
         r_b = transmit_batch(draws.r, draws.beta, draws.beta_b, draws.coin)
     status = np.zeros(draws.d.shape[0], dtype=np.int8)
     return ProtocolState(params=params, draws=draws, r_b=r_b, session=CommitmentSession(),
-                         status=status, bob=bob, aborted_at=np.zeros_like(status))
+                         status=status, bob=bob, aborted_at=np.zeros_like(status),
+                         inputs=inputs, chosen=chosen, strict_removal=strict_removal)
 
 
 def phase2_challenge(state: ProtocolState) -> None:
@@ -400,12 +404,13 @@ def announce_bases(state: ProtocolState) -> None:
     state.stage = 3
 
 
-def removal_phase(state: ProtocolState, strict_removal: bool = False) -> None:
+def removal_phase(state: ProtocolState) -> None:
     """Step 4: Bob unveils and removes x slots of the over-represented kind.
 
     Low case: removed slots must match; Alice's stated check is only the
-    implication (basis equal implies bit equal).  With `strict_removal` she
-    additionally rejects any removed slot whose unveiled basis mismatches.
+    implication (basis equal implies bit equal).  With the state's
+    `strict_removal` she also rejects any removed slot whose unveiled basis
+    mismatches.
     High case: removed slots must mismatch and Alice checks exactly that.
     The removed slots of the live rows are marked in `state.removed`.
     """
@@ -415,7 +420,7 @@ def removal_phase(state: ProtocolState, strict_removal: bool = False) -> None:
     state.stage = 4
     if x == 0:
         return
-    pool = state.bob.removal_pool(state, state.match_flags())
+    pool = state.bob.removal_pool(state)
     short = pool.sum(axis=1) < x
     state.abort(short, Status.ABORT_INSUFFICIENT_MATCHES)
     keys = np.where(pool, state.draws.removal_keys, _LAST)
@@ -433,26 +438,28 @@ def removal_phase(state: ProtocolState, strict_removal: bool = False) -> None:
     same_basis = alice_beta == unveiled_beta
     if params.case is Case.LOW:
         bad = (same_basis & (alice_r != unveiled_r)).any(axis=1)
-        if strict_removal:
+        if state.strict_removal:
             bad |= ~same_basis.all(axis=1)
     else:
         bad = same_basis.any(axis=1)
     state.abort(bad, Status.ABORT_CHEAT_DETECTED)
 
 
-def select_subsets(state: ProtocolState, choices: np.ndarray) -> None:
+def select_subsets(state: ProtocolState) -> None:
     """Step 5: Bob announces n disjoint subsets of size (N-x)/n covering the
-    survivors, with the chosen ones all-matching.
+    survivors, with the state's chosen ones all-matching.
 
-    `choices` is the (T, n) chosen-label mask.  Bob gives up on a row whose
-    surviving matches cannot fill the subsets he claims.  Alice checks each
-    family's structure: count, sizes, disjointness, coverage.  The sorted
+    Bob gives up on a row whose surviving matches cannot fill the subsets he
+    claims.  Alice checks each family's structure: count, sizes,
+    disjointness, coverage.  The sorted
     (T, n, size) family goes to `state.family`; a family whose count or
     sizes are wrong aborts every row and leaves it None."""
     state._require_stage(4)
+    if state.chosen is None or state.inputs is None:
+        raise ValueError("steps 5-7 need the input bits and chosen labels given at step 1")
     params = state.params
     n, s, N = params.n, params.subset_size, params.N
-    family, claimed = state.bob.build_family(state, choices, state.draws.family_keys)
+    family, claimed = state.bob.build_family(state)
     state.claimed = claimed
     alive = ~state.removed
     matched = (state.match_flags() & alive).sum(axis=1)
@@ -481,24 +488,24 @@ def select_subsets(state: ProtocolState, choices: np.ndarray) -> None:
         (state.family + state.offsets[:, :, None]).transpose(2, 0, 1))
 
 
-def mask_bits(inputs: np.ndarray, state: ProtocolState) -> np.ndarray:
-    """Step 6: Alice sends each (T, n) input bit XORed with her raw-bit
-    parity over its subset; returns the (T, n) masked bits."""
+def mask_bits(state: ProtocolState) -> np.ndarray:
+    """Step 6: Alice sends each of the state's (T, n) input bits XORed with
+    her raw-bit parity over its subset; returns the (T, n) masked bits."""
     state._require_stage(5)
     parity = np.bitwise_xor.reduce(state.over_subsets(state.r_s), axis=2)
-    state.masked = np.asarray(inputs, dtype=np.uint8) ^ parity
+    state.masked = state.inputs ^ parity
     state.stage = 6
     return state.masked
 
 
-def decode(masked: np.ndarray, state: ProtocolState) -> np.ndarray:
-    """Step 7: Bob unmasks every label with his own measured-bit parities.
+def decode(state: ProtocolState) -> np.ndarray:
+    """Step 7: Bob unmasks every masked bit with his own measured-bit parities.
 
     Returns the (T, n) unmasked bits; they are right at every label whose
     subset is all-matching, so in particular at Bob's chosen labels."""
     state._require_stage(6)
     parity = np.bitwise_xor.reduce(state.over_subsets(state.r_bs), axis=2)
-    state.recovered = masked ^ parity
+    state.recovered = state.masked ^ parity
     state.stage = 7
     return state.recovered
 
@@ -573,16 +580,12 @@ def run_protocol(
         chosen = np.zeros(params.n, dtype=bool)
         chosen[[c - 1 for c in choices]] = True
         chosen = np.broadcast_to(chosen, (count, params.n))
-    state = phase1_transmit(params, draws, bob=bob)
-    state.inputs = draws.inputs if inputs is None else np.broadcast_to(
+    inputs = draws.inputs if inputs is None else np.broadcast_to(
         np.asarray(inputs, dtype=np.uint8), (count, params.n))
-    state.chosen = chosen
+    state = phase1_transmit(params, draws, bob, inputs, chosen, strict_removal)
     phase2_challenge(state)
     announce_bases(state)
-    if state.live().any():
-        removal_phase(state, strict_removal=strict_removal)
-    if state.live().any():
-        select_subsets(state, state.chosen)
-    if state.live().any():
-        decode(mask_bits(state.inputs, state), state)
+    for phase in (removal_phase, select_subsets, mask_bits, decode):
+        if state.live().any():
+            phase(state)
     return state if batch else TrialOutcome(state)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qotsim.adversary import Strategy
+from qotsim.adversary import DishonestRemovalBob, GreedyBob, Outcomes, Strategy
 from qotsim.channel import RandomSource, transmit_batch
 from qotsim.harness import (
     ExperimentConfig,
@@ -23,6 +23,8 @@ from qotsim.harness import (
     run_experiment,
 )
 from qotsim.params import (
+    _EVENTS,
+    Case,
     commitment_attack_bound,
     compute_x,
     correctness_epsilon,
@@ -33,6 +35,7 @@ from qotsim.params import (
     target_rate,
     validate_params,
 )
+from qotsim.protocol import draw_sessions, run_protocol
 
 
 @pytest.fixture
@@ -126,9 +129,40 @@ def test_criterion_04_honest_correctness_vs_oracle(report):
            ok, "; ".join(r[1] for r in results))
 
 
+FORCED_ROWS = 32  # engine sessions per survivor match count in criterion 5
+
+
+def _engine_tables(params):
+    """Per event, the (N+1, FORCED_ROWS) table of what the engine does in
+    sessions forced to M = 0..N survivor basis matches, FORCED_ROWS per M
+    at random slots: Bob's basis is set on both members of each pair, so
+    the pattern holds whichever member Alice's coin keeps.  Correctness is
+    an honest abort; privacy, greedy Bob learning more than m bits; dishonest
+    removal, the same for its Bob, or for greedy Bob in the high case, where
+    the two remove alike."""
+    N = params.N
+    M = np.repeat(np.arange(N + 1), FORCED_ROWS)
+    draws = draw_sessions(params, RandomSource(2027).stream(f"forced/{params.n},{params.m},{N}"),
+                          0, M.size)
+    pattern = np.random.default_rng(N).random((M.size, N)).argsort(axis=1) < M[:, None]
+    draws.beta_b[...] = draws.beta ^ (1 - pattern)
+    honest = run_protocol(params, None, None, draws)
+    assert (honest.match_flags().sum(axis=1) == M).all(), f"{params}: match counts not forced"
+    greedy = Outcomes(params.m, run_protocol(params, None, None, draws, bob=GreedyBob()))
+    removal = greedy if params.case is Case.HIGH else Outcomes(
+        params.m, run_protocol(params, None, None, draws, bob=DishonestRemovalBob()))
+    tables = {"correctness": honest.status != 0, "privacy": greedy.target_exceeded,
+              "privacy_dishonest_removal": removal.target_exceeded}
+    return {event: hits.reshape(N + 1, FORCED_ROWS) for event, hits in tables.items()}
+
+
 def test_criterion_05_oracle_brute_force_equivalence(report):
+    """The oracle equals 2^N enumeration, which checks its binomial sum; and
+    the engine, forced to each match count, hits each event exactly where
+    the oracle's predicate says, which checks the predicates."""
     checked = 0
     ok = True
+    disagree = []
     for n in range(2, 21):
         for m in range(1, n):
             for N in range(1, 21):
@@ -136,13 +170,19 @@ def test_criterion_05_oracle_brute_force_equivalence(report):
                     params = validate_params(n, m, N)
                 except Exception:
                     continue
+                tables = _engine_tables(params)
                 for event in ("correctness", "privacy", "privacy_dishonest_removal"):
                     exact = exact_failure_oracle(params, event)
                     brute = brute_force_failure_probability(params, event)
                     ok = ok and exact == brute
+                    predicate = np.asarray(_EVENTS[event](params, np.arange(N + 1)))
+                    if not (tables[event] == predicate[:, None]).all():
+                        disagree.append(f"{event}/{n},{m},{N}")
                 checked += 1
-    report(5, "oracle equals 2^N enumeration for all admissible N <= 20",
-           ok and checked > 50, f"{checked} parameter sets")
+    report(5, "oracle equals 2^N enumeration and engine events for all admissible N <= 20",
+           ok and not disagree and checked > 50,
+           f"{checked} parameter sets; engine disagrees on {len(disagree)} (set, event) "
+           f"pairs{': ' + ', '.join(disagree[:5]) if disagree else ''}")
 
 
 def test_criterion_06_bound_dominance(report):
@@ -243,8 +283,8 @@ def test_criterion_10_privacy_independence(report):
 def test_criterion_11_determinism(report):
     args = [
         ("oracle", "--n", "3", "--m", "1", "--N", "6", "--event", "correctness"),
-        ("run", "--n", "3", "--m", "1", "--N", "6", "--trials", "2000",
-         "--seed", "7", "--random-bits", "--random-choices"),
+        # no --bits or --choices: each trial draws its own
+        ("run", "--n", "3", "--m", "1", "--N", "6", "--trials", "2000", "--seed", "7"),
         ("bounds", "--n", "2", "--m", "1", "--N", "18", "--p", "0.5"),
     ]
     ok = True

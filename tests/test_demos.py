@@ -2,11 +2,13 @@
 
 A change to the engine, the oracles or the report writer must leave every
 demo's output unchanged; a demo edited on purpose updates its digest here
-and says so in CHANGES.md.
+and says so in CHANGES.md.  The README's quick start must print what its
+comments say.
 """
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +43,19 @@ def test_demo_stdout_matches_the_recorded_digest(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True,
                           timeout=120, env=env, cwd=ROOT, check=True)
     assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[demo]
+
+
+def test_readme_quick_start_prints_what_its_comment_says():
+    """The README's Python block runs, and each of its print lines writes
+    the text of the comment at the end of that line."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    expected = [line.partition("# ")[2] for line in code.splitlines()
+                if line.startswith("print(")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env, cwd=ROOT, check=True)
+    assert expected == ["Status.COMPLETED {2: 0}"]
+    assert proc.stdout.splitlines() == expected

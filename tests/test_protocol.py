@@ -167,9 +167,9 @@ def test_order_error_propagates_from_run_protocol():
     """An out-of-order phase call is a simulator bug, not a protocol abort."""
 
     class OutOfOrderBob(HonestBob):
-        def build_family(self, state, choices, keys):
+        def build_family(self, state):
             announce_bases(state)  # step 3 again, during step 5
-            return super().build_family(state, choices, keys)
+            return super().build_family(state)
 
     assert run_protocol(P316, (0, 1, 0), (2,), 5).status is Status.COMPLETED
     with pytest.raises(ProtocolOrderError):
@@ -204,8 +204,8 @@ class _BadFamilyBob(HonestBob):
     def __init__(self, mangle):
         self.mangle = mangle
 
-    def build_family(self, state, choices, keys):
-        family, claimed = super().build_family(state, choices, keys)
+    def build_family(self, state):
+        family, claimed = super().build_family(state)
         return self.mangle(family), claimed
 
 
@@ -257,15 +257,30 @@ def test_manual_phase_drive_matches_run_protocol():
     seed = 17
     auto = run_protocol(P316, (1, 0, 1), (3,), seed)
 
-    state = phase1_transmit(P316, draw_sessions(P316, RandomSource(seed), 0, 1))
+    state = phase1_transmit(P316, draw_sessions(P316, RandomSource(seed), 0, 1),
+                            inputs=np.array([[1, 0, 1]], dtype=np.uint8),
+                            chosen=np.array([[False, False, True]]))
     phase2_challenge(state)
     announce_bases(state)
     removal_phase(state)
-    select_subsets(state, np.array([[False, False, True]]))
-    masked = mask_bits([(1, 0, 1)], state)
-    recovered = {3: int(decode(masked, state)[0, 2])}
+    select_subsets(state)
+    mask_bits(state)
+    recovered = {3: int(decode(state)[0, 2])}
     assert auto.status is Status.COMPLETED
     assert recovered == auto.recovered
+
+
+def test_step5_refuses_a_state_without_inputs_or_labels():
+    """Step 1 may leave the inputs and labels out (a run that stops at step
+    2 needs neither), but step 5 names what is missing."""
+    for kwargs in ({}, {"inputs": np.zeros((1, 3), dtype=np.uint8)},
+                      {"chosen": np.array([[False, True, False]])}):
+        state = phase1_transmit(P316, draw_sessions(P316, RandomSource(17), 0, 1), **kwargs)
+        phase2_challenge(state)
+        announce_bases(state)
+        removal_phase(state)
+        with pytest.raises(ValueError, match="input bits and chosen labels"):
+            select_subsets(state)
 
 
 @settings(max_examples=30, deadline=None)

@@ -106,8 +106,8 @@ def test_rows_match_the_recorded_digest(case):
 class _RepeatingBob(HonestBob):
     """Announces his first subset n times: right count and sizes, not disjoint."""
 
-    def build_family(self, state, choices, keys):
-        family, claimed = super().build_family(state, choices, keys)
+    def build_family(self, state):
+        family, claimed = super().build_family(state)
         return [family[0]] * len(family), claimed
 
 
@@ -148,13 +148,16 @@ def test_transcript_matches_the_recorded_digest(case):
 
 @pytest.mark.parametrize("case", TRANSCRIPTS)
 def test_transcript_lines_read_back_as_its_records(case):
-    """to_jsonl encodes the whole list at once and cuts it between records;
-    each line must still be exactly one record."""
+    """Each message's line is written from a template, not by json.dumps; it
+    must still be exactly the compact JSON of the record it reads back as,
+    and the records must be numbered 0, 1, 2, ... in order."""
     nmN, bob, strict, seed, *_ = TRANSCRIPTS[case]
     outcome = run_protocol(validate_params(*nmN), None, None, seed, bob=bob(), strict_removal=strict)
     lines = outcome.transcript.to_jsonl().decode("utf-8").split("\n")
     assert lines[-1] == ""
-    assert [json.loads(line) for line in lines[:-1]] == outcome.transcript.records
+    for line in lines[:-1]:
+        assert line == json.dumps(json.loads(line), separators=(",", ":"))
+    assert [record["seq"] for record in outcome.transcript.records] == list(range(len(lines) - 1))
 
 
 # The stdout of one CLI command per report shape, byte for byte: case ->
