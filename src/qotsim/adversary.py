@@ -22,6 +22,7 @@ from .channel import RandomSource
 from .params import (
     Case,
     ProtocolParams,
+    _is_int,
     check_cheat_probability,
     commitment_attack_bound,
     correctness_epsilon,
@@ -195,6 +196,8 @@ def commit_cheat_trials(params: ProtocolParams, p: float, trials: int,
     """Count of commit-cheat successes over trials 0 .. `trials`-1 of `rng`'s
     stream: the trials' rows of the commit-cheat runner, drawn at once."""
     check_cheat_probability(p)
+    if not (_is_int(trials) and trials >= 0):
+        raise ValueError(f"trials must be an int >= 0, got {trials!r}")
     return int(_forgeries_accepted(params, p, rng, 0, trials).sum())
 
 
@@ -259,5 +262,5 @@ def run_with_adversary(
     batched runner.  Fixed `inputs` and `choices` must pass
     :func:`~qotsim.protocol.check_inputs`; None draws them from the trial."""
     check_inputs(params.n, params.m, inputs, choices)
-    root = seed if isinstance(seed, RandomSource) else RandomSource(int(seed))
+    root = seed if isinstance(seed, RandomSource) else RandomSource(seed)
     return STRATEGIES[strategy.kind].run(params, strategy, root, 0, 1, inputs, choices)

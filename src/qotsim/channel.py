@@ -15,6 +15,8 @@ from enum import Enum
 
 import numpy as np
 
+from .params import _is_integer
+
 
 class Basis(Enum):
     """Photon polarization basis: rectilinear (H/V) or diagonal (+/-45 deg)."""
@@ -50,12 +52,15 @@ class RandomSource:
     drawn in, and no generator is built per trial.  :attr:`gen` is a
     separate sequential generator for scalar draws (:meth:`bit`,
     :meth:`bits`); a single one must not be shared across concurrent
-    consumers.  The seed must fit in a signed 64-bit word.
+    consumers.  The seed is an int or a numpy integer (not a bool) that
+    fits in a signed 64-bit word.
     """
 
     __slots__ = ("seed", "_digest", "_gen")
 
     def __init__(self, seed: int, _digest: bytes | None = None):
+        if not _is_integer(seed):
+            raise ValueError(f"seed must be an int, got {seed!r}")
         self.seed = int(seed)
         if not -2**63 <= self.seed < 2**63:
             raise ValueError(f"seed must be in [-2**63, 2**63 - 1], got {self.seed}")
@@ -89,10 +94,14 @@ class RandomSource:
 
         `width` must be a multiple of 4: Philox's counter steps over 4
         words, so :meth:`numpy.random.Philox.advance` can seek to row
-        `start` exactly.
+        `start` exactly.  `start` and `count` are ints (or numpy integers)
+        >= 0.
         """
         if width % 4:
             raise ValueError(f"block width must be a multiple of 4, got {width}")
+        for name, value in (("start", start), ("count", count)):
+            if not (_is_integer(value) and value >= 0):
+                raise ValueError(f"block {name} must be an int >= 0, got {value!r}")
         philox = np.random.Philox(key=self.key).advance(int(start) * width // 4)
         return philox.random_raw(count * width).reshape(count, width)
 

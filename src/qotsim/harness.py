@@ -36,6 +36,7 @@ from .channel import RandomSource
 from .params import (
     _EVENTS,
     ProtocolParams,
+    _is_int,
     case_of,
     commitment_attack_bound,
     correctness_epsilon,
@@ -71,10 +72,8 @@ class ExperimentConfig:
     choices: tuple[int, ...] | None = None   # None: fresh random choices per trial
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_run("trials", self.trials, self.seed)
         check_inputs(self.n, self.m, self.bits, self.choices)
-        RandomSource(self.seed)  # refuses a seed outside the signed 64-bit range
         if self.strategy.kind == "dishonest-removal":
             DishonestRemovalBob.check_case(case_of(self.n, self.m))
 
@@ -107,6 +106,18 @@ class Verdict:
     relation: str  # "within_3sigma" | "le" | "eq"
     passed: bool
     tolerance: float | None = None
+
+
+def _check_run(name: str, trials: int, seed: int) -> None:
+    """Refuse a trial count `name` that is not an int >= 1, or a seed that is
+    not an int (a report echoes it) within a signed 64-bit word."""
+    if not _is_int(trials):
+        raise ValueError(f"{name} must be an int, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"{name} must be >= 1, got {trials!r}")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    RandomSource(seed)  # refuses a seed outside the signed 64-bit range
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -278,11 +289,9 @@ def chi2_contingency(table):
 
 
 def check_privacy_test(trials_per_choice: int, seed: int) -> None:
-    """Refuse a privacy test that cannot run: fewer than one trial per choice
-    vector or a seed outside 64 bits."""
-    if trials_per_choice < 1:
-        raise ValueError(f"trials_per_choice must be >= 1, got {trials_per_choice}")
-    RandomSource(seed)
+    """Refuse a privacy test that cannot run: a trial count per choice vector
+    that is not an int >= 1, or a seed that is not an int within 64 bits."""
+    _check_run("trials_per_choice", trials_per_choice, seed)
 
 
 def privacy_independence_test(

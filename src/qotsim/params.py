@@ -48,6 +48,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_choice_count(n: int, m: int) -> None:
     if not (_is_int(n) and _is_int(m)):
         raise InvalidChoiceCount(f"n and m must be integers, got n={n!r}, m={m!r}")

@@ -14,13 +14,19 @@ block of words (:func:`draw_sessions`), so row k of any batch is exactly the
 single-session run of trial k.  Bob commits to index i as ids 4i (bit) and
 4i+1 (basis), to index N+i as 4i+2 and 4i+3; so with Alice's coin d_i the
 challenged ids of pair i are 4i + 2d_i (+1), and survivor slot i keeps
-index i + N(1 - d_i), ids 4i + 2(1 - d_i) (+1).  Every unveil goes through
-the batch ledger (:class:`CommitmentSession`).  Per-slot arrays are (T, N);
-row-wise gathers index them flat, at ``t*N + slot``.  An abort is recorded
-in the per-row status array (the first abort of a row wins) and the row's
-later results are ignored.  Phases are driven strictly in order; an
-out-of-order call raises :class:`ProtocolOrderError`.  That is a simulator
-bug, so it propagates to the caller instead of becoming a protocol abort.
+index i + N(1 - d_i), ids 4i + 2(1 - d_i) (+1).  Commitments are ideal:
+Alice sees only ids until an unveil, and an unveil can only open the
+committed value.  So at step 2 she reads the challenged bits and bases from
+Bob's own arrays (``r_b`` and ``beta_b``), and the kept ones stay sealed,
+by survivor slot, in a :class:`CommitmentSession` over his survivor-slot
+arrays, not a copy, until step 4 opens the removed slots.  A forged unveil
+belongs to the commit-cheat strategy, which runs no engine.
+Per-slot arrays are (T, N); row-wise gathers index them flat, at
+``t*N + slot``.  An abort is recorded in the per-row status array (the
+first abort of a row wins) and the row's later results are ignored.
+Phases are driven strictly in order; an out-of-order call raises
+:class:`ProtocolOrderError`.  That is a simulator bug, so it propagates to
+the caller instead of becoming a protocol abort.
 Step 1 is the one place a session's settings are set: Alice's input bits,
 Bob's chosen labels, Bob himself and Alice's step-4 check go on the state,
 and every later phase, like each of Bob's hooks, takes the state alone.
@@ -95,7 +101,7 @@ class TrialOutcome:
     `recovered` maps each chosen label, ascending, to Bob's unmasked bit
     (empty unless completed).  `detail` carries ground truth used by
     verification code: the survivor match flags and count, the removed
-    slots, the commitment count and, for a completed row, the announced
+    slots, the commitment count (4N) and, for a completed row, the announced
     family, Bob's claimed labels and the truly all-matching labels.
     `transcript` is the row's messages up to the step where it aborted."""
 
@@ -114,7 +120,7 @@ class TrialOutcome:
         state, k = self.state, self.row
         match = state.match_flags()[k]
         detail = {"matches": int(match.sum()), "match": match, "removed": state.removed[k],
-                  "commitments": len(state.session)}
+                  "commitments": 4 * state.params.N}
         if self.status is Status.COMPLETED:
             detail["family"] = list(state.family[k])
             detail["claimed"] = tuple((np.flatnonzero(state.claimed[k]) + 1).tolist())
@@ -279,7 +285,7 @@ class ProtocolState:
     params: ProtocolParams
     draws: Draws         # Alice's raw bits and bases, Bob's bases, the keys
     r_b: np.ndarray      # Bob's measured (or guessed) bits, (2, T, N) as in Draws
-    session: CommitmentSession
+    session: CommitmentSession  # r_bs and beta_bs, sealed at step 2
     status: np.ndarray   # (T,) index into STATUSES
     bob: HonestBob       # every row's Bob, set at step 1
     aborted_at: np.ndarray  # (T,) stage at which each row aborted, or 0
@@ -364,19 +370,12 @@ def phase1_transmit(
 
 
 def phase2_challenge(state: ProtocolState) -> None:
-    """Step 2: commit, challenge one of each (i, N+i) pair, keep the other."""
+    """Step 2: Bob commits to his 2N measured bits and bases; Alice
+    challenges one index of each (i, N+i) pair, which Bob unveils, and keeps
+    the other, whose bit and basis stay sealed in `state.session`.  A
+    challenged index whose unveiled basis is Alice's but whose bit is not is
+    a detected cheat."""
     state._require_stage(1)
-    N = state.params.N
-    # commitment order per pair: r'_i, beta'_i, r'_{N+i}, beta'_{N+i}, so the
-    # fresh ledger's ids of index i are 4i, 4i+1 and of index N+i 4i+2, 4i+3
-    r, beta, r_b, beta_b = state.draws.r, state.draws.beta, state.r_b, state.draws.beta_b
-    vals = np.empty((state.rows, 4 * N), dtype=np.uint8)
-    vals[:, 0::4] = r_b[0]
-    vals[:, 1::4] = beta_b[0]
-    vals[:, 2::4] = r_b[1]
-    vals[:, 3::4] = beta_b[1]
-    state.session.commit_many(vals)
-
     # d = 1: pair i's challenged index is N+i and slot i keeps index i;
     # d = 0: the other way round
     d = state.draws.d
@@ -386,13 +385,12 @@ def phase2_challenge(state: ProtocolState) -> None:
         flip = (a[0] ^ a[1]) & d
         return a[0] ^ flip, a[1] ^ flip
 
-    cid_r = 4 * np.arange(N) + 2 * d  # the beta' commitment is the next id
-    unveiled_r = state.session.unveil_many(cid_r)
-    unveiled_beta = state.session.unveil_many(cid_r + 1)
-    (r_c, state.r_s), (beta_c, state.beta_s) = split(r), split(beta)
-    state.r_bs, state.beta_bs = split(r_b)[1], split(beta_b)[1]
+    (r_c, state.r_s), (beta_c, state.beta_s) = split(state.draws.r), split(state.draws.beta)
+    (unveiled_r, state.r_bs), (unveiled_beta, state.beta_bs) = (
+        split(state.r_b), split(state.draws.beta_b))
+    state.session.commit_many((state.r_bs, state.beta_bs))
     violation = (beta_c == unveiled_beta) & (r_c != unveiled_r)
-    state.removed = np.zeros((state.rows, N), dtype=bool)
+    state.removed = np.zeros(d.shape, dtype=bool)
     state.stage = 2
     state.abort(violation.any(axis=1), Status.ABORT_CHEAT_DETECTED)
 
@@ -424,13 +422,10 @@ def removal_phase(state: ProtocolState) -> None:
     short = pool.sum(axis=1) < x
     state.abort(short, Status.ABORT_INSUFFICIENT_MATCHES)
     keys = np.where(pool, state.draws.removal_keys, _LAST)
-    removed_slots = np.sort(np.argsort(keys, axis=1)[:, :x], axis=1)
-    cells = removed_slots + state.offsets  # flat positions in (T, N) arrays
-    # slot j keeps index j + N(1 - d_j), whose r' and beta' ids are
-    # 4j + 2(1 - d_j) and the next
-    cid_r = 4 * removed_slots + 2 - 2 * state.draws.d.ravel()[cells]
-    unveiled_r = state.session.unveil_many(cid_r)
-    unveiled_beta = state.session.unveil_many(cid_r + 1)
+    # flat positions in (T, N) arrays of each row's x removed slots, unordered
+    cells = np.argsort(keys, axis=1)[:, :x] + state.offsets
+    # Bob unveils the bit and basis of each removed slot's kept index
+    unveiled_r, unveiled_beta = state.session.unveil_many(cells)
     alice_beta = state.beta_s.reshape(-1)[cells]
     alice_r = state.r_s.reshape(-1)[cells]
     # a row that has aborted (too short to remove x slots, say) removed nothing
@@ -475,17 +470,19 @@ def select_subsets(state: ProtocolState) -> None:
     if fam.min() < 0 or fam.max() >= N:
         in_range = ((fam >= 0) & (fam < N)).all(axis=(1, 2))
         fam = np.clip(fam, 0, N - 1)
-    hits = np.bincount((fam + state.offsets[:, :, None]).reshape(-1), minlength=alive.size)
+    fam.sort(axis=2)  # a fresh array: Bob's own subsets are left as sent
+    cells = fam + state.offsets[:, :, None]
+    hits = np.bincount(cells.reshape(-1), minlength=alive.size)
     legal = in_range & (hits.reshape(alive.shape) == alive).all(axis=1)
     if not legal.all():
         state.abort(~legal, Status.ABORT_INVALID_MESSAGE)
         # an illegal family may index outside the row; later gathers read a
         # stand-in family on rows that aborted here
         fam[~legal] = np.arange(n * s).reshape(n, s)
-    state.family = np.sort(fam, axis=2)
+        cells = fam + state.offsets[:, :, None]
+    state.family = fam
     # (size, T, n), so that reductions over a subset run along whole rows
-    state.cells = np.ascontiguousarray(
-        (state.family + state.offsets[:, :, None]).transpose(2, 0, 1))
+    state.cells = np.ascontiguousarray(cells.transpose(2, 0, 1))
 
 
 def mask_bits(state: ProtocolState) -> np.ndarray:
@@ -564,7 +561,7 @@ def run_protocol(
     check_inputs(params.n, params.m, inputs, None if np.ndim(choices) == 2 else choices)
     batch = isinstance(seed, Draws)
     draws = seed if batch else draw_sessions(
-        params, seed if isinstance(seed, RandomSource) else RandomSource(int(seed)), 0, 1)
+        params, seed if isinstance(seed, RandomSource) else RandomSource(seed), 0, 1)
     count, n = draws.inputs.shape
     if (n, draws.d.shape[1]) != (params.n, params.N):
         raise ValueError(f"draws are cut for n={n}, N={draws.d.shape[1]}, "

@@ -149,6 +149,24 @@ def test_commit_cheat_success_rate():
     assert _within_3sigma(out.target_exceeded.mean(), q, trials)
 
 
+@pytest.mark.parametrize("trials", [-3, 2.5, True])
+def test_commit_cheat_trials_refuses_a_bad_trial_count(trials):
+    with pytest.raises(ValueError, match=f"trials must be an int >= 0, got {trials!r}"):
+        commit_cheat_trials(P4140, 0.5, trials, RandomSource(0))
+
+
+def test_commit_cheat_trials_of_no_trials_is_zero():
+    assert commit_cheat_trials(P4140, 0.5, 0, RandomSource(0)) == 0
+
+
+@pytest.mark.parametrize("seed", [1.7, "7", True])
+def test_single_session_runners_refuse_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(ValueError, match="seed must be an int"):
+        run_protocol(P316, None, None, seed)
+    with pytest.raises(ValueError, match="seed must be an int"):
+        run_with_adversary(Strategy("greedy"), P216, None, None, seed)
+
+
 def test_commit_cheat_trials_vectorized_consistent():
     p, trials = 0.5, 200000
     hits = commit_cheat_trials(P4140, p, trials, RandomSource(33))

@@ -67,6 +67,28 @@ def test_block_start_may_be_a_numpy_integer():
     assert np.array_equal(rng.block(8, np.int64(3), 2), rng.block(8, 3, 2))
 
 
+@pytest.mark.parametrize("seed", [1.5, "7", True, None])
+def test_random_source_seed_must_be_an_int(seed):
+    """A float, str or bool is refused, not truncated or parsed into a seed."""
+    with pytest.raises(ValueError, match=f"seed must be an int, got {seed!r}"):
+        RandomSource(seed)
+
+
+def test_random_source_seed_may_be_a_numpy_integer():
+    assert RandomSource(np.int64(7)).seed == 7
+    assert np.array_equal(RandomSource(np.uint32(7)).block(8, 0, 2),
+                          RandomSource(7).block(8, 0, 2))
+
+
+@pytest.mark.parametrize("start, count, name", [
+    (-1, 2, "start"), (0, -1, "count"), (np.int64(-3), 1, "start"),
+    (1.5, 2, "start"), (0, 2.0, "count"), (True, 2, "start"), (0, True, "count"),
+])
+def test_block_refuses_a_start_or_count_that_is_not_an_int_at_least_0(start, count, name):
+    with pytest.raises(ValueError, match=f"block {name} must be an int >= 0"):
+        RandomSource(1).block(8, start, count)
+
+
 def test_random_source_streams_differ():
     root = RandomSource(42)
     a = root.stream("alice").bits(100)

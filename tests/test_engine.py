@@ -183,6 +183,38 @@ def test_batch_transcripts_match_the_recorded_digest(case):
     assert digest.hexdigest()[:16] == BATCH_TRANSCRIPTS[case]
 
 
+@pytest.mark.parametrize("case", BATCH_TRANSCRIPTS)
+def test_every_unveil_opens_a_distinct_committed_id(case):
+    """Commitments are ideal, so nothing but the transcript shows what Bob
+    opens.  In every row: the unveil ids are distinct committed ids in
+    0..4N-1; step 2 opens ids 4i + 2d_i (+1) and step 4 ids 4j + 2(1 - d_j)
+    (+1), which never meet; a row past step 4 opens exactly x slots."""
+    label, _, nmN = case.partition("/")
+    bob, strict = BOBS[label]
+    params = validate_params(*(int(v) for v in nmN.split(",")))
+    state = run_protocol(params, None, None,
+                         draw_sessions(params, RandomSource(2028).stream(label), 0, ROWS),
+                         bob=bob(), strict_removal=strict)
+    N, x = params.N, params.x
+    slots = np.arange(N)
+    for k in range(state.rows):
+        records = TrialOutcome(state, k).transcript.records
+        committed = {r["payload"]["id"] for r in records if r["kind"] == "commit"}
+        opened = {step: [r["payload"]["id"] for r in records
+                         if r["kind"] == "unveil" and r["step"] == step] for step in (2, 4)}
+        ids = opened[2] + opened[4]
+        assert committed == set(range(4 * N)), k
+        assert len(set(ids)) == len(ids) and set(ids) <= committed, k
+        d = state.draws.d[k]
+        challenged = 4 * slots + 2 * d
+        assert sorted(opened[2]) == sorted([*challenged, *(challenged + 1)]), k
+        kept = 4 * slots + 2 * (1 - d)
+        assert not set(opened[4]) & {*challenged, *(challenged + 1)}, k
+        assert set(opened[4]) <= {*kept, *(kept + 1)}, k
+        if state.status[k] == 0 or state.aborted_at[k] > 4:
+            assert len(opened[4]) == 2 * x, k
+
+
 def test_batches_cover_every_trial_and_shrink_at_large_N():
     assert list(chunks(CHUNK + 1, validate_params(4, 1, 40))) == [(0, CHUNK), (CHUNK, 1)]
     large = validate_params(4, 1, 1000)

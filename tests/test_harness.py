@@ -29,6 +29,7 @@ from qotsim.harness import (
     all_verdicts_pass,
     brute_force_failure_probability,
     check_bounds,
+    check_privacy_test,
     chi2_contingency,
     emit_report,
     exact_failure_oracle,
@@ -206,6 +207,13 @@ def test_run_experiment_validates_params():
         ("choices", (1.0,)),     # not an int
         ("seed", 2**63),         # past a signed 64-bit word
         ("seed", -2**63 - 1),
+        ("trials", 0),
+        ("trials", True),        # a bool is not a count
+        ("trials", 2.5),
+        ("seed", 1.5),           # not an int: the report echoes the seed as given
+        ("seed", "7"),
+        ("seed", True),
+        ("seed", np.int64(7)),   # a report cannot write a numpy integer
     ],
 )
 def test_experiment_config_rejects_bad_inputs(field, value):
@@ -397,11 +405,19 @@ def test_privacy_report_without_empty_vectors_has_no_untestable_fields():
 @pytest.mark.parametrize("kwargs, name", [
     ({"trials_per_choice": 0}, "trials_per_choice"),
     ({"trials_per_choice": -3}, "trials_per_choice"),
+    ({"trials_per_choice": True}, "trials_per_choice"),
+    ({"trials_per_choice": 2.5}, "trials_per_choice"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": "7"}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"seed": 2**63}, "seed"),
 ])
 def test_privacy_independence_rejects_bad_arguments(kwargs, name):
     args = {"trials_per_choice": 10, "seed": 1} | kwargs
     with pytest.raises(ValueError, match=name):
         privacy_independence_test(P316, **args)
+    with pytest.raises(ValueError, match=name):
+        check_privacy_test(**args)
 
 
 def _privacy_by_vector(params, trials, seed, leaky):

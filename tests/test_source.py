@@ -36,6 +36,12 @@ def _imports(tree: ast.AST):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
+def test_every_exported_name_exists():
+    """A name left in `__all__` after its module or class is gone would only
+    fail at a caller's star import."""
+    assert [name for name in qotsim.__all__ if not hasattr(qotsim, name)] == []
+
+
 def test_no_module_imports_scipy_stats():
     """scipy.stats costs ~66 MB of memory; the package does its chi-square in
     numpy and needs only scipy.special."""
