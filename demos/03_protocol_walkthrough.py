@@ -31,11 +31,13 @@ print("ground truth:", {c: alice_bits[c - 1] for c in bob_choice})
 ###############################################################################
 # What Alice saw.  The announced family of subsets is all she learns about
 # Bob's choice -- and it is placed uniformly, so it tells her nothing.
+# The ground truth beside it is read from the session's state, at its row.
 
-detail = outcome.detail
-print("\nsurvivor basis matches:", detail["matches"], "of", params.N)
-print("announced subsets:     ", [f.tolist() for f in detail["family"]])
-print("all-matching labels:   ", detail["all_matching_labels"])
+state, row = outcome.state, outcome.row
+print("\nsurvivor basis matches:", int(state.match[row].sum()), "of", params.N)
+print("announced subsets:     ", state.family[row].tolist())
+print("all-matching labels:   ", tuple(
+    label for label, ok in enumerate(state.all_matching()[row], 1) if ok))
 
 ###############################################################################
 # The transcript: message counts per step, and the first few records.

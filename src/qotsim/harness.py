@@ -37,7 +37,6 @@ from .params import (
     _EVENTS,
     ProtocolParams,
     _is_int,
-    case_of,
     commitment_attack_bound,
     correctness_epsilon,
     exact_failure_oracle,  # re-exported: the oracle lives in params
@@ -60,7 +59,8 @@ PRIVACY_SIGNIFICANCE = 0.001  # the privacy test's family-wise level, before Bon
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: parameter set, trial count, seed, strategy, IO modes."""
+    """One experiment: parameter set, trial count, seed, strategy, IO modes.
+    Its validated (n, m, N) are kept as `params`, outside the dataclass fields."""
 
     n: int
     m: int
@@ -72,10 +72,11 @@ class ExperimentConfig:
     choices: tuple[int, ...] | None = None   # None: fresh random choices per trial
 
     def __post_init__(self):
+        object.__setattr__(self, "params", validate_params(self.n, self.m, self.N))
         _check_run("trials", self.trials, self.seed)
         check_inputs(self.n, self.m, self.bits, self.choices)
         if self.strategy.kind == "dishonest-removal":
-            DishonestRemovalBob.check_case(case_of(self.n, self.m))
+            DishonestRemovalBob.check_case(self.params.case)
 
 
 @dataclass
@@ -177,7 +178,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateStats:
     phase).  Trial k of the experiment is trial k of the stream
     ``RandomSource(seed).stream("trials")``.
     """
-    params = validate_params(config.n, config.m, config.N)
+    params = config.params
     rng = RandomSource(config.seed).stream("trials")
     strategy = config.strategy
     spec = STRATEGIES[strategy.kind]

@@ -11,6 +11,7 @@ N > ln(2)/delta^2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -125,10 +126,13 @@ def validate_params(n: int, m: int, N: int) -> ProtocolParams:
     )
 
 
-def smallest_valid_N(n: int, m: int, floor: int = 1) -> int:
-    """Least admissible N >= floor.  Always terminates: admissibility is periodic."""
+def smallest_valid_N(n: int, m: int, floor: float = 1) -> int:
+    """Least admissible N >= floor, any finite real (a bool or str is refused).
+    Always terminates: admissibility is periodic."""
+    if isinstance(floor, bool) or not isinstance(floor, numbers.Real):
+        raise ValueError(f"floor must be a real number, got {floor!r}")
     try:
-        N = max(1, int(floor))
+        N = max(1, math.ceil(floor))
     except (ValueError, OverflowError) as exc:  # NaN, +-inf
         raise ValueError(f"floor must be a finite number, got {floor!r}") from exc
     while True:
@@ -327,12 +331,9 @@ class BoundReport:
 
 
 def _bound_form(delta: Fraction) -> str:
-    """Closed form of the raw tail bound, with exact rational exponent rate 2*delta^2."""
-    num, den = 2 * delta.numerator**2, delta.denominator**2
-    g = math.gcd(num, den)
-    if num == g:
-        return f"2*exp(-N/{den // g})"
-    return f"2*exp(-{num // g}*N/{den // g})"
+    """Closed form of the raw tail bound, exponent rate 2*delta^2.  Every
+    deviation is 1/(2k) (k = 2n-2m-1 low, 2m+1 high), so the rate is 1/(2k^2)."""
+    return f"2*exp(-N/{delta.denominator**2 // 2})"
 
 
 def build_bound_report(

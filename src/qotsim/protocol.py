@@ -30,8 +30,8 @@ the caller instead of becoming a protocol abort.
 Step 1 is the one place a session's settings are set: Alice's input bits,
 Bob's chosen labels, Bob himself and Alice's step-4 check go on the state,
 and every later phase, like each of Bob's hooks, takes the state alone.
-:class:`TrialOutcome` reads any row of the finished state as one session,
-with its byte-stable message transcript.
+:class:`TrialOutcome` reads any row of the state as one session, up to the
+step the state has reached, with its byte-stable message transcript.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .channel import RandomSource, transmit_batch
 from .commitment import CommitmentSession
-from .params import Case, ProtocolParams
+from .params import Case, ProtocolParams, _is_integer
 
 # Sessions per batch in Monte Carlo experiments: large enough that the
 # per-phase Python overhead is a small share.  A batch's arrays grow as
@@ -95,43 +95,33 @@ class Transcript:
 
 
 class TrialOutcome:
-    """Row `row` of a finished :class:`ProtocolState`, read as one session.
-
-    `status` is the row's :class:`Status`; the rest is built on first read.
-    `recovered` maps each chosen label, ascending, to Bob's unmasked bit
-    (empty unless completed).  `detail` carries ground truth used by
-    verification code: the survivor match flags and count, the removed
-    slots, the commitment count (4N) and, for a completed row, the announced
-    family, Bob's claimed labels and the truly all-matching labels.
-    `transcript` is the row's messages up to the step where it aborted."""
+    """Row `row` (an int or numpy integer in [0, T)) of a :class:`ProtocolState`,
+    read as one session up to the step the state has reached, so a run that
+    stopped early (postpone Bob's two steps, or phases driven by hand) reads
+    too.  `status` is the row's :class:`Status`; the rest is built on first
+    read.  `recovered` maps each chosen label, ascending, to Bob's unmasked
+    bit (empty unless the row completed step 7); `transcript` holds the row's
+    messages up to its abort or the state's stage.  Ground truth (match
+    flags, removed slots, family, claimed labels) is the state's at `row`."""
 
     def __init__(self, state: ProtocolState, row: int = 0):
-        self.state, self.row = state, row
-        self.status = STATUSES[state.status[row]]
+        if not (_is_integer(row) and 0 <= row < state.rows):
+            raise ValueError(f"row must be an int in [0, {state.rows}), got {row!r}")
+        self.state, self.row = state, int(row)
+        self.status = STATUSES[state.status[self.row]]
 
     @cached_property
     def recovered(self) -> dict[int, int]:
         state, k = self.state, self.row
-        chosen = np.flatnonzero(state.chosen[k]) if self.status is Status.COMPLETED else ()
+        done = self.status is Status.COMPLETED and state.stage == 7
+        chosen = np.flatnonzero(state.chosen[k]) if done else ()
         return {int(c) + 1: int(state.recovered[k, c]) for c in chosen}
-
-    @cached_property
-    def detail(self) -> dict:
-        state, k = self.state, self.row
-        match = state.match_flags()[k]
-        detail = {"matches": int(match.sum()), "match": match, "removed": state.removed[k],
-                  "commitments": 4 * state.params.N}
-        if self.status is Status.COMPLETED:
-            detail["family"] = list(state.family[k])
-            detail["claimed"] = tuple((np.flatnonzero(state.claimed[k]) + 1).tolist())
-            detail["all_matching_labels"] = tuple(
-                (np.flatnonzero(match[state.family[k]].all(axis=1)) + 1).tolist())
-        return detail
 
     @cached_property
     def transcript(self) -> Transcript:
         state, k, lines = self.state, self.row, []
         N, d = state.params.N, state.draws.d[k].tolist()
+        last = int(state.aborted_at[k]) or state.stage  # the last step the row took
         # commitment id 4i + 2h + b holds (r_b, beta_b)[b][h][k, i]
         committed = np.stack([state.r_b[:, k], state.draws.beta_b[:, k]]).T.ravel().tolist()
 
@@ -148,12 +138,13 @@ class TrialOutcome:
         for i in range(N):
             send(2, "A", "challenge", f'"i":{i},"d":{d[i]}')
             unveil(2, 4 * i + 2 * d[i])
-        if state.aborted_at[k] != 2:
+        if last >= 3:
             send(3, "A", "bases", f'"bases":{_compact(state.beta_s[k].tolist())}')
-            # slot j keeps index j + N(1 - d_j)
+            # slot j keeps index j + N(1 - d_j); nothing is removed before step 4
             unveil(4, *(4 * j + 2 - 2 * d[j] for j in np.flatnonzero(state.removed[k]).tolist()))
-            if self.status is Status.COMPLETED:
-                send(5, "B", "subsets", f'"subsets":{_compact(state.family[k].tolist())}')
+        if self.status is Status.COMPLETED and last >= 5:
+            send(5, "B", "subsets", f'"subsets":{_compact(state.family[k].tolist())}')
+            if last >= 6:
                 send(6, "A", "masked_bits", f'"bits":{_compact(state.masked[k].tolist())}')
         return Transcript([f'{{"seq":{seq},{line}}}}}' for seq, line in enumerate(lines)])
 

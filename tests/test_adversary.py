@@ -197,8 +197,8 @@ def test_leaky_bob_placement_is_deterministic():
         if outcome.status is not Status.COMPLETED:
             continue
         seen += 1
-        match, removed = outcome.detail["match"], outcome.detail["removed"]
-        family = outcome.detail["family"]
+        state, k = outcome.state, outcome.row
+        match, removed, family = state.match[k], state.removed[k], state.family[k]
         matched = np.sort(np.flatnonzero(match & ~removed))
         assert np.array_equal(family[2], matched[: P316.subset_size])
     assert seen > 100

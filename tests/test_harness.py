@@ -214,11 +214,15 @@ def test_run_experiment_validates_params():
         ("seed", "7"),
         ("seed", True),
         ("seed", np.int64(7)),   # a report cannot write a numpy integer
+        ("N", {"n": 2, "N": 7}),  # a set the engine refuses: several fields at once
+        ("n", {"n": 0, "m": 5, "N": -1}),
+        ("N", 6.0),
     ],
 )
 def test_experiment_config_rejects_bad_inputs(field, value):
+    fields = value if isinstance(value, dict) else {field: value}
     with pytest.raises(ValueError, match=field):
-        ExperimentConfig(**{"n": 3, "m": 1, "N": 6, "trials": 10, "seed": 0, field: value})
+        ExperimentConfig(**{"n": 3, "m": 1, "N": 6, "trials": 10, "seed": 0, **fields})
 
 
 @pytest.mark.parametrize("choices", [(np.int64(2),), (1.0,)])

@@ -109,15 +109,19 @@ def test_smallest_valid_N():
     assert smallest_valid_N(4, 1) == 5
     assert smallest_valid_N(2, 1, floor=4) == 6
     assert smallest_valid_N(4, 1, floor=36) == 40
+    assert smallest_valid_N(4, 1, floor=5.5) == 10  # a fractional floor rounds up
+    assert smallest_valid_N(4, 1, floor=Fraction(9, 2)) == 5
 
 
 @settings(max_examples=100, deadline=None)
-@given(nm=nm_pairs, floor=st.integers(min_value=1, max_value=50))
+@given(nm=nm_pairs, floor=st.integers(min_value=1, max_value=50)
+       | st.floats(min_value=-5, max_value=50))
 def test_smallest_valid_N_is_least_admissible(nm, floor):
     n, m = nm
     N = smallest_valid_N(n, m, floor)
+    assert N >= floor
     validate_params(n, m, N)
-    for k in range(floor, N):
+    for k in range(max(1, math.ceil(floor)), N):
         with pytest.raises(InvalidN):
             validate_params(n, m, k)
 
@@ -196,6 +200,9 @@ def test_smallest_valid_N_refuses_a_floor_that_is_not_finite():
             smallest_valid_N(2, 1, bad)
     assert smallest_valid_N(2, 1, 4.5) == smallest_valid_N(2, 1, 4) == 6
     assert smallest_valid_N(2, 1, -7.0) == 3
+    for bad in (True, "5"):
+        with pytest.raises(ValueError, match="floor must be a real number"):
+            smallest_valid_N(2, 1, bad)
 
 
 def test_commitment_attack_bound_values():

@@ -106,16 +106,16 @@ def test_abort_reports_insufficient_matches():
     assert statuses == {Status.COMPLETED, Status.ABORT_INSUFFICIENT_MATCHES}
 
 
-def test_detail_carries_ground_truth():
+def test_state_row_carries_ground_truth():
     outcome = next(
         o for o in (run_protocol(P316, (0, 1, 0), (2,), s) for s in range(50))
         if o.status is Status.COMPLETED
     )
-    detail = outcome.detail
-    assert 0 <= detail["matches"] <= P316.N
-    assert len(detail["family"]) == P316.n
-    assert detail["claimed"] == (2,)
-    assert 2 in detail["all_matching_labels"]
+    state, k = outcome.state, outcome.row
+    assert 0 <= state.match[k].sum() <= P316.N
+    assert len(state.family[k]) == P316.n
+    assert np.flatnonzero(state.claimed[k]).tolist() == [1]  # label 2
+    assert state.all_matching()[k, 1]
 
 
 def test_family_partitions_survivors():
@@ -123,7 +123,7 @@ def test_family_partitions_survivors():
         outcome = run_protocol(P4140, (0, 0, 0, 0), (1,), seed)
         if outcome.status is not Status.COMPLETED:
             continue
-        family = outcome.detail["family"]
+        family = outcome.state.family[outcome.row]
         union = np.sort(np.concatenate(family))
         assert len(union) == P4140.N - P4140.x
         assert len(np.unique(union)) == len(union)
@@ -152,7 +152,8 @@ def test_transcript_byte_stable():
 
 def test_commitment_count_is_4N():
     outcome = run_protocol(P316, (0, 1, 0), (2,), 5)
-    assert outcome.detail["commitments"] == 4 * P316.N
+    ids = [r["payload"]["id"] for r in outcome.transcript.records if r["kind"] == "commit"]
+    assert ids == list(range(4 * P316.N))
 
 
 def test_phase_order_enforced():
