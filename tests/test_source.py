@@ -1,6 +1,7 @@
 """Source-level guards on the package code."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qotsim
 from qotsim import harness
@@ -43,13 +46,14 @@ def test_every_exported_name_exists():
 
 
 def test_no_module_imports_scipy_stats():
-    """scipy.stats costs ~66 MB of memory; the package does its chi-square in
-    numpy and needs only scipy.special."""
+    """scipy.special alone costs ~25 MB of memory; the package does its
+    chi-square in numpy and takes p from a closed form, so it imports no
+    scipy at all."""
     found = [
         f"{path.name}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name in _imports(ast.parse(path.read_text(encoding="utf-8")))
-        if name == "scipy.stats" or name.startswith("scipy.stats.")
+        if name == "scipy" or name.startswith("scipy.")
     ]
     assert found == []
 
@@ -64,18 +68,29 @@ def _run_python(code: str) -> str:
 
 
 def test_scipy_stats_not_imported_with_package():
-    """Importing the package loads no scipy; only the privacy test loads
-    scipy.special, on its first call."""
+    """Importing the package loads no scipy."""
     code = ("import sys, qotsim, qotsim.harness, qotsim.cli; "
             "print('scipy' in sys.modules)")
     assert _run_python(code) == "False"
 
 
 def test_privacy_test_leaves_scipy_stats_unloaded():
+    """Nor does a privacy test, which runs the package's only chi-square."""
     code = ("import sys; from qotsim import harness; "
             "harness.privacy_independence_test(harness.validate_params(3, 1, 6), 50, 1); "
-            "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)")
-    assert _run_python(code) == "True False"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    assert _run_python(code) == "[]"
+
+
+def test_privacy_test_runs_without_scipy():
+    """With scipy made unimportable, the CLI's privacy test exits and prints
+    exactly as it does with scipy present."""
+    run = ("from qotsim import cli; "
+           "print('exit', cli.main(['privacy-test', '--n', '3', '--m', '1', '--N', '6', "
+           "'--trials-per-choice', '50']))")
+    normal = _run_python(run)
+    assert normal.endswith("exit 0")
+    assert _run_python("import sys; sys.modules['scipy'] = None; " + run) == normal
 
 
 def _random_tables():
@@ -91,7 +106,24 @@ def _random_tables():
         yield table
 
 
+def _ulps_off(dof, x, p):
+    """|p - Q(dof/2, x/2)| in units in the last place of the regularized upper
+    incomplete gamma function at 60 digits, or None where that is below
+    1e-300, near the subnormals, whose ulp is not relative."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        ref = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                              regularized=True)
+        if ref < 1e-300:
+            return None
+        return float(abs(mpmath.mpf(p) - ref)) / math.ulp(float(ref))
+
+
 def test_chi2_contingency_is_scipys():
+    """stat, dof and the expected counts are scipy.stats' to the bit; p, from
+    the closed-form tail, lies within 4(1 + x/2) ulp of a 60-digit reference
+    and within 1e-12 of scipy's p (whose own error reaches ~74(1 + x/2) ulp)."""
     from scipy.stats import chi2_contingency
 
     tables = [np.array([[30, 12, 25], [18, 27, 22]]), np.array([[30, 12], [18, 27]]),
@@ -105,12 +137,55 @@ def test_chi2_contingency_is_scipys():
                 harness.chi2_contingency(table)
             continue
         stat, p, dof, freq = harness.chi2_contingency(table)
-        assert (stat, p, dof) == tuple(ref)[:3]
+        assert (stat, dof) == (ref[0], ref[2])
         assert np.array_equal(freq, ref[3])
+        assert math.isclose(p, ref[1], rel_tol=1e-12), (table, p, ref[1])
+        if dof:
+            err = _ulps_off(dof, stat, p)
+            assert err is None or err <= 4 * (1 + stat / 2), (table, err)
+        else:
+            assert p == 1.0
         seen["yates"] += dof == 1
         seen["dof0"] += dof == 0
         seen["tiny"] += p < 1e-20
     assert min(seen.values()) >= 10, seen
+
+
+_GRID_DOFS = [*range(1, 16), 31, 60, 101]
+
+
+def test_chi2_sf_on_a_grid_and_at_its_ends():
+    """The closed-form tail over a seeded grid, and at its ends."""
+    rng = np.random.default_rng(7919)
+    for dof in _GRID_DOFS:
+        for lo, hi in ((0, 3), (3, 60), (60, 1300)):
+            for x in rng.uniform(lo, hi, 12).tolist():
+                p = harness._chi2_sf(dof, x)
+                err = _ulps_off(dof, x, p)
+                assert err is None or err <= 4 * (1 + x / 2), (dof, x, err)
+        assert harness._chi2_sf(dof, 0.0) == 1.0
+        assert harness._chi2_sf(dof, 1e5) == 0.0
+        assert harness._chi2_sf(dof, math.inf) == 0.0
+    import mpmath
+
+    p = harness._chi2_sf(10_000, 10_000.0)
+    assert math.isfinite(p)
+    assert math.isclose(p, float(mpmath.gammainc(5_000, 5_000, mpmath.inf, regularized=True)),
+                        rel_tol=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dof=st.integers(1, 400), x=st.floats(0, 1300), dx=st.floats(0, 1300))
+def test_chi2_sf_is_a_tail(dof, x, dx):
+    """p lies in [0, 1], does not rise with x and does not fall with dof.  At
+    neighbouring inputs the float sums are not exactly monotone, so each
+    comparison allows twice the accuracy bound of the larger x, 4(1 + x/2)
+    ulp a side: 2^-49 (1 + x/2) relative."""
+    p = harness._chi2_sf(dof, x)
+    assert 0.0 <= p <= 1.0
+    slack = 1 + 2.0**-49 * (1 + (x + dx) / 2)
+    assert harness._chi2_sf(dof, x + dx) <= p * slack
+    assert harness._chi2_sf(dof + 1, x) * slack >= p
 
 
 @pytest.mark.parametrize("table", [
@@ -123,3 +198,9 @@ def test_chi2_contingency_is_scipys():
 def test_chi2_contingency_rejects_tables_without_a_test(table):
     with pytest.raises(ValueError):
         harness.chi2_contingency(np.array(table))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_chi2_contingency_names_a_non_finite_cell(value):
+    with pytest.raises(ValueError, match=rf"non-finite value {value} at \(0, 1\)"):
+        harness.chi2_contingency(np.array([[1, value], [2, 3]]))
