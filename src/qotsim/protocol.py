@@ -62,15 +62,11 @@ class Status(Enum):
     ABORT_INSUFFICIENT_MATCHES = "abort_insufficient_matches"
     ABORT_CHEAT_DETECTED = "abort_cheat_detected"
     ABORT_INVALID_MESSAGE = "abort_invalid_message"
+    IN_PROGRESS = "in_progress"  # a live row of a state short of step 7
 
 
-# A status array holds indices into this tuple; 0 is COMPLETED.
+# A status array holds indices into this tuple; 0 is a row not aborted.
 STATUSES = tuple(Status)
-# Sort key of the slots a permutation must place last.  Uniform subsets and
-# permutations are argsorts of uint64 keys; a row only ever reads the
-# positions of its eligible slots, and two of those tie with probability
-# about N^2 / 2^65, so the sort need not be stable.
-_LAST = np.uint64(2**64 - 1)
 _compact = json.JSONEncoder(separators=(",", ":")).encode  # JSON without spaces, as in a transcript
 
 
@@ -98,7 +94,8 @@ class TrialOutcome:
     """Row `row` (an int or numpy integer in [0, T)) of a :class:`ProtocolState`,
     read as one session up to the step the state has reached, so a run that
     stopped early (postpone Bob's two steps, or phases driven by hand) reads
-    too.  `status` is the row's :class:`Status`; the rest is built on first
+    too.  `status` is the row's :class:`Status`, IN_PROGRESS for a row that
+    has not aborted in a state short of step 7; the rest is built on first
     read.  `recovered` maps each chosen label, ascending, to Bob's unmasked
     bit (empty unless the row completed step 7); `transcript` holds the row's
     messages up to its abort or the state's stage.  Ground truth (match
@@ -108,13 +105,13 @@ class TrialOutcome:
         if not (_is_integer(row) and 0 <= row < state.rows):
             raise ValueError(f"row must be an int in [0, {state.rows}), got {row!r}")
         self.state, self.row = state, int(row)
-        self.status = STATUSES[state.status[self.row]]
+        self.status = (STATUSES[state.status[self.row]] if state.status[self.row]
+                       or state.stage == 7 else Status.IN_PROGRESS)
 
     @cached_property
     def recovered(self) -> dict[int, int]:
         state, k = self.state, self.row
-        done = self.status is Status.COMPLETED and state.stage == 7
-        chosen = np.flatnonzero(state.chosen[k]) if done else ()
+        chosen = np.flatnonzero(state.chosen[k]) if self.status is Status.COMPLETED else ()
         return {int(c) + 1: int(state.recovered[k, c]) for c in chosen}
 
     @cached_property
@@ -142,7 +139,7 @@ class TrialOutcome:
             send(3, "A", "bases", f'"bases":{_compact(state.beta_s[k].tolist())}')
             # slot j keeps index j + N(1 - d_j); nothing is removed before step 4
             unveil(4, *(4 * j + 2 - 2 * d[j] for j in np.flatnonzero(state.removed[k]).tolist()))
-        if self.status is Status.COMPLETED and last >= 5:
+        if state.status[k] == 0 and last >= 5:
             send(5, "B", "subsets", f'"subsets":{_compact(state.family[k].tolist())}')
             if last >= 6:
                 send(6, "A", "masked_bits", f'"bits":{_compact(state.masked[k].tolist())}')
@@ -169,7 +166,8 @@ class Draws:
     The block's first words are unpacked (least significant bit first) into
     the input bits (n), Alice's raw bits and bases (2N each), her challenge
     coins (N), Bob's bases and mismatch coins (2N each).  Whole words follow
-    as uint64 sort keys: choice keys (n), removal keys (N), family keys (2N).
+    as uint64 sort keys: choice keys (n), removal keys (N), family keys (2N),
+    which :func:`_packed` orders by their top bits, ties broken by slot.
     A per-index draw is held as a (2, T, N) array: indices 0..N-1, then
     N..2N-1, so the two members of each pair sit at the same position.
     """
@@ -192,12 +190,36 @@ class Draws:
         self.family_keys = keys[:, n + N:n + 3 * N]
 
     def chosen(self, m: int) -> np.ndarray:
-        """(T, n) bool: a uniform m-subset of the labels per row."""
-        rows, n = self.choice_keys.shape
-        first = np.argsort(self.choice_keys, axis=1)[:, :m]
-        mask = np.zeros(rows * n, dtype=bool)
-        mask[first + n * np.arange(rows)[:, None]] = True
-        return mask.reshape(rows, n)
+        """(T, n) bool: a uniform m-subset of the labels per row, the m
+        first in :func:`_packed`'s order."""
+        packed = _packed(self.choice_keys)
+        return packed <= np.sort(packed, axis=1)[:, m - 1:m]
+
+
+def _packed(keys: np.ndarray, eligible: np.ndarray | None = None) -> np.ndarray:
+    """(T, W) uint64 sort words of T rows of W slots: each slot's key's top
+    64 - b bits, b = ceil(log2 W), over the slot in the low b bits, an
+    ineligible slot's top bits all ones (None: every slot eligible).  By
+    value they order uniform subsets and permutations: the eligible slots
+    first, by their keys' top bits (ties, of probability ~W^2 / 2^(65-b), by
+    slot; all ones ranks with the next-lower value), then the others by
+    slot, on every numpy version and sort kernel."""
+    low = np.uint64((1 << (keys.shape[1] - 1).bit_length()) - 1)
+    packed = keys & ~low
+    if eligible is not None:
+        np.minimum(packed, ~low - low - np.uint64(1), out=packed)
+        packed |= (~eligible).astype(np.uint64) * ~low
+    packed |= np.arange(keys.shape[1], dtype=np.uint64)
+    return packed
+
+
+def _order(keys: np.ndarray, eligible: np.ndarray | None = None) -> np.ndarray:
+    """(T, W) int64: each row's slots in :func:`_packed`'s order, its
+    words sorted by value, not argsorted."""
+    packed = _packed(keys, eligible)
+    packed.sort(axis=1)
+    packed &= np.uint64((1 << (keys.shape[1] - 1).bit_length()) - 1)
+    return packed.view(np.int64)
 
 
 def draw_sessions(params: ProtocolParams, rng: RandomSource, start: int,
@@ -248,21 +270,20 @@ def _legal_family(
     n, s = state.params.n, state.params.subset_size
     rows, N = state.removed.shape
     alive = ~state.removed
-    first = np.argsort(np.where(alive & state.match_flags(), keys[:, :N], _LAST), axis=1)
-    need = targets.sum(axis=1, keepdims=True) * s
+    first = _order(keys[:, :N], alive & state.match_flags())
+    count = np.cumsum(targets, axis=1)
+    need = count[:, -1:] * s
     # the first `need` positions of `first` go to the targets, ties included
     head = int(need.max())
     picked = np.zeros(rows * N, dtype=bool)
     picked[first[:, :head] + state.offsets] = np.arange(head) < need
-    rest = np.argsort(np.where(alive & ~picked.reshape(rows, N), keys[:, N:], _LAST), axis=1)
+    rest = _order(keys[:, N:], alive & ~picked.reshape(rows, N))
     # blocks 0..n-1 of a row are the first n blocks of `first`, blocks
     # n..2n-1 those of `rest`; the k-th target label (ascending) takes block
     # k, the k-th other label block n+k
     blocks = np.concatenate([first[:, :n * s], rest[:, :n * s]], axis=1).reshape(-1, s)
-    count = np.cumsum(targets, axis=1)
     block = np.where(targets, count - 1, n + np.arange(n) - count)
-    family = blocks[block + 2 * n * np.arange(rows)[:, None]]
-    return list(family.transpose(1, 0, 2)), targets
+    return list(np.take(blocks, block.T + 2 * n * np.arange(rows), axis=0)), targets
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +335,12 @@ class ProtocolState:
         return self.status == 0
 
     def abort(self, rows: np.ndarray, status: Status) -> None:
-        """Record `status` and the stage for the given rows not yet aborted."""
-        rows = rows & self.live()
-        self.status[rows] = STATUSES.index(status)
-        self.aborted_at[rows] = self.stage
+        """Record `status` and the stage for the given rows not yet aborted:
+        a (T,) mask, or a (T, k) one that marks a row by any of its flags."""
+        if rows.any():
+            rows = (rows if rows.ndim == 1 else rows.any(axis=1)) & self.live()
+            self.status[rows] = STATUSES.index(status)
+            self.aborted_at[rows] = self.stage
 
     def match_flags(self) -> np.ndarray:
         """Per-slot basis agreement; only knowable to Bob once bases are announced."""
@@ -383,7 +406,7 @@ def phase2_challenge(state: ProtocolState) -> None:
     violation = (beta_c == unveiled_beta) & (r_c != unveiled_r)
     state.removed = np.zeros(d.shape, dtype=bool)
     state.stage = 2
-    state.abort(violation.any(axis=1), Status.ABORT_CHEAT_DETECTED)
+    state.abort(violation, Status.ABORT_CHEAT_DETECTED)
 
 
 def announce_bases(state: ProtocolState) -> None:
@@ -409,12 +432,11 @@ def removal_phase(state: ProtocolState) -> None:
     state.stage = 4
     if x == 0:
         return
-    pool = state.bob.removal_pool(state)
-    short = pool.sum(axis=1) < x
-    state.abort(short, Status.ABORT_INSUFFICIENT_MATCHES)
-    keys = np.where(pool, state.draws.removal_keys, _LAST)
+    pool = np.asarray(state.bob.removal_pool(state), dtype=bool)
     # flat positions in (T, N) arrays of each row's x removed slots, unordered
-    cells = np.argsort(keys, axis=1)[:, :x] + state.offsets
+    cells = _order(state.draws.removal_keys, pool)[:, :x] + state.offsets
+    # a row whose x-th slot is outside the pool has fewer than x in it
+    state.abort(~pool.reshape(-1)[cells[:, -1]], Status.ABORT_INSUFFICIENT_MATCHES)
     # Bob unveils the bit and basis of each removed slot's kept index
     unveiled_r, unveiled_beta = state.session.unveil_many(cells)
     alice_beta = state.beta_s.reshape(-1)[cells]
@@ -423,11 +445,11 @@ def removal_phase(state: ProtocolState) -> None:
     state.removed.reshape(-1)[cells] = state.live()[:, None]
     same_basis = alice_beta == unveiled_beta
     if params.case is Case.LOW:
-        bad = (same_basis & (alice_r != unveiled_r)).any(axis=1)
+        bad = same_basis & (alice_r != unveiled_r)
         if state.strict_removal:
-            bad |= ~same_basis.all(axis=1)
+            bad |= ~same_basis
     else:
-        bad = same_basis.any(axis=1)
+        bad = same_basis
     state.abort(bad, Status.ABORT_CHEAT_DETECTED)
 
 
@@ -454,26 +476,21 @@ def select_subsets(state: ProtocolState) -> None:
     if len(family) != n or any(np.shape(f) != (state.rows, s) for f in family):
         state.abort(np.ones(state.rows, dtype=bool), Status.ABORT_INVALID_MESSAGE)
         return
-    fam = np.stack(family, axis=1).astype(np.int64, copy=False)
+    # (n, T, s), a fresh copy: Bob's own subsets are left as sent
+    fam = np.array(family, dtype=np.int64)
     # legal: in range, and every surviving slot in exactly one subset
-    # (disjoint, covering, no removed slot)
-    in_range = True
-    if fam.min() < 0 or fam.max() >= N:
-        in_range = ((fam >= 0) & (fam < N)).all(axis=(1, 2))
+    # (disjoint, covering, no removed slot); a slot out of range is clipped
+    # into its row, so that later gathers read the row's own cells
+    if fam.view(np.uint64).max() >= N:  # a negative slot reads as a huge one
+        state.abort(((fam < 0) | (fam >= N)).any(axis=(0, 2)), Status.ABORT_INVALID_MESSAGE)
         fam = np.clip(fam, 0, N - 1)
-    fam.sort(axis=2)  # a fresh array: Bob's own subsets are left as sent
-    cells = fam + state.offsets[:, :, None]
+    fam.sort(axis=2)
+    cells = fam + state.offsets
     hits = np.bincount(cells.reshape(-1), minlength=alive.size)
-    legal = in_range & (hits.reshape(alive.shape) == alive).all(axis=1)
-    if not legal.all():
-        state.abort(~legal, Status.ABORT_INVALID_MESSAGE)
-        # an illegal family may index outside the row; later gathers read a
-        # stand-in family on rows that aborted here
-        fam[~legal] = np.arange(n * s).reshape(n, s)
-        cells = fam + state.offsets[:, :, None]
-    state.family = fam
+    state.abort(hits.reshape(alive.shape) != alive, Status.ABORT_INVALID_MESSAGE)
+    state.family = fam.transpose(1, 0, 2)
     # (size, T, n), so that reductions over a subset run along whole rows
-    state.cells = np.ascontiguousarray(cells.transpose(2, 0, 1))
+    state.cells = np.ascontiguousarray(cells.transpose(2, 1, 0))
 
 
 def mask_bits(state: ProtocolState) -> np.ndarray:

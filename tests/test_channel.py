@@ -67,6 +67,22 @@ def test_block_start_may_be_a_numpy_integer():
     assert np.array_equal(rng.block(8, np.int64(3), 2), rng.block(8, 3, 2))
 
 
+def test_block_is_the_key_streams_words_from_row_start():
+    """Each block is the words that a fresh Philox of the key, advanced to
+    row `start`, gives, also past a 64-bit counter, and whatever the source
+    drew before."""
+    rng = RandomSource(11).stream("trials")
+    for width, start, count in [(4, 0, 1), (8, 5, 3), (132, 10**6, 2), (900, 7, 0),
+                                (4, 2**64 + 3, 2), (8, 2**70, 1), (132, 1, 4)]:
+        expected = np.random.Philox(key=rng.key).advance(start * width // 4)
+        block = rng.block(width, start, count)
+        assert block.shape == (count, width)
+        assert np.array_equal(block.ravel(), expected.random_raw(count * width))
+    fresh = RandomSource(11).stream("trials").block(8, 5, 3)
+    rng.block(8, 10**6, 2)
+    assert np.array_equal(rng.block(8, 5, 3), fresh)
+
+
 @pytest.mark.parametrize("seed", [1.5, "7", True, None])
 def test_random_source_seed_must_be_an_int(seed):
     """A float, str or bool is refused, not truncated or parsed into a seed."""

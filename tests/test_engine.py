@@ -15,7 +15,7 @@ from qotsim.adversary import (
     Strategy,
 )
 from qotsim.channel import RandomSource
-from qotsim.params import Case, validate_params
+from qotsim.params import Case, smallest_valid_N, validate_params
 from qotsim.protocol import (
     BATCH_WORDS,
     CHUNK,
@@ -33,6 +33,7 @@ from qotsim.protocol import (
     phase2_challenge,
     removal_phase,
     run_protocol,
+    _order,
     select_subsets,
     session_width,
 )
@@ -194,7 +195,7 @@ def test_a_run_stopped_after_any_step_reads_row_by_row(nmN, stop):
     as a session.  Its transcript is the full run's messages of steps up to
     `stop` (so none of a step the state has not reached), it recovers
     nothing before step 7, and its status is the full run's once the row
-    has aborted."""
+    has aborted or finished; a live row before step 7 is in progress."""
     params = validate_params(*nmN)
     draws = draw_sessions(params, RandomSource(2029).stream("stop"), 0, ROWS)
     state = phase1_transmit(params, draws, None, draws.inputs, draws.chosen(params.m))
@@ -205,8 +206,9 @@ def test_a_run_stopped_after_any_step_reads_row_by_row(nmN, stop):
     full = run_protocol(params, None, None, draws)
     for k in range(ROWS):
         row, whole = TrialOutcome(state, k), TrialOutcome(full, k)
-        assert row.status is (whole.status if full.aborted_at[k] <= stop
-                              else Status.COMPLETED), k
+        aborted = 0 < full.aborted_at[k] <= stop
+        assert row.status is (whole.status if aborted or stop == 7
+                              else Status.IN_PROGRESS), k
         assert row.recovered == (whole.recovered if stop == 7 else {}), k
         assert row.transcript.records == [
             r for r in whole.transcript.records if r["step"] <= stop], k
@@ -214,9 +216,9 @@ def test_a_run_stopped_after_any_step_reads_row_by_row(nmN, stop):
 
 @pytest.mark.parametrize("nmN", SETS, ids=str)
 def test_every_row_of_a_postpone_batch_reads(nmN):
-    """Postpone Bob's run stops after step 2: every row reads its status,
-    recovers nothing, and its transcript holds step-1 and step-2 messages
-    only."""
+    """Postpone Bob's run stops after step 2: every row reads its status
+    (in progress if it survived the challenges), recovers nothing, and its
+    transcript holds step-1 and step-2 messages only."""
     params = validate_params(*nmN)
     state = _run(params, RandomSource(2030).stream("postpone"), 0, ROWS, PostponeBob, False)
     assert state.stage == 2
@@ -224,7 +226,8 @@ def test_every_row_of_a_postpone_batch_reads(nmN):
         assert (state.status == 0).any()
     for k in range(ROWS):
         row = TrialOutcome(state, k)
-        assert row.status is STATUSES[state.status[k]], k
+        assert row.status is (STATUSES[state.status[k]] if state.status[k]
+                              else Status.IN_PROGRESS), k
         assert row.recovered == {}, k
         assert {r["step"] for r in row.transcript.records} == {1, 2}, k
 
@@ -323,3 +326,93 @@ def test_draws_must_fit_the_parameters():
         draws = draw_sessions(validate_params(*other), RandomSource(1), 0, 4)
         with pytest.raises(ValueError, match=r"draws are cut for n=\d+, N=\d+"):
             run_protocol(params, None, None, draws)
+
+
+def _rule(keys, eligible):
+    """The slot order :func:`_order` promises, one row at a time in Python:
+    eligible slots first, by the top 64 - b bits of their keys, b =
+    ceil(log2 width), all ones ranking with the next-lower value, then by
+    slot; the other slots after them, by slot."""
+    b = (keys.shape[1] - 1).bit_length()
+    top = 2**(64 - b) - 2
+    return [sorted(range(len(row)), key=lambda c: (not ok[c], min(row[c] >> b, top) if ok[c] else 0, c))
+            for row, ok in zip(keys.tolist(), eligible.tolist())]
+
+
+@pytest.mark.parametrize("width", [1, 2, 6, 18, 40, 64, 65, 675])
+def test_order_of_random_keys_is_argsorts_at_every_eligible_position(width):
+    rng = np.random.default_rng(width)
+    keys = rng.integers(0, 2**64, size=(64, width), dtype=np.uint64)
+    eligible = rng.random((64, width)) < rng.random((64, 1))  # from none to all per row
+    eligible[0], eligible[1] = False, True
+    order = _order(keys, eligible)
+    assert order.dtype == np.int64 and order.tolist() == _rule(keys, eligible)
+    assert _order(keys).tolist() == _rule(keys, np.ones_like(eligible))  # all eligible
+    argsort = np.argsort(np.where(eligible, keys, np.uint64(2**64 - 1)), axis=1)
+    for row, ok in enumerate(eligible.sum(axis=1)):
+        assert np.array_equal(order[row, :ok], argsort[row, :ok]), row
+        assert np.array_equal(order[row, ok:], np.flatnonzero(~eligible[row])), row
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (4, 2), (5, 4)])
+def test_chosen_labels_are_the_first_m_in_order(n, m):
+    """Draws.chosen marks the m labels that come first in :func:`_order`'s
+    order of the choice keys, also where two keys tie in their top bits."""
+    params = validate_params(n, m, smallest_valid_N(n, m, 6))
+    draws = draw_sessions(params, RandomSource(2033).stream("chosen"), 0, 256)
+    keys = draws.choice_keys
+    keys[:64, 1] = keys[:64, 0] ^ np.uint64(1)  # ties in the top bits: the slot decides
+    keys[64:96] = 2**64 - 1  # all tied
+    first = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(first, _order(keys)[:, :m], True, axis=1)
+    assert np.array_equal(draws.chosen(m), first)
+    assert (draws.chosen(m).sum(axis=1) == m).all()
+
+
+@pytest.mark.parametrize("width", [6, 40, 675])
+def test_order_breaks_a_tie_in_the_top_bits_by_slot(width):
+    """Two eligible keys that differ only in their low b bits: the slot
+    decides, whichever key is larger."""
+    b = (width - 1).bit_length()
+    keys = np.full((2, width), 2**63, dtype=np.uint64)
+    keys[:, 0] = 2**62
+    keys[0, 3], keys[0, 5] = 2**60 + 2**b - 1, 2**60  # the larger key at the smaller slot
+    keys[1, 3], keys[1, 5] = 2**60, 2**60 + 1
+    eligible = np.zeros((2, width), dtype=bool)
+    eligible[:, [0, 3, 5]] = True
+    order = _order(keys, eligible)
+    assert order[:, :3].tolist() == [[3, 5, 0], [3, 5, 0]]
+    assert order.tolist() == _rule(keys, eligible)
+
+
+@pytest.mark.parametrize("width", [1, 2, 6, 40, 64, 675])
+def test_an_eligible_key_with_all_top_bits_set_comes_before_the_others(width):
+    """Its top bits are those of the ineligible slots; it still comes first,
+    ranked with the next-lower value, and the ineligible slots follow by slot
+    whatever their keys."""
+    b = (width - 1).bit_length()
+    keys = np.full((4, width), 2**64 - 1, dtype=np.uint64)
+    keys[1:3] -= np.arange(width, dtype=np.uint64)  # a later ineligible slot has a smaller key
+    eligible = np.zeros((4, width), dtype=bool)
+    eligible[0, -1] = eligible[1, width // 2] = eligible[3] = True
+    keys[1, width // 2] = 2**64 - 1
+    keys[3, -1] = 2**64 - 2**(b + 1)  # the next-lower top bits, at a later slot
+    order = _order(keys, eligible)
+    assert order.tolist() == _rule(keys, eligible)
+    assert order[0].tolist() == [width - 1, *range(width - 1)]
+    assert order[1].tolist() == [width // 2, *(c for c in range(width) if c != width // 2)]
+    assert order[2].tolist() == list(range(width))  # an all-ineligible row, by slot
+    assert order[3].tolist() == list(range(width))  # all eligible, all tied
+    assert _order(keys[:1]).tolist() == [list(range(width))]  # no mask, all tied
+
+
+def test_batch_rows_equal_single_trials_at_a_large_set():
+    """At (6,1,225), where every order sorts 225 slots, rows of a 4096-row
+    batch equal the one-row runs of their trials."""
+    params = validate_params(6, 1, 225)
+    rng = RandomSource(2032).stream("large")
+    batch = run_protocol(params, None, None, draw_sessions(params, rng, 0, CHUNK))
+    assert batch.rows == CHUNK and (batch.status == 0).any() and (batch.status != 0).any()
+    for k in [*range(0, CHUNK, 257), CHUNK - 1]:
+        alone = run_protocol(params, None, None, draw_sessions(params, rng, k, 1))
+        assert _row(batch, k) == _row(alone, 0), k

@@ -338,6 +338,26 @@ def test_run_experiment_commit_cheat():
     assert any(v.criterion == "commitment_bound_lt_eps_pow_N" for v in verdicts)
 
 
+def test_a_reference_is_its_own_experiments_whatever_ran_before():
+    """Strategies that compare equal but differ in p's type (0.5 and
+    Fraction(1, 2)) keep their own reference, in either order in one process:
+    a float p gives a float p**s and no exact string, a Fraction an exact one.
+    A repeated honest experiment reads the same exact oracle each time."""
+    s = P4140.subset_size
+
+    def run(p):
+        return dataclasses.asdict(run_experiment(ExperimentConfig(
+            n=4, m=1, N=40, trials=2000, seed=6, strategy=Strategy("commit-cheat", p=p))))
+
+    as_float, as_fraction = run(0.5), run(Fraction(1, 2))
+    assert as_float["oracle_exact"] is None
+    assert as_fraction["oracle_exact"] == str(Fraction(1, 2**s))
+    assert run(Fraction(1, 2)) == as_fraction and run(0.5) == as_float
+    honest = [dataclasses.asdict(run_experiment(ExperimentConfig(n=3, m=1, N=6, trials=50, seed=s)))
+              for s in (1, 1, 2)]
+    assert honest[0] == honest[1] and honest[2]["oracle_exact"] == honest[0]["oracle_exact"] == "7/64"
+
+
 def test_run_experiment_curious_alice():
     config = ExperimentConfig(
         n=3, m=1, N=6, trials=5000, seed=7, strategy=Strategy("curious-alice")

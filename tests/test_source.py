@@ -204,3 +204,23 @@ def test_chi2_contingency_rejects_tables_without_a_test(table):
 def test_chi2_contingency_names_a_non_finite_cell(value):
     with pytest.raises(ValueError, match=rf"non-finite value {value} at \(0, 1\)"):
         harness.chi2_contingency(np.array([[1, value], [2, 3]]))
+
+
+def test_a_failing_property_test_hides_no_later_test(tmp_path):
+    """Under this project's pytest settings (warnings are errors), a file
+    whose failing @given test comes first reports both of its tests: the
+    report of the failure must not crash the session."""
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n", encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout[-2000:]
