@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -214,15 +214,8 @@ class StrategySpec:
     bound: Callable | None = None  # correctness_epsilon, privacy_epsilon or commitment_attack_bound
 
 
-@lru_cache(maxsize=256)
-def _exact(params: ProtocolParams, event: str) -> Fraction:
-    """:func:`exact_failure_oracle`, walked once per (params, event): every
-    experiment of a strategy at `params` reads it as its reference."""
-    return exact_failure_oracle(params, event)
-
-
 def _oracle(event: str) -> Callable:
-    return lambda params, strategy: _exact(params, event)
+    return lambda params, strategy: exact_failure_oracle(params, event)
 
 
 def _extra_bit(out: Outcomes) -> np.ndarray:
@@ -241,7 +234,7 @@ STRATEGIES: dict[str, StrategySpec] = {
         run=_sessions(DishonestRemovalBob),
         # the strict verifier rejects every mismatched removal, so no session survives it
         reference=lambda params, s: Fraction(0) if s.strict_alice
-        else _exact(params, "privacy_dishonest_removal")),
+        else exact_failure_oracle(params, "privacy_dishonest_removal")),
     "postpone": StrategySpec(
         event="challenge_survival", hit=lambda out: out.status != _CHEAT,
         reference=lambda params, s: Fraction(3, 4) ** params.N, run=postpone_bob),
@@ -252,7 +245,7 @@ STRATEGIES: dict[str, StrategySpec] = {
         event="choice_guess_correct", run=_sessions(HonestBob),
         hit=lambda out: (out.status == 0) & (out.guess == out.chosen).all(axis=1),
         # chance level per completed run, scaled by the completion probability
-        reference=lambda params, s: (1 - _exact(params, "correctness"))
+        reference=lambda params, s: (1 - exact_failure_oracle(params, "correctness"))
         / math.comb(params.n, params.m)),
 }
 

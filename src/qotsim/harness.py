@@ -18,7 +18,8 @@ closed-form chi-square tail, so the package loads no scipy.  Reports come
 from a one-pass writer, byte-identical to ``json.dumps(indent=2)`` of the
 :func:`round_sig` document.
 The brute-force check enumerates all 2^N outcomes: it checks the oracle's
-binomial sum, but not the oracle's per-count events, which it shares.
+binomial walk, but not the runs of match counts (:func:`event_runs`) where
+each event holds, which it shares.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from . import __version__
 from .adversary import STRATEGIES, DishonestRemovalBob, LeakyBob, Strategy
 from .channel import RandomSource
 from .params import (
-    _EVENTS,
     ProtocolParams,
     _is_int,
     commitment_attack_bound,
     correctness_epsilon,
+    event_runs,
     exact_failure_oracle,  # re-exported: the oracle lives in params
     hoeffding_bound,
     min_N,
@@ -142,24 +143,19 @@ def brute_force_failure_probability(params: ProtocolParams, event: str = "correc
     """Check the oracle's binomial sum: enumerate, in chunks, all 2^N outcomes
     of the N <= 20 survivor basis-agreement coins.
 
-    The event at each match count comes from ``params._EVENTS``, the
-    oracle's own predicates, so this checks the sum, not a predicate.  The
-    event table is an int with bit M set iff the event holds at match
-    count M; a uint16 array holds 1 << popcount(l) for the 2^min(N,15) low
-    mask bits l, and for high prefix h each outcome ANDs its entry with the
-    low 16 bits of the table shifted down by popcount(h).  The nonzero
-    results are tallied.
+    The event table is an int with bit M set iff the event holds at match
+    count M, built from the oracle's own runs (:func:`event_runs`), so this
+    checks the sum, not a run.  A uint16 array holds 1 << popcount(l) for the
+    2^min(N,15) low mask bits l, and for high prefix h each outcome ANDs its
+    entry with the low 16 bits of the table shifted down by popcount(h).
+    The nonzero results are tallied.
     """
     N = params.N
     if N > 20:
         raise ValueError("brute force enumeration is limited to N <= 20")
-    pred = _EVENTS.get(event)  # the oracle's lookup and error, kept apart from it
-    if pred is None:
-        raise ValueError(f"unknown event {event!r}; one of {sorted(_EVENTS)}")
-    # predicate depends on the match count only; evaluate once per count,
-    # but tally outcome-by-outcome so the enumeration stays the checked route;
+    # tally outcome by outcome, so the enumeration stays the checked route;
     # popcount a uint32 arange, as numpy's bitwise_count is ~3x slower on uint16
-    table = sum(1 << M for M in range(N + 1) if pred(params, M))
+    table = sum((1 << b) - (1 << a) for a, b in event_runs(params, event))
     low = np.uint16(1) << np.bitwise_count(np.arange(1 << min(N, 15), dtype=np.uint32))
     hits = sum(int(np.count_nonzero(low & np.uint16(table >> h.bit_count() & 0xFFFF)))
                for h in range(1 << max(N - 15, 0)))

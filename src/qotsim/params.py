@@ -5,7 +5,9 @@ integer/rational arithmetic; only final probability bounds are evaluated in
 floating point.  Two labeled bound forms are exposed for each claim: the raw
 two-sided concentration bound 2*exp(-2*N*delta^2) and the simplified eps^N
 form with eps = exp(-delta^2), which dominates the raw bound once
-N > ln(2)/delta^2.
+N > ln(2)/delta^2.  Each exact event is at most two runs of the survivor
+match count M ~ Binomial(N, 1/2), with closed-form ends (:func:`event_runs`),
+and the oracle sums binomial terms over them in plain integers.
 """
 
 from __future__ import annotations
@@ -225,31 +227,39 @@ def commitment_attack_bound(p: float, n: int, N: int, x: int) -> tuple[float, fl
     return bound, eps
 
 
-def _honest_run_feasible(params: ProtocolParams, matches):
-    """Can an honest Bob with this survivor match count finish the protocol?"""
-    if params.case is Case.LOW:
-        return (matches >= params.x) & (matches - params.x >= params.m * params.subset_size)
-    return (params.N - matches >= params.x) & (matches >= params.m * params.subset_size)
+def _removal_runs(p: ProtocolParams) -> list[tuple[int, int]]:
+    return [((p.m + 1) * p.subset_size, p.N - p.x + 1)]
 
 
-def _extra_bit_feasible(params: ProtocolParams, matches):
-    """Can a greedy Bob form m+1 all-matching subsets while complying with removal?"""
-    if params.case is Case.LOW:
-        return matches >= params.x + (params.m + 1) * params.subset_size
-    return _dishonest_removal_feasible(params, matches)  # high case: both remove mismatches
-
-
-def _dishonest_removal_feasible(params: ProtocolParams, matches):
-    """Low case: Bob removes mismatches instead, keeping all matches for subsets."""
-    need = (params.m + 1) * params.subset_size
-    return (params.N - matches >= params.x) & (matches >= need)
-
-
-_EVENTS = {  # predicate(params, M) takes M as an int or an int array and answers in kind
-    "correctness": lambda p, M: np.logical_not(_honest_run_feasible(p, M)),
-    "privacy": _extra_bit_feasible,
-    "privacy_dishonest_removal": _dishonest_removal_feasible,
+_EVENTS = {  # event: runs(params), its runs of M, empty ones included (see event_runs)
+    "correctness": lambda p: [(0, p.x + p.m * p.subset_size)] if p.case is Case.LOW
+    else [(0, p.m * p.subset_size), (p.N - p.x + 1, p.N + 1)],
+    "privacy": lambda p: [(p.x + (p.m + 1) * p.subset_size, p.N + 1)] if p.case is Case.LOW
+    else _removal_runs(p),  # the high case's Bobs both remove mismatches
+    "privacy_dishonest_removal": _removal_runs,
 }
+
+
+def event_runs(params: ProtocolParams, event: str) -> list[tuple[int, int]]:
+    """The half-open runs [a, b) of the survivor match count M where `event`
+    holds, in order, disjoint, empty runs dropped.  With s the subset size:
+
+    - "correctness", an honest Bob cannot finish.  Low case: he removes x
+      matches and fills m subsets with the rest, M >= x and M - x >= m*s, so
+      the event is M < x + m*s: [0, x + m*s).  High case: he removes x
+      mismatches and fills m subsets, N - M >= x and M >= m*s, so the event
+      is M < m*s or M > N - x: [0, m*s) and [N - x + 1, N + 1), the second
+      empty when x = 0 (m*s < n*s = N - x keeps the two apart).
+    - "privacy", a greedy Bob fills m+1 subsets with matches while complying
+      with removal.  Low case: M - x >= (m+1)*s, [x + (m+1)*s, N + 1).  High
+      case: as dishonest removal, since both remove mismatches.
+    - "privacy_dishonest_removal", Bob removes x mismatches instead and keeps
+      every match: N - M >= x and M >= (m+1)*s, [(m+1)*s, N - x + 1).
+    """
+    runs = _EVENTS.get(event)
+    if runs is None:
+        raise ValueError(f"unknown event {event!r}; one of {sorted(_EVENTS)}")
+    return [(a, b) for a, b in runs(params) if a < b]
 
 
 def _binomial_walk(N: int, weights: dict[int, int]) -> int:
@@ -279,24 +289,19 @@ def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> 
     Events: "correctness" (honest Bob cannot finish), "privacy" (a greedy
     Bob can decode m+1 bits), "privacy_dishonest_removal".
 
-    A literal sum in integers: one predicate call on M = 0..N marks the hits, a run
-    [a, b) of hits adds P(b) - P(a) with P(k) = sum(comb(N, M) for M < k), a P(k)
-    with 2k > N+1 is 2^N - P(N+1-k), and one walk (:func:`_binomial_walk`) gives
-    the rest.  One rational, hits / 2^N, is built at the end.
+    A sum in integers over the runs of :func:`event_runs`: a run [a, b) adds
+    P(b) - P(a) with P(k) = sum(comb(N, M) for M < k), a P(k) with 2k > N+1
+    is 2^N - P(N+1-k), and one walk (:func:`_binomial_walk`) gives the rest.
+    One rational, hits / 2^N, is built at the end.
     """
-    pred = _EVENTS.get(event)
-    if pred is None:
-        raise ValueError(f"unknown event {event!r}; one of {sorted(_EVENTS)}")
     N = params.N
-    padded = np.zeros(N + 3, dtype=bool)
-    padded[1:-1] = pred(params, np.arange(N + 1))
     full, weights = 0, {}
-    for i, k in enumerate(np.flatnonzero(padded[1:] != padded[:-1]).tolist()):
-        w = 1 if i & 1 else -1  # a run starts at an even edge and ends at an odd one
-        if 2 * k > N + 1:  # P(k) = 2^N - P(N+1-k)
-            full, k, w = full + w, N + 1 - k, -w
-        weights[k] = weights.get(k, 0) + w
-    if full or not weights:  # weights sum to -2 * full: unless they cancel, walk from P(0) = 0
+    for run in event_runs(params, event):
+        for k, w in zip(run, (-1, 1)):
+            if 2 * k > N + 1:  # P(k) = 2^N - P(N+1-k)
+                full, k, w = full + w, N + 1 - k, -w
+            weights[k] = weights.get(k, 0) + w
+    if full:  # weights sum to -2 * full: unless they cancel, walk from P(0) = 0
         weights.setdefault(0, 0)
     return Fraction((full << N) + _binomial_walk(N, weights), 1 << N)
 

@@ -23,7 +23,6 @@ from qotsim.harness import (
     run_experiment,
 )
 from qotsim.params import (
-    _EVENTS,
     Case,
     commitment_attack_bound,
     compute_x,
@@ -36,6 +35,7 @@ from qotsim.params import (
     validate_params,
 )
 from qotsim.protocol import draw_sessions, run_protocol
+from test_params import run_table
 
 
 @pytest.fixture
@@ -132,16 +132,16 @@ def test_criterion_04_honest_correctness_vs_oracle(report):
 FORCED_ROWS = 32  # engine sessions per survivor match count in criterion 5
 
 
-def _engine_tables(params):
-    """Per event, the (N+1, FORCED_ROWS) table of what the engine does in
-    sessions forced to M = 0..N survivor basis matches, FORCED_ROWS per M
-    at random slots: Bob's basis is set on both members of each pair, so
-    the pattern holds whichever member Alice's coin keeps.  Correctness is
-    an honest abort; privacy, greedy Bob learning more than m bits; dishonest
-    removal, the same for its Bob, or for greedy Bob in the high case, where
-    the two remove alike."""
+def _engine_tables(params, rows=FORCED_ROWS):
+    """Per event, the (N+1, rows) table of what the engine does in sessions
+    forced to M = 0..N survivor basis matches, `rows` per M at random slots:
+    Bob's basis is set on both members of each pair, so the pattern holds
+    whichever member Alice's coin keeps.  Correctness is an honest abort;
+    privacy, greedy Bob learning more than m bits; dishonest removal, the
+    same for its Bob, or for greedy Bob in the high case, where the two
+    remove alike."""
     N = params.N
-    M = np.repeat(np.arange(N + 1), FORCED_ROWS)
+    M = np.repeat(np.arange(N + 1), rows)
     draws = draw_sessions(params, RandomSource(2027).stream(f"forced/{params.n},{params.m},{N}"),
                           0, M.size)
     pattern = np.random.default_rng(N).random((M.size, N)).argsort(axis=1) < M[:, None]
@@ -153,13 +153,13 @@ def _engine_tables(params):
         params.m, run_protocol(params, None, None, draws, bob=DishonestRemovalBob()))
     tables = {"correctness": honest.status != 0, "privacy": greedy.target_exceeded,
               "privacy_dishonest_removal": removal.target_exceeded}
-    return {event: hits.reshape(N + 1, FORCED_ROWS) for event, hits in tables.items()}
+    return {event: hits.reshape(N + 1, rows) for event, hits in tables.items()}
 
 
 def test_criterion_05_oracle_brute_force_equivalence(report):
     """The oracle equals 2^N enumeration, which checks its binomial sum; and
-    the engine, forced to each match count, hits each event exactly where
-    the oracle's predicate says, which checks the predicates."""
+    the engine, forced to each match count, hits each event exactly on the
+    oracle's runs of M, which checks the runs."""
     checked = 0
     ok = True
     disagree = []
@@ -175,14 +175,24 @@ def test_criterion_05_oracle_brute_force_equivalence(report):
                     exact = exact_failure_oracle(params, event)
                     brute = brute_force_failure_probability(params, event)
                     ok = ok and exact == brute
-                    predicate = np.asarray(_EVENTS[event](params, np.arange(N + 1)))
-                    if not (tables[event] == predicate[:, None]).all():
+                    if not (tables[event] == run_table(params, event)[:, None]).all():
                         disagree.append(f"{event}/{n},{m},{N}")
                 checked += 1
     report(5, "oracle equals 2^N enumeration and engine events for all admissible N <= 20",
            ok and not disagree and checked > 50,
            f"{checked} parameter sets; engine disagrees on {len(disagree)} (set, event) "
            f"pairs{': ' + ', '.join(disagree[:5]) if disagree else ''}")
+
+
+def _bound_grid(n, m):
+    """The first four admissible N >= the min_N of both deviations of (n, m)."""
+    N = smallest_valid_N(n, m, max(min_N(correctness_epsilon(n, m)[0]),
+                                   min_N(privacy_epsilon(n, m)[0])))
+    grid = []
+    while len(grid) < 4:
+        grid.append(N)
+        N = smallest_valid_N(n, m, N + 1)
+    return grid
 
 
 def test_criterion_06_bound_dominance(report):
@@ -192,13 +202,7 @@ def test_criterion_06_bound_dominance(report):
     for n, m in grids:
         delta_c, eps_c = correctness_epsilon(n, m)
         delta_p, eps_p = privacy_epsilon(n, m)
-        start = max(min_N(delta_c), min_N(delta_p))
-        N = smallest_valid_N(n, m, start)
-        grid = []
-        while len(grid) < 4:
-            grid.append(N)
-            N = smallest_valid_N(n, m, N + 1)
-        for N in grid:
+        for N in _bound_grid(n, m):
             params = validate_params(n, m, N)
             for event, delta, eps in (
                 ("correctness", delta_c, eps_c),
@@ -210,6 +214,21 @@ def test_criterion_06_bound_dominance(report):
                 checked += 1
     report(6, "oracle <= 2*exp(-2N*delta^2) and <= eps^N for N >= min_N",
            ok, f"{checked} (set, event) pairs")
+
+
+def test_engine_hits_the_runs_where_the_bounds_are_claimed():
+    """Past brute force's N <= 20: on criterion 6's sets, and at (6,1,225),
+    where slots pass 127, the engine forced to each M = 0..N (2 rows per M)
+    hits each event exactly on the oracle's runs, so the bound claims hold
+    for the engine's own event rates."""
+    sets = [(n, m, N) for n, m in ((2, 1), (3, 1), (4, 1)) for N in _bound_grid(n, m)]
+    disagree = []
+    for n, m, N in [*sets, (6, 1, 225)]:
+        params = validate_params(n, m, N)
+        for event, hits in _engine_tables(params, rows=2).items():
+            if not (hits == run_table(params, event)[:, None]).all():
+                disagree.append(f"{event}/{n},{m},{N}")
+    assert len(sets) == 12 and not disagree, disagree
 
 
 def test_criterion_07_greedy_bob_privacy(report):

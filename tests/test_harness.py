@@ -38,8 +38,9 @@ from qotsim.harness import (
     run_experiment,
     wilson_interval,
 )
-from qotsim.params import _EVENTS, InvalidN, validate_params
+from qotsim.params import InvalidN, validate_params
 from qotsim.protocol import CHUNK, STATUSES, HonestBob, chunks, draw_sessions, run_protocol
+from test_params import REFERENCE, run_table
 
 P316 = validate_params(3, 1, 6)
 P216 = validate_params(2, 1, 6)
@@ -96,9 +97,10 @@ EDGE_SETS = [params for N in (14, 15, 17, 20) for params in _admissible(N)] + [
 @pytest.mark.parametrize("params", EDGE_SETS, ids=lambda p: f"{p.n},{p.m},{p.N}")
 def test_brute_force_equals_the_binomial_count_at_the_chunk_edges(params):
     """Masks split into 2^min(N,15) low and 2^(N-15) high parts; the count is
-    sum(comb(N, M) for M where the event holds) over 2^N, for every event."""
+    sum(comb(N, M) for M where the event holds) over 2^N, for every event,
+    where it holds by the reference inequalities, not by the oracle's runs."""
     N = params.N
-    for event, pred in _EVENTS.items():
+    for event, pred in REFERENCE.items():
         hits = sum(math.comb(N, M) for M in range(N + 1) if pred(params, M))
         assert brute_force_failure_probability(params, event) == Fraction(hits, 2**N)
 
@@ -141,18 +143,18 @@ def _forced_draws(params, M, rows=32):
                          ids=str)
 def test_engine_events_at_forced_match_counts_follow_the_oracle_predicates(nmN):
     """At each M = 0..N, sessions forced to M survivor matches: honest Bob
-    aborts, and greedy Bob learns more than m bits, exactly where the
-    oracle's predicates say."""
+    aborts, and greedy Bob learns more than m bits, exactly on the oracle's
+    runs of M."""
     params = validate_params(*nmN)
+    holds = {event: run_table(params, event) for event in ("correctness", "privacy")}
     for M in range(params.N + 1):
         honest = run_protocol(params, None, None, _forced_draws(params, M))
         greedy = run_protocol(params, None, None, _forced_draws(params, M), bob=GreedyBob())
         assert (honest.match_flags().sum(axis=1) == M).all()
         out = Outcomes(params.m, honest)
         assert not out.wrong_decode.any()
-        assert set((out.status != 0).tolist()) == {bool(_EVENTS["correctness"](params, M))}, M
-        assert set(Outcomes(params.m, greedy).target_exceeded.tolist()) == {
-            bool(_EVENTS["privacy"](params, M))}, M
+        assert set((out.status != 0).tolist()) == {holds["correctness"][M]}, M
+        assert set(Outcomes(params.m, greedy).target_exceeded.tolist()) == {holds["privacy"][M]}, M
 
 
 # -- wilson intervals -------------------------------------------------------

@@ -25,6 +25,7 @@ from qotsim.params import (
     compute_x,
     correctness_deviation,
     correctness_epsilon,
+    event_runs,
     exact_failure_oracle,
     hoeffding_bound,
     min_N,
@@ -281,6 +282,47 @@ def test_bound_report_without_N():
     assert report.hoeffding_correctness_form == "2*exp(-N/50)"
 
 
+# The feasibility inequalities that event_runs solves for M, kept as first
+# written: the test reference for the runs.  Each takes M as an int or an int
+# array and answers in kind.
+
+def _honest_run_feasible(params, matches):
+    """Can an honest Bob with this survivor match count finish the protocol?"""
+    if params.case is Case.LOW:
+        return (matches >= params.x) & (matches - params.x >= params.m * params.subset_size)
+    return (params.N - matches >= params.x) & (matches >= params.m * params.subset_size)
+
+
+def _extra_bit_feasible(params, matches):
+    """Can a greedy Bob form m+1 all-matching subsets while complying with removal?"""
+    if params.case is Case.LOW:
+        return matches >= params.x + (params.m + 1) * params.subset_size
+    return _dishonest_removal_feasible(params, matches)  # high case: both remove mismatches
+
+
+def _dishonest_removal_feasible(params, matches):
+    """Low case: Bob removes mismatches instead, keeping all matches for subsets."""
+    need = (params.m + 1) * params.subset_size
+    return (params.N - matches >= params.x) & (matches >= need)
+
+
+REFERENCE = {
+    "correctness": lambda p, M: np.logical_not(_honest_run_feasible(p, M)),
+    "privacy": _extra_bit_feasible,
+    "privacy_dishonest_removal": _dishonest_removal_feasible,
+}
+
+
+def run_table(params, event):
+    """(N+1,) bool, does `event` hold at M = 0..N, by :func:`event_runs`; the
+    runs must be nonempty, in order, apart and inside [0, N+1]."""
+    holds, end = np.zeros(params.N + 1, dtype=bool), -1
+    for a, b in event_runs(params, event):
+        assert end < a < b <= params.N + 1, (params, event, a, b)
+        holds[a:b], end = True, b
+    return holds
+
+
 def test_exact_oracle_matches_comb_sum_past_brute_force():
     """The oracle against a plain sum of math.comb terms, at every admissible
     N <= 400 and the three largest N <= 1000 for n <= 4; brute force
@@ -293,7 +335,7 @@ def test_exact_oracle_matches_comb_sum_past_brute_force():
             Ns = _admissible_Ns(n, m, 1000)
             for N in [N for N in Ns if N <= 400] + Ns[-3:]:
                 params = validate_params(n, m, N)
-                for event, pred in _EVENTS.items():
+                for event, pred in REFERENCE.items():
                     q = exact_failure_oracle(params, event)
                     holds = [bool(pred(params, M)) for M in range(N + 1)]
                     hits = sum(math.comb(N, M) for M in range(N + 1) if holds[M])
@@ -355,18 +397,25 @@ def _admissible_Ns(n, m, N_max):
     return Ns[:-1]
 
 
-def test_event_predicates_agree_on_arrays_and_ints():
-    """The oracle calls each predicate once on the whole support; brute force
-    and the CLI call it on one int at a time."""
-    for n in range(2, 7):
+def test_event_runs_equal_the_feasibility_reference():
+    """At every M, for every admissible set with n <= 12 and N <= 400 and every
+    event, the runs hold exactly where the reference inequalities do.  The
+    sets include the high case's two-tailed correctness event and its empty
+    upper tail at x = 0."""
+    assert set(_EVENTS) == set(REFERENCE)
+    checked, shapes = 0, set()
+    for n in range(2, 13):
         for m in range(1, n):
-            for N in _admissible_Ns(n, m, 60):
+            for N in _admissible_Ns(n, m, 400):
                 params = validate_params(n, m, N)
-                for event, pred in _EVENTS.items():
-                    holds = pred(params, np.arange(N + 1))
-                    assert holds.dtype == bool and holds.shape == (N + 1,)
-                    assert holds.tolist() == [bool(pred(params, M)) for M in range(N + 1)], (
-                        params, event)
+                M = np.arange(N + 1)
+                for event, pred in REFERENCE.items():
+                    assert (run_table(params, event) == pred(params, M)).all(), (params, event)
+                    shapes.add((params.case, event, len(event_runs(params, event)), params.x == 0))
+                    checked += 1
+    assert checked == 3 * 2544
+    assert (Case.HIGH, "correctness", 2, False) in shapes
+    assert (Case.HIGH, "correctness", 1, True) in shapes
 
 
 def test_bounds_dominate_the_exact_oracles_past_min_N():
