@@ -70,7 +70,7 @@ class Outcomes:
     recovered a wrong chosen bit; `bits_learned` (T,), the claimed subsets
     truly all-matching; `target_exceeded` (T,), more than m of them; `guess`
     (T, n), curious Alice's guess of the `chosen` (T, n) labels, read from
-    the announced family (all False on a row that did not reach step 7).
+    the announced family (all False on a row that did not complete).
     A run without an engine passes `status` and `bits_learned` instead of
     a state, and has no `chosen` or `guess`."""
 
@@ -105,11 +105,11 @@ class Outcomes:
         state = self._state
         if state is None:
             return None
-        guess = np.zeros((state.rows, state.params.n), dtype=bool)
-        if state.recovered is not None:  # the m subsets holding the smallest surviving slots
-            first = np.argsort(state.family[:, :, 0], axis=1)[:, :self.m]
-            np.put_along_axis(guess, first, True, axis=1)
-        return guess
+        if state.recovered is None:  # no row reached step 7
+            return np.zeros((state.rows, state.params.n), dtype=bool)
+        # the m subsets with the smallest first slots, distinct in a legal family
+        firsts = state.family[:, :, 0]
+        return (firsts <= np.sort(firsts, axis=1)[:, self.m - 1:self.m]) & state.live()[:, None]
 
 
 class GreedyBob(HonestBob):

@@ -4,11 +4,14 @@ A classical bit is encoded in one of two conjugate polarization bases.
 Measuring in the emission basis reproduces the bit exactly (the channel is
 noiseless); measuring in the other basis yields an unbiased coin.  Photons
 are classical records with a consumed flag: each admits exactly one
-measurement, and a second measurement is a hard error.
+measurement, and a second measurement is a hard error.  Every Philox is
+built from its key alone, as the words of ``np.random.Philox(key=key)``
+without the OS-entropy ``SeedSequence`` numpy would build and discard.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,6 +39,23 @@ class Photon:
     bit: int
     basis: Basis
     _consumed: bool = field(default=False, repr=False, compare=False)
+
+
+@functools.cache
+def _key_seed() -> type:
+    """The type of a stateless Philox seed whose state is a (2,) uint64 key."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySeed(ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):  # Philox asks for its key alone
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a key seed holds 2 uint64 words, not {n_words} {dtype}")
+            return self.key
+
+    return KeySeed
 
 
 class RandomSource:
@@ -78,7 +98,7 @@ class RandomSource:
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(key=self.key))
+            self._gen = np.random.Generator(np.random.Philox(_key_seed()(self.key)))
         return self._gen
 
     def stream(self, name: str) -> "RandomSource":
@@ -102,7 +122,7 @@ class RandomSource:
         for name, value in (("start", start), ("count", count)):
             if not (_is_integer(value) and value >= 0):
                 raise ValueError(f"block {name} must be an int >= 0, got {value!r}")
-        philox = np.random.Philox(key=self.key).advance(int(start) * width // 4)
+        philox = np.random.Philox(_key_seed()(self.key)).advance(int(start) * width // 4)
         return philox.random_raw(count * width).reshape(count, width)
 
     def bit(self) -> int:

@@ -179,16 +179,14 @@ def run_experiment(config: ExperimentConfig) -> AggregateStats:
     rng = RandomSource(config.seed).stream("trials")
     strategy = config.strategy
     spec = STRATEGIES[strategy.kind]
-    counts = np.zeros(len(STATUSES), dtype=np.int64)
-    wrong = 0
-    event_count = 0
+    counts, wrong, event_count = np.zeros(len(STATUSES), dtype=np.int64), 0, 0
     for start, count in chunks(config.trials, params):
         out = spec.run(params, strategy, rng, start, count, config.bits, config.choices)
         counts += np.bincount(out.status, minlength=len(STATUSES))
-        wrong += int(out.wrong_decode.sum())
-        event_count += int(spec.hit(out).sum())
-    completed = int(counts[0])
-    aborts = {s.value: int(c) for s, c in zip(STATUSES[1:], counts[1:]) if c}
+        wrong += int(np.count_nonzero(out.wrong_decode))
+        event_count += int(np.count_nonzero(spec.hit(out)))
+    completed, *aborted = counts.tolist()
+    aborts = {s.value: c for s, c in zip(STATUSES[1:], aborted) if c}
 
     rate = event_count / config.trials
     low, high = wilson_interval(event_count, config.trials)
@@ -276,20 +274,21 @@ def chi2_contingency(table):
     observed = np.asarray(table)
     if observed.ndim != 2:
         raise ValueError(f"need a 2-D table, got {observed.ndim} dimensions")
-    if not np.isfinite(observed).all():
+    counts = observed.astype(np.float64, casting="same_kind")
+    total, low = counts.sum(), counts.min(initial=0.0)
+    # cells are scanned only if the total or the least cell may hide a non-finite one
+    if not (total < math.inf and low == 0) and not np.isfinite(observed).all():
         cell = tuple(int(i) for i in np.argwhere(~np.isfinite(observed))[0])
         raise ValueError(f"the table has a non-finite value {observed[cell]} at {cell}")
-    if np.any(observed < 0):
+    if low < 0:
         raise ValueError("all table values must be nonnegative")
     if observed.size == 0:
         raise ValueError("no data: the table has size 0")
-    counts = observed.astype(np.float64)
-    total = counts.sum()
     if total == 0:
         raise ValueError("no data: the table total is 0")
     expected = counts.sum(axis=1, keepdims=True) * counts.sum(axis=0, keepdims=True)
     expected /= total
-    if np.any(expected == 0):
+    if np.count_nonzero(expected == 0):
         cell = tuple(int(i) for i in np.argwhere(expected == 0)[0])
         raise ValueError(f"the table of expected counts has a zero at {cell}")
     dof = expected.size - sum(expected.shape) + 1
@@ -340,15 +339,14 @@ def privacy_independence_test(
     choice_vectors = list(itertools.combinations(range(1, n + 1), m))
     root = RandomSource(seed)
     rngs = [root.stream(f"choice/{','.join(map(str, cv))}") for cv in choice_vectors]
-    masks = np.zeros((len(choice_vectors), n), dtype=bool)
-    np.put_along_axis(masks, np.array(choice_vectors) - 1, True, axis=1)
+    masks = np.array([[label in cv for label in range(1, n + 1)] for cv in choice_vectors])
     tally = np.zeros(len(choice_vectors) * n, dtype=np.int64)
     width = session_width(params)
     for start, count in chunks(len(choice_vectors) * T, params):
         stop = start + count
         vector = np.arange(start, stop) // T  # row r is trial r % T of vector r // T
         words = []
-        for v in range(vector[0], vector[-1] + 1):
+        for v in range(start // T, (stop - 1) // T + 1):
             lo, hi = max(start, v * T), min(stop, (v + 1) * T)
             words.append(rngs[v].block(width, lo - v * T, hi - lo))
         state = run_protocol(params, (0,) * n, masks[vector], Draws(params, np.concatenate(words)),
@@ -356,41 +354,34 @@ def privacy_independence_test(
         if state.recovered is not None:  # some row completed
             live = state.live()
             # subsets are sorted: column 0 holds each subset's smallest slot
-            firsts = state.family[live, :, 0].argmin(axis=1)
+            firsts = state.family[:, :, 0].argmin(axis=1)[live]
             tally += np.bincount(vector[live] * n + firsts, minlength=tally.size)
-    counts = dict(zip(choice_vectors, tally.reshape(-1, n)))
-
-    pairs = []
-    n_pairs = math.comb(len(choice_vectors), 2)
-    corrected = PRIVACY_SIGNIFICANCE / max(1, n_pairs)
-    max_tv = 0.0
-    all_pass = True
+    counts = tally.reshape(-1, n)
+    freqs = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)  # no sessions: 0
+    corrected = PRIVACY_SIGNIFICANCE / max(1, math.comb(len(choice_vectors), 2))
     # a vector that completed no session has no feature distribution to test
-    untestable = [cv for cv in choice_vectors if not counts[cv].any()]
-    for a, b in itertools.combinations(choice_vectors, 2):
+    untestable = [cv for cv, row in zip(choice_vectors, counts.tolist()) if not any(row)]
+    pairs = []
+    for (i, a), (j, b) in itertools.combinations(enumerate(choice_vectors), 2):
+        pair = {"choice_a": list(a), "choice_b": list(b)}
         if a in untestable or b in untestable:
-            all_pass = False
-            pairs.append({"choice_a": list(a), "choice_b": list(b), "p_value": None,
-                          "total_variation": None, "passed": False, "untestable": True})
-            continue
-        table = np.vstack([counts[a], counts[b]])
-        keep = table.sum(axis=0) > 0
-        _, p_value, _, _ = chi2_contingency(table[:, keep])
-        fa = counts[a] / counts[a].sum()
-        fb = counts[b] / counts[b].sum()
-        tv = 0.5 * float(np.abs(fa - fb).sum())
-        max_tv = max(max_tv, tv)
-        passed = p_value >= corrected
-        all_pass = all_pass and passed
-        pairs.append({"choice_a": list(a), "choice_b": list(b), "p_value": float(p_value),
-                      "total_variation": tv, "passed": bool(passed)})
+            pair |= {"p_value": None, "total_variation": None, "passed": False, "untestable": True}
+        else:
+            table = counts[[i, j]]
+            _, p, _, _ = chi2_contingency(table[:, table.sum(axis=0) > 0])
+            tv = 0.5 * float(np.abs(freqs[i] - freqs[j]).sum())
+            pair |= {"p_value": float(p), "total_variation": tv, "passed": p >= corrected}
+        pairs.append(pair)
     report = {"n": n, "m": m, "N": params.N, "trials_per_choice": trials_per_choice,
               "leaky": leaky, "significance": PRIVACY_SIGNIFICANCE,
               "corrected_significance": corrected,
-              "feature_counts": {",".join(map(str, cv)): c.tolist() for cv, c in counts.items()}}
+              "feature_counts": {",".join(map(str, cv)): c
+                                 for cv, c in zip(choice_vectors, counts.tolist())}}
     if untestable:
         report["untestable_vectors"] = [list(cv) for cv in untestable]
-    return report | {"pairs": pairs, "max_total_variation": max_tv, "all_pass": bool(all_pass)}
+    tvs = [pair["total_variation"] for pair in pairs if pair["total_variation"] is not None]
+    return report | {"pairs": pairs, "max_total_variation": max(tvs, default=0.0),
+                     "all_pass": all(pair["passed"] for pair in pairs)}
 
 
 # ---------------------------------------------------------------------------
@@ -416,33 +407,30 @@ _quote = json.encoder.encode_basestring_ascii
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_json(value, newline: str, put) -> None:
-    """Write json.dumps(round_sig(value), indent=2) at indent `newline` through `put`."""
-    if isinstance(value, str):
-        put(_quote(value))
-    elif isinstance(value, float):
-        text = float.__repr__(float(_ROUNDED % value))
-        put(_NON_FINITE.get(text, text))
-    elif isinstance(value, (dict, list, tuple)):
-        is_dict = isinstance(value, dict)
-        opening, closing = "{}" if is_dict else "[]"
-        inner = newline + "  "
-        sep = opening + inner
-        for key, item in value.items() if is_dict else enumerate(value):
-            if is_dict:  # keys are not rounded; json.dumps itself writes or refuses them
-                sep += (_quote(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]) + ": "
-            put(sep)
-            _write_json(item, inner, put)
-            sep = "," + inner
-        put(newline + closing if value else opening + closing)
-    elif value is None or value is True or value is False:
-        put("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        put(int.__repr__(value))
-    elif isinstance(value, Fraction):
-        put(_quote(str(value)))
+# each scalar type's JSON text, as json.dumps writes it (a subclass: its first type here)
+_SCALARS = {str: _quote, bool: lambda v: "true" if v else "false", type(None): lambda v: "null",
+            float: lambda v: _NON_FINITE.get(t := float.__repr__(float(_ROUNDED % v)), t),
+            int: int.__repr__, Fraction: lambda v: _quote(str(v))}
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(round_sig(value), indent=2), at indent `newline`."""
+    inner, text = newline + "  ", _SCALARS.get
+    if isinstance(value, dict):  # keys are not rounded; json.dumps itself writes or refuses them
+        items = [(_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": "
+                 + (t(v) if (t := text(type(v))) else _json_text(v, inner))
+                 for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [t(v) if (t := text(type(v))) else _json_text(v, inner) for v in value]
     else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        t = next((t for kind, t in _SCALARS.items() if isinstance(value, kind)), None)
+        if t is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        return t(value)
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + newline + closing
 
 
 def emit_report(
@@ -466,9 +454,7 @@ def emit_report(
     if extra:
         doc.update(extra)
     if fmt == "structured":  # one walk, no rounded copy
-        out: list[str] = []
-        _write_json(doc, "\n", out.append)
-        return "".join(out)
+        return _json_text(doc)
     if fmt != "table":
         raise ValueError(f"unknown format {fmt!r}")
     doc = round_sig(doc)

@@ -40,7 +40,7 @@ import json
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -196,6 +196,16 @@ class Draws:
         return packed <= np.sort(packed, axis=1)[:, m - 1:m]
 
 
+@lru_cache(maxsize=64)
+def _slot_words(width: int) -> tuple:
+    """uint64 constants of rows of `width` slots, built once: the low b-bit mask, its
+    complement, an eligible slot's largest top bits, and slots 0..width-1 (read-only)."""
+    low = (1 << (width - 1).bit_length()) - 1
+    slots = np.arange(width, dtype=np.uint64)
+    slots.flags.writeable = False
+    return np.uint64(low), np.uint64(2**64 - 1 - low), np.uint64(2**64 - 2 - 2 * low), slots
+
+
 def _packed(keys: np.ndarray, eligible: np.ndarray | None = None) -> np.ndarray:
     """(T, W) uint64 sort words of T rows of W slots: each slot's key's top
     64 - b bits, b = ceil(log2 W), over the slot in the low b bits, an
@@ -204,12 +214,12 @@ def _packed(keys: np.ndarray, eligible: np.ndarray | None = None) -> np.ndarray:
     first, by their keys' top bits (ties, of probability ~W^2 / 2^(65-b), by
     slot; all ones ranks with the next-lower value), then the others by
     slot, on every numpy version and sort kernel."""
-    low = np.uint64((1 << (keys.shape[1] - 1).bit_length()) - 1)
-    packed = keys & ~low
+    _, high, clamp, slots = _slot_words(keys.shape[1])
+    packed = keys & high
     if eligible is not None:
-        np.minimum(packed, ~low - low - np.uint64(1), out=packed)
-        packed |= (~eligible).astype(np.uint64) * ~low
-    packed |= np.arange(keys.shape[1], dtype=np.uint64)
+        np.minimum(packed, clamp, out=packed)
+        packed |= (~eligible).astype(np.uint64) * high
+    packed |= slots
     return packed
 
 
@@ -218,7 +228,7 @@ def _order(keys: np.ndarray, eligible: np.ndarray | None = None) -> np.ndarray:
     words sorted by value, not argsorted."""
     packed = _packed(keys, eligible)
     packed.sort(axis=1)
-    packed &= np.uint64((1 << (keys.shape[1] - 1).bit_length()) - 1)
+    packed &= _slot_words(keys.shape[1])[0]
     return packed.view(np.int64)
 
 
@@ -269,21 +279,18 @@ def _legal_family(
     :func:`select_subsets`."""
     n, s = state.params.n, state.params.subset_size
     rows, N = state.removed.shape
-    alive = ~state.removed
-    first = _order(keys[:, :N], alive & state.match_flags())
-    count = np.cumsum(targets, axis=1)
-    need = count[:, -1:] * s
-    # the first `need` positions of `first` go to the targets, ties included
-    head = int(need.max())
-    picked = np.zeros(rows * N, dtype=bool)
-    picked[first[:, :head] + state.offsets] = np.arange(head) < need
-    rest = _order(keys[:, N:], alive & ~picked.reshape(rows, N))
+    packed = _packed(keys[:, :N], state.match_flags() & ~state.removed)
+    first = np.sort(packed, axis=1)
+    count = np.add.accumulate(targets, axis=1, dtype=np.intp)
+    # the targets take the first s * (their count) positions of `first`, ties included
+    picked = packed <= first.reshape(-1)[state.offsets + (count[:, -1:] * s - 1)]
+    rest = np.sort(_packed(keys[:, N:], ~(state.removed | picked)), axis=1)
     # blocks 0..n-1 of a row are the first n blocks of `first`, blocks
     # n..2n-1 those of `rest`; the k-th target label (ascending) takes block
     # k, the k-th other label block n+k
-    blocks = np.concatenate([first[:, :n * s], rest[:, :n * s]], axis=1).reshape(-1, s)
-    block = np.where(targets, count - 1, n + np.arange(n) - count)
-    return list(np.take(blocks, block.T + 2 * n * np.arange(rows), axis=0)), targets
+    blocks = np.concatenate([first[:, :n * s], rest[:, :n * s]], axis=1) & _slot_words(N)[0]
+    block = np.where(targets, count - 1, np.arange(n, 2 * n) - count).T + 2 * n * np.arange(rows)
+    return list(np.take(blocks.view(np.int64).reshape(-1, s), block, axis=0)), targets
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +344,7 @@ class ProtocolState:
     def abort(self, rows: np.ndarray, status: Status) -> None:
         """Record `status` and the stage for the given rows not yet aborted:
         a (T,) mask, or a (T, k) one that marks a row by any of its flags."""
-        if rows.any():
+        if np.count_nonzero(rows):
             rows = (rows if rows.ndim == 1 else rows.any(axis=1)) & self.live()
             self.status[rows] = STATUSES.index(status)
             self.aborted_at[rows] = self.stage
@@ -591,6 +598,6 @@ def run_protocol(
     phase2_challenge(state)
     announce_bases(state)
     for phase in (removal_phase, select_subsets, mask_bits, decode):
-        if state.live().any():
+        if np.count_nonzero(state.status) < state.rows:  # some row is live
             phase(state)
     return state if batch else TrialOutcome(state)

@@ -13,13 +13,15 @@ import pytest
 from qotsim.adversary import (
     STRATEGIES,
     LeakyBob,
+    Outcomes,
     Strategy,
     commit_cheat_trials,
     run_with_adversary,
 )
 from qotsim.channel import RandomSource
 from qotsim.params import build_bound_report, commitment_attack_bound, validate_params
-from qotsim.protocol import STATUSES, Status, run_protocol
+from qotsim.protocol import STATUSES, HonestBob, Status, draw_sessions, run_protocol
+from test_stability import _RepeatingBob
 
 P316 = validate_params(3, 1, 6)
 P216 = validate_params(2, 1, 6)
@@ -183,6 +185,26 @@ def test_curious_alice_guess_rate_is_chance():
     # m = 1: a completed run's guess is one label; count the runs it is label 2
     hits = (out.status == 0) & out.guess[:, 1]
     assert _within_3sigma(hits.mean(), q, trials)
+
+
+@pytest.mark.parametrize("bob", [HonestBob, _RepeatingBob])
+def test_curious_alice_guesses_on_completed_rows_only(bob):
+    """On a completed row Alice guesses the m subsets whose first slots are
+    the smallest (the argsort rule); a row that aborted gets no guess."""
+    draws = draw_sessions(P4140, RandomSource(3).stream("x"), 0, 400)
+    state = run_protocol(P4140, None, None, draws, bob=bob())
+    guess = Outcomes(P4140.m, state).guess
+    done = (state.status == 0) & (state.recovered is not None)
+    assert guess.shape == (400, P4140.n) and not guess[~done].any()
+    rule = np.zeros_like(guess)
+    if done.any():
+        picks = np.zeros((int(done.sum()), P4140.n), dtype=bool)
+        firsts = np.argsort(state.family[done, :, 0], axis=1)[:, :P4140.m]
+        np.put_along_axis(picks, firsts, True, axis=1)
+        rule[done] = picks
+    assert np.array_equal(guess, rule)
+    if bob is HonestBob:  # rows of every kind: completed, and aborted at step 5
+        assert done.sum() > 300 and (state.aborted_at == 5).any()
 
 
 def test_leaky_bob_placement_is_deterministic():

@@ -83,6 +83,41 @@ def test_block_is_the_key_streams_words_from_row_start():
     assert np.array_equal(rng.block(8, 5, 3), fresh)
 
 
+@pytest.mark.parametrize("width, start, count", [
+    (4, 0, 0), (4, 10**6, 300), (8, 3, 1), (24, 12_345, 100), (60, 999_999, 17),
+    (132, 0, 300), (132, 10**6, 2),
+])
+def test_block_and_gen_are_the_philox_of_the_key(width, start, count):
+    """Each Philox is built from the key alone, with the words numpy's
+    ``Philox(key=key)`` gives: a block from row `start` on, and the
+    sequential generator's draws."""
+    rng = RandomSource(17).stream("trials")
+    expected = np.random.Philox(key=rng.key).advance(start * width // 4)
+    assert np.array_equal(rng.block(width, start, count).ravel(),
+                          expected.random_raw(count * width))
+    reference = np.random.Generator(np.random.Philox(key=rng.key))
+    assert np.array_equal(rng.gen.integers(0, 2**62, size=count),
+                          reference.integers(0, 2**62, size=count))
+
+
+def test_random_numbers_draw_no_os_entropy(monkeypatch):
+    """A Philox given its key draws no OS entropy for a seed it would
+    discard: with numpy's entropy source made to raise, blocks, bits and a
+    whole experiment still run."""
+    import numpy.random.bit_generator as bit_generator
+
+    from qotsim.harness import ExperimentConfig, run_experiment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("OS entropy drawn")
+
+    monkeypatch.setattr(bit_generator, "randbits", refuse)
+    rng = RandomSource(5).stream("x")
+    assert rng.block(8, 3, 2).shape == (2, 8)
+    assert rng.bits(5).shape == (5,)
+    assert run_experiment(ExperimentConfig(n=3, m=1, N=6, trials=50, seed=2)).trials == 50
+
+
 @pytest.mark.parametrize("seed", [1.5, "7", True, None])
 def test_random_source_seed_must_be_an_int(seed):
     """A float, str or bool is refused, not truncated or parsed into a seed."""

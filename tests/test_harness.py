@@ -25,7 +25,7 @@ from qotsim.adversary import (
 from qotsim.channel import RandomSource
 from qotsim.harness import (
     ExperimentConfig,
-    _write_json,
+    _json_text,
     all_verdicts_pass,
     brute_force_failure_probability,
     check_bounds,
@@ -494,9 +494,7 @@ def test_round_sig_recursion():
 
 def _report_json(doc) -> str:
     """The text emit_report(fmt="structured") writes for `doc`."""
-    out = []
-    _write_json(doc, "\n", out.append)
-    return "".join(out)
+    return _json_text(doc)
 
 
 _KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())

@@ -74,6 +74,15 @@ def test_scipy_stats_not_imported_with_package():
     assert _run_python(code) == "False"
 
 
+def test_package_set_up_leaves_numpy_random_unloaded():
+    """numpy.random loads on the first Philox, not with the package: the
+    set-up the benchmark times (imports and one validate_params) leaves it
+    out, and importing it costs ~13 ms."""
+    code = ("import sys, qotsim, qotsim.harness, qotsim.cli; "
+            "qotsim.harness.validate_params(3, 1, 6); print('numpy.random' in sys.modules)")
+    assert _run_python(code) == "False"
+
+
 def test_privacy_test_leaves_scipy_stats_unloaded():
     """Nor does a privacy test, which runs the package's only chi-square."""
     code = ("import sys; from qotsim import harness; "
