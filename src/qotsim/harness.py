@@ -19,11 +19,13 @@ from a one-pass writer, byte-identical to ``json.dumps(indent=2)`` of the
 :func:`round_sig` document.
 The brute-force check enumerates all 2^N outcomes: it checks the oracle's
 binomial walk, but not the runs of match counts (:func:`event_runs`) where
-each event holds, which it shares.
+each event holds, which it shares.  Its popcount table is built once per
+width; the oracle, in :mod:`qotsim.params`, walks once per parameter set.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -139,13 +141,23 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # exact oracles
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _popcount_bits(width: int) -> np.ndarray:
+    """Read-only uint16 1 << popcount(l) for the 2^width low mask bits l (a
+    uint32 arange, as numpy's bitwise_count is ~3x slower on uint16)."""
+    low = np.uint16(1) << np.bitwise_count(np.arange(1 << width, dtype=np.uint32))
+    low.flags.writeable = False
+    return low
+
+
 def brute_force_failure_probability(params: ProtocolParams, event: str = "correctness") -> Fraction:
     """Check the oracle's binomial sum: enumerate, in chunks, all 2^N outcomes
     of the N <= 20 survivor basis-agreement coins.
 
     The event table is an int with bit M set iff the event holds at match
     count M, built from the oracle's own runs (:func:`event_runs`), so this
-    checks the sum, not a run.  A uint16 array holds 1 << popcount(l) for the
+    checks the sum, not a run.  A read-only uint16 array, built once per
+    width (:func:`_popcount_bits`), holds 1 << popcount(l) for the
     2^min(N,15) low mask bits l, and for high prefix h each outcome ANDs its
     entry with the low 16 bits of the table shifted down by popcount(h).
     The nonzero results are tallied.
@@ -153,10 +165,9 @@ def brute_force_failure_probability(params: ProtocolParams, event: str = "correc
     N = params.N
     if N > 20:
         raise ValueError("brute force enumeration is limited to N <= 20")
-    # tally outcome by outcome, so the enumeration stays the checked route;
-    # popcount a uint32 arange, as numpy's bitwise_count is ~3x slower on uint16
+    # tally outcome by outcome, so the enumeration stays the checked route
     table = sum((1 << b) - (1 << a) for a, b in event_runs(params, event))
-    low = np.uint16(1) << np.bitwise_count(np.arange(1 << min(N, 15), dtype=np.uint32))
+    low = _popcount_bits(min(N, 15))
     hits = sum(int(np.count_nonzero(low & np.uint16(table >> h.bit_count() & 0xFFFF)))
                for h in range(1 << max(N - 15, 0)))
     return Fraction(hits, 1 << N)

@@ -7,11 +7,14 @@ two-sided concentration bound 2*exp(-2*N*delta^2) and the simplified eps^N
 form with eps = exp(-delta^2), which dominates the raw bound once
 N > ln(2)/delta^2.  Each exact event is at most two runs of the survivor
 match count M ~ Binomial(N, 1/2), with closed-form ends (:func:`event_runs`),
-and the oracle sums binomial terms over them in plain integers.
+and the oracle sums binomial terms over them in plain integers, from one
+walk per parameter set that all its events share.  That walk and a bound
+report's (n, m) fields are built once, in small lru caches keyed on ints.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -262,14 +265,13 @@ def event_runs(params: ProtocolParams, event: str) -> list[tuple[int, int]]:
     return [(a, b) for a, b in runs(params) if a < b]
 
 
-def _binomial_walk(N: int, weights: dict[int, int]) -> int:
-    """sum(w * sum(comb(N, M) for M in range(low, k)) for k, w in weights.items()),
-    low the least k, in one walk up that adds comb(N, M) + comb(N, M+1) =
+def _binomial_walk(N: int, points: list[int]) -> list[int]:
+    """[sum(comb(N, M) for M in range(points[0], k)) for k in points], the
+    points sorted, in one walk up that adds comb(N, M) + comb(N, M+1) =
     comb(N+1, M+1) by the step comb(N+1, j+2) = comb(N+1, j) * (N+1-j)(N-j) //
     ((j+1)(j+2)), after one single term where a segment's length is odd."""
-    points = sorted(weights)
     M = points[0]
-    pair, total, hits = math.comb(N + 1, M + 1), 0, 0  # pair = comb(N+1, M+1)
+    pair, total, sums = math.comb(N + 1, M + 1), 0, []  # pair = comb(N+1, M+1)
     for k in points:
         if (k - M) & 1:
             total += pair * (M + 1) // (N + 1)
@@ -279,8 +281,21 @@ def _binomial_walk(N: int, weights: dict[int, int]) -> int:
             total += pair
             pair = pair * ((N - M) * (N - M - 1)) // ((M + 2) * (M + 3))
         M = k
-        hits += weights[k] * total
-    return hits
+        sums.append(total)
+    return sums
+
+
+@functools.lru_cache(maxsize=32)
+def _prefix_sums(n: int, m: int, N: int) -> dict[int, int]:
+    """{k: P(k)}, P(k) = sum(comb(N, M) for M < k), at every run end k of every
+    event of the admissible (n, m, N): a P(k) with 2k > N+1 is 2^N - P(N+1-k),
+    and one walk up from P(0) = 0 gives the rest.  Keyed on ints, as hashing
+    a ProtocolParams is slow."""
+    params = validate_params(n, m, N)
+    ends = {k for event in _EVENTS for run in event_runs(params, event) for k in run}
+    points = sorted({0, *(min(k, N + 1 - k) for k in ends)})
+    P = dict(zip(points, _binomial_walk(N, points)))
+    return {k: P[k] if 2 * k <= N + 1 else (1 << N) - P[N + 1 - k] for k in ends}
 
 
 def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> Fraction:
@@ -290,20 +305,13 @@ def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> 
     Bob can decode m+1 bits), "privacy_dishonest_removal".
 
     A sum in integers over the runs of :func:`event_runs`: a run [a, b) adds
-    P(b) - P(a) with P(k) = sum(comb(N, M) for M < k), a P(k) with 2k > N+1
-    is 2^N - P(N+1-k), and one walk (:func:`_binomial_walk`) gives the rest.
-    One rational, hits / 2^N, is built at the end.
+    P(b) - P(a) with P(k) = sum(comb(N, M) for M < k).  The P(k) of every
+    event of the set come from one walk (:func:`_prefix_sums`), kept in a
+    bounded cache; each call builds its own rational, hits / 2^N.
     """
-    N = params.N
-    full, weights = 0, {}
-    for run in event_runs(params, event):
-        for k, w in zip(run, (-1, 1)):
-            if 2 * k > N + 1:  # P(k) = 2^N - P(N+1-k)
-                full, k, w = full + w, N + 1 - k, -w
-            weights[k] = weights.get(k, 0) + w
-    if full:  # weights sum to -2 * full: unless they cancel, walk from P(0) = 0
-        weights.setdefault(0, 0)
-    return Fraction((full << N) + _binomial_walk(N, weights), 1 << N)
+    runs = event_runs(params, event)
+    P = _prefix_sums(params.n, params.m, params.N)
+    return Fraction(sum(P[b] - P[a] for a, b in runs), 1 << params.N)
 
 
 @dataclass(frozen=True)
@@ -341,46 +349,42 @@ def _bound_form(delta: Fraction) -> str:
     return f"2*exp(-N/{delta.denominator**2 // 2})"
 
 
+@functools.lru_cache(maxsize=32)
+def _bound_constants(n: int, m: int) -> tuple[dict, float, float]:
+    """A checked (n, m)'s report fields that depend on neither N nor p, and the
+    float deviations delta_c and delta_p; callers copy the dict."""
+    delta_c, signed = correctness_deviation(n, m), privacy_deviation_signed(n, m)
+    anomaly = signed.numerator <= 0
+    delta_p = -signed if anomaly else signed
+    fc, fp = float(delta_c), float(delta_p)
+    return dict(
+        n=n, m=m, case=case_of(n, m).value, target_rate=str(Fraction(2 * m + 1, 2 * n)),
+        delta_correctness=str(delta_c), delta_privacy=str(delta_p), privacy_sign_anomaly=anomaly,
+        eps_correctness=math.exp(-fc**2), eps_privacy=math.exp(-fp**2),
+        hoeffding_correctness_form=_bound_form(delta_c),
+        hoeffding_privacy_form=_bound_form(delta_p),
+        min_N_correctness=min_N(fc), min_N_privacy=min_N(fp),
+    ), fc, fp
+
+
 def build_bound_report(
     n: int, m: int, N: int | None = None, p: float | None = None
 ) -> BoundReport:
     """Assemble a :class:`BoundReport`; N enables per-N bounds, p the
-    commitment-attack figures (commitment_bound additionally needs N)."""
+    commitment-attack figures (commitment_bound additionally needs N).
+    The (n, m) fields are built once per pair (:func:`_bound_constants`)."""
     if p is not None:
         check_cheat_probability(p)
-    case, delta_c = case_of(n, m), correctness_deviation(n, m)
-    signed = privacy_deviation_signed(n, m)
-    anomaly = signed.numerator <= 0
-    delta_p = -signed if anomaly else signed
-    fc, fp = float(delta_c), float(delta_p)
-    eps_c, eps_p = math.exp(-fc**2), math.exp(-fp**2)
-    fields: dict = dict(
-        n=n,
-        m=m,
-        case=case.value,
-        target_rate=str(Fraction(2 * m + 1, 2 * n)),
-        delta_correctness=str(delta_c),
-        delta_privacy=str(delta_p),
-        privacy_sign_anomaly=anomaly,
-        eps_correctness=eps_c,
-        eps_privacy=eps_p,
-        hoeffding_correctness_form=_bound_form(delta_c),
-        hoeffding_privacy_form=_bound_form(delta_p),
-        min_N_correctness=min_N(fc),
-        min_N_privacy=min_N(fp),
-        p=p,
-    )
+    _require_choice_count(n, m)  # before the lookup: [2], True and 2.0 are refused
+    constants, fc, fp = _bound_constants(n, m)
+    fields = dict(constants, p=p)
     if N is not None:
         params = validate_params(n, m, N)
-        fields.update(
-            N=N,
-            x=params.x,
-            subset_size=params.subset_size,
-            hoeffding_correctness=hoeffding_bound(N, fc),
-            hoeffding_privacy=hoeffding_bound(N, fp),
-            eps_correctness_pow_N=eps_c**N,
-            eps_privacy_pow_N=eps_p**N,
-        )
+        fields.update(N=N, x=params.x, subset_size=params.subset_size,
+                      hoeffding_correctness=hoeffding_bound(N, fc),
+                      hoeffding_privacy=hoeffding_bound(N, fp),
+                      eps_correctness_pow_N=fields["eps_correctness"] ** N,
+                      eps_privacy_pow_N=fields["eps_privacy"] ** N)
         if p is not None:
             bound, eps = commitment_attack_bound(p, n, N, params.x)
             fields.update(commitment_bound=bound, commitment_eps=eps)

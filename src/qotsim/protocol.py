@@ -494,7 +494,10 @@ def select_subsets(state: ProtocolState) -> None:
     fam.sort(axis=2)
     cells = fam + state.offsets
     hits = np.bincount(cells.reshape(-1), minlength=alive.size)
-    state.abort(hits.reshape(alive.shape) != alive, Status.ABORT_INVALID_MESSAGE)
+    wrong = hits.reshape(alive.shape) != alive
+    if np.count_nonzero(wrong):  # live rows only: one aborted at step 4 removed nothing
+        wrong[~state.live()] = False
+        state.abort(wrong, Status.ABORT_INVALID_MESSAGE)
     state.family = fam.transpose(1, 0, 2)
     # (size, T, n), so that reductions over a subset run along whole rows
     state.cells = np.ascontiguousarray(cells.transpose(2, 1, 0))

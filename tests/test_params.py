@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from qotsim.params import (
     _EVENTS,
     _binomial_walk,
+    _bound_constants,
+    _prefix_sums,
     Case,
     InvalidChoiceCount,
     InvalidN,
@@ -274,6 +276,43 @@ def test_bound_layer_is_pinned():
     assert refused.hexdigest() == REFUSED_CALLS_SHA256
 
 
+def test_bound_report_checks_its_arguments_before_the_cache():
+    """A list, a bool or a float 2.0 (equal to 2, with its hash) is refused as
+    at any other call, not looked up: no TypeError, no report of (2, 1).  The
+    p check still runs first."""
+    build_bound_report(2, 1)  # (2, 1) is cached
+    for n, m in (([2], 1), (True, 1), (2.0, 1), (2, [1]), (3, 1.0), (2, True)):
+        for N in (None, 6):
+            with pytest.raises(InvalidChoiceCount):
+                build_bound_report(n, m, N)
+    with pytest.raises(ValueError, match="cheat probability"):
+        build_bound_report([2], 1, p=1.5)
+    with pytest.raises(InvalidN):
+        build_bound_report(2, 1, N=7)
+
+
+def test_bound_report_depends_on_no_call_order():
+    """Each (n, m), asked with and without N and p in a shuffled order, gives
+    the report built from a cleared cache; no report shares state with it."""
+    calls = [(n, m, N, p) for n in range(2, 8) for m in range(1, n)
+             for N in (None, smallest_valid_N(n, m), smallest_valid_N(n, m, 200))
+             for p in (None, 0.5)]
+    fresh = {}
+    for args in calls:
+        _bound_constants.cache_clear()
+        fresh[args] = build_bound_report(*args)
+    for seed in range(3):
+        np.random.default_rng(seed).shuffle(calls)
+        for args in calls:
+            assert build_bound_report(*args) == fresh[args], args
+    constants = {key: dict(_bound_constants(*key[:2])[0]) for key in calls}
+    for report in fresh.values():  # every field is immutable
+        assert all(isinstance(v, (str, int, float, type(None))) for v in vars(report).values())
+    for args in calls:  # the cached fields stay as they were after every call
+        build_bound_report(*args)
+        assert _bound_constants(*args[:2])[0] == constants[args]
+
+
 def test_bound_report_without_N():
     report = build_bound_report(4, 1, p=0.3)
     assert report.N is None and report.hoeffding_privacy is None
@@ -350,44 +389,80 @@ def test_exact_oracle_matches_comb_sum_past_brute_force():
     assert any(last and not first for _, _, first, last in shapes)
 
 
+def _reference_oracle(params, event):
+    N = params.N
+    holds = REFERENCE[event](params, np.arange(N + 1))
+    return Fraction(sum(math.comb(N, M) for M in range(N + 1) if holds[M]), 2**N)
+
+
+def test_oracle_depends_on_no_query_order_or_cache_state():
+    """Every admissible set with n <= 6 and N <= 120: its three events asked
+    in each of the six orders, from a cleared cache each time, give the
+    reference comb sums."""
+    checked = 0
+    for n in range(2, 7):
+        for m in range(1, n):
+            for N in _admissible_Ns(n, m, 120):
+                params = validate_params(n, m, N)
+                want = {event: _reference_oracle(params, event) for event in REFERENCE}
+                for order in itertools.permutations(REFERENCE):
+                    _prefix_sums.cache_clear()
+                    for event in order:
+                        assert exact_failure_oracle(params, event) == want[event], (params, order)
+                        checked += 1
+    assert checked > 5_000
+
+
+def test_oracle_is_right_after_evictions():
+    """Sets interleaved round-robin, more of them than the walk cache holds,
+    so that entries are evicted and walked again."""
+    sets = [validate_params(n, m, N) for n in range(2, 7) for m in range(1, n)
+            for N in _admissible_Ns(n, m, 90)[-5:]]
+    assert len(sets) > 2 * _prefix_sums.cache_info().maxsize
+    want = {(p, e): _reference_oracle(p, e) for p in sets for e in REFERENCE}
+    _prefix_sums.cache_clear()
+    for event in [*REFERENCE, *reversed(REFERENCE)]:
+        for params in sets:
+            assert exact_failure_oracle(params, event) == want[params, event], (params, event)
+    info = _prefix_sums.cache_info()
+    assert info.misses > len(sets) and info.currsize == info.maxsize
+
+
 def _prefixes(N):
     """P[k] = sum(comb(N, M) for M < k), k = 0..N+1, from math.comb."""
     return [0, *itertools.accumulate(math.comb(N, M) for M in range(N + 1))]
 
 
-def _walk_sum(P, weights):
-    low = min(weights)
-    return sum(w * (P[k] - P[low]) for k, w in weights.items())
+def _walk_sums(P, points):
+    return [P[k] - P[points[0]] for k in points]
 
 
 def test_binomial_walk_sums_every_point_list():
     """Every set of 2 and 3 points in 0..N+1 at N <= 40: segments of odd and
-    even length, walks from 0 and from past 0.  The i-th point weighs
-    2^((N+1)i); every partial sum is below 2^(N+1), so the one integer the
-    walk returns holds each point's partial sum as a separate digit."""
+    even length, walks from 0 and from past 0.  The walk returns each
+    point's prefix sum from the lowest point."""
     checked = 0
     for N in range(1, 41):
         P = _prefixes(N)
         for size in (2, 3):
             for points in itertools.combinations(range(N + 2), size):
-                weights = {k: 1 << (N + 1) * i for i, k in enumerate(points)}
-                assert _binomial_walk(N, weights) == _walk_sum(P, weights), (N, points)
+                assert _binomial_walk(N, list(points)) == _walk_sums(P, points), (N, points)
                 checked += 1
     assert checked > 100_000
 
 
 def test_binomial_walk_at_large_N():
-    """Seven point sets at N = 1000, with the oracle's signed weights, and one
-    short run at N = 33,000, where the step factors (N-M)(N-M-1) no longer
-    fit one 30-bit digit."""
+    """Seven point sets at N = 1000, from 0 and from past 0, with adjacent
+    points and segments of odd and even length, and one short run at
+    N = 33,000, where the step factors (N-M)(N-M-1) no longer fit one 30-bit
+    digit."""
     P = _prefixes(1000)
-    for weights in ({0: -1, 500: 1}, {0: 2, 1: -1, 2: 1, 3: -1}, {1: -1, 499: 1, 500: -1, 501: 2},
-                    {137: -1, 400: 1}, {250: 1, 251: -2, 501: 1}, {0: -2, 501: 1},
-                    {0: 1, 333: -1, 334: 1, 336: -1, 339: 1, 343: -1, 499: 3}):
-        assert _binomial_walk(1000, weights) == _walk_sum(P, weights), weights
+    for points in ([0, 500], [0, 1, 2, 3], [1, 499, 500, 501], [137, 400], [250, 251, 501],
+                   [0, 501], [0, 333, 334, 336, 339, 343, 499]):
+        assert _binomial_walk(1000, points) == _walk_sums(P, points), points
     N = 33_000
     assert (N - 3) * (N - 4) >= 1 << 30
-    assert _binomial_walk(N, {3: -1, 10: 1}) == sum(math.comb(N, M) for M in range(3, 10))
+    assert _binomial_walk(N, [3, 10]) == [0, sum(math.comb(N, M) for M in range(3, 10))]
 
 
 def _admissible_Ns(n, m, N_max):

@@ -29,6 +29,51 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _caches(source: str):
+    """(function name, takes arguments, bounded) for each function of
+    `source` decorated with functools' cache or lru_cache; a bare lru_cache
+    holds 128 entries, a maxsize of None or a plain cache every entry."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        takes = bool(a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg)
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            name = ast.unparse(call.func if call else dec).split(".")[-1]
+            if name == "cache":
+                yield node.name, takes, False
+            elif name == "lru_cache":
+                size = call and [k.value for k in call.keywords if k.arg == "maxsize"] + call.args
+                bounded = not size or (isinstance(size[0], ast.Constant)
+                                       and type(size[0].value) is int)
+                yield node.name, takes, bounded
+
+
+def test_the_cache_scan_finds_unbounded_caches():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@functools.cache\ndef a(x): pass\n@lru_cache(maxsize=None)\ndef b(x): pass\n"
+              "@functools.lru_cache(None)\ndef c(*x): pass\n@lru_cache(maxsize=SIZE)\n"
+              "def d(x=1): pass\n@lru_cache(maxsize=8)\ndef e(x): pass\n@lru_cache\n"
+              "def f(x): pass\n@cache\ndef g(): pass\n")
+    assert [(f, bounded) for f, _, bounded in _caches(source)] == [
+        ("a", False), ("b", False), ("c", False), ("d", False), ("e", True), ("f", True),
+        ("g", False)]
+    assert [f for f, takes, _ in _caches(source) if not takes] == ["g"]
+
+
+def test_every_cache_with_arguments_is_bounded():
+    """A cache keyed on arguments keeps an entry per key unless its maxsize is
+    a finite int, and a sweep over N, say, would keep them all.  A cache of
+    a function without arguments holds one value."""
+    caches = [(f"{path.name}:{f}", takes, bounded) for path in sorted(PACKAGE.glob("*.py"))
+              for f, takes, bounded in _caches(path.read_text(encoding="utf-8"))]
+    assert [name for name, takes, bounded in caches if takes and not bounded] == []
+    names = {name for name, _, _ in caches}  # the scan sees the package's caches
+    assert {"params.py:_prefix_sums", "params.py:_bound_constants",
+            "harness.py:_popcount_bits", "channel.py:_key_seed"} <= names
+
+
 def _imports(tree: ast.AST):
     """Every module name an import statement of `tree` names."""
     for node in ast.walk(tree):
