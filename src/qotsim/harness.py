@@ -17,10 +17,11 @@ does scipy.stats' arithmetic in numpy and takes its p-value from the
 closed-form chi-square tail, so the package loads no scipy.  Reports come
 from a one-pass writer, byte-identical to ``json.dumps(indent=2)`` of the
 :func:`round_sig` document.
-The brute-force check enumerates all 2^N outcomes: it checks the oracle's
-binomial walk, but not the runs of match counts (:func:`event_runs`) where
-each event holds, which it shares.  Its popcount table is built once per
-width; the oracle, in :mod:`qotsim.params`, walks once per parameter set.
+The brute-force check enumerates all 2^N outcomes, with a popcount table
+built once per width: it checks the oracle's binomial walk, but not the runs
+of match counts where each event holds (:func:`event_runs`), which it shares.
+The oracle (:mod:`qotsim.params`) takes one walk per N, shared by every
+(n, m) and event, resumed from checkpoints in a bounded cache keyed on N.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ form with eps = exp(-delta^2), which dominates the raw bound once
 N > ln(2)/delta^2.  Each exact event is at most two runs of the survivor
 match count M ~ Binomial(N, 1/2), with closed-form ends (:func:`event_runs`),
 and the oracle sums binomial terms over them in plain integers, from one
-walk per parameter set that all its events share.  That walk and a bound
-report's (n, m) fields are built once, in small lru caches keyed on ints.
+walk per N, shared by every (n, m) and event, resumed from checkpoints in a
+bounded cache keyed on N.  A bound report's (n, m) fields are built once.
 """
 
 from __future__ import annotations
@@ -265,37 +265,36 @@ def event_runs(params: ProtocolParams, event: str) -> list[tuple[int, int]]:
     return [(a, b) for a, b in runs(params) if a < b]
 
 
-def _binomial_walk(N: int, points: list[int]) -> list[int]:
-    """[sum(comb(N, M) for M in range(points[0], k)) for k in points], the
-    points sorted, in one walk up that adds comb(N, M) + comb(N, M+1) =
-    comb(N+1, M+1) by the step comb(N+1, j+2) = comb(N+1, j) * (N+1-j)(N-j) //
-    ((j+1)(j+2)), after one single term where a segment's length is odd."""
-    M = points[0]
-    pair, total, sums = math.comb(N + 1, M + 1), 0, []  # pair = comb(N+1, M+1)
-    for k in points:
-        if (k - M) & 1:
-            total += pair * (M + 1) // (N + 1)
-            pair = pair * (N - M) // (M + 2)
-            M += 1
-        for M in range(M, k, 2):
-            total += pair
-            pair = pair * ((N - M) * (N - M - 1)) // ((M + 2) * (M + 3))
-        M = k
-        sums.append(total)
-    return sums
-
-
 @functools.lru_cache(maxsize=32)
-def _prefix_sums(n: int, m: int, N: int) -> dict[int, int]:
-    """{k: P(k)}, P(k) = sum(comb(N, M) for M < k), at every run end k of every
-    event of the admissible (n, m, N): a P(k) with 2k > N+1 is 2^N - P(N+1-k),
-    and one walk up from P(0) = 0 gives the rest.  Keyed on ints, as hashing
-    a ProtocolParams is slow."""
-    params = validate_params(n, m, N)
-    ends = {k for event in _EVENTS for run in event_runs(params, event) for k in run}
-    points = sorted({0, *(min(k, N + 1 - k) for k in ends)})
-    P = dict(zip(points, _binomial_walk(N, points)))
-    return {k: P[k] if 2 * k <= N + 1 else (1 << N) - P[N + 1 - k] for k in ends}
+def _checkpoints(N: int) -> dict[int, tuple]:
+    """{j: (P(j), comb(N+1, j+1))} at j = 0, h, 2h, ... <= (N+1)/2, h = 2*max(1, N >> 6)
+    (~N/32), and at -1 the last query's even end j as (j, P(j), comb(N+1, j+1)): at most
+    34 entries, the walk of :func:`_prefix` that every (n, m) and event at N shares."""
+    return {0: (0, N + 1)}
+
+
+def _prefix(N: int, k: int) -> int:
+    """P(k) = sum(comb(N, M) for M < k), 0 <= k <= N+1: 2^N - P(N+1-k) if 2k > N+1, else
+    the walk up from the nearest checkpoint M <= k, adding comb(N, M) + comb(N, M+1) =
+    comb(N+1, M+1) by the step comb(N+1, j+2) = comb(N+1, j) * (N+1-j)(N-j) // ((j+1)(j+2)),
+    then one single term if k is odd."""
+    if 2 * k > N + 1:
+        return (1 << N) - _prefix(N, N + 1 - k)
+    walk, h, end = _checkpoints(N), N >> 5 & -2 or 2, k & ~1  # h = 2 * max(1, N >> 6)
+    M, last = k - k % h, walk.get(-1, (0,))
+    while M not in walk:  # past the walk so far
+        M -= h
+    M, total, pair = last if M < last[0] <= end else (M, *walk[M])  # pair = comb(N+1, M+1)
+    for M in range(M, end, 2):
+        total += pair
+        pair = pair * ((N - M) * (N - M - 1)) // ((M + 2) * (M + 3))
+        if (M + 2) % h == 0:
+            walk[M + 2] = total, pair
+    if end % h:
+        walk[-1] = end, total, pair
+    if end < k:
+        total += pair * (end + 1) // (N + 1)
+    return total
 
 
 def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> Fraction:
@@ -305,13 +304,13 @@ def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> 
     Bob can decode m+1 bits), "privacy_dishonest_removal".
 
     A sum in integers over the runs of :func:`event_runs`: a run [a, b) adds
-    P(b) - P(a) with P(k) = sum(comb(N, M) for M < k).  The P(k) of every
-    event of the set come from one walk (:func:`_prefix_sums`), kept in a
-    bounded cache; each call builds its own rational, hits / 2^N.
+    P(b) - P(a) with P(k) = sum(comb(N, M) for M < k).  Every P(k) comes
+    from one walk per N (:func:`_prefix`), shared by every (n, m) and event
+    and resumed from checkpoints in a bounded cache keyed on N; each call
+    builds its own rational, hits / 2^N.
     """
-    runs = event_runs(params, event)
-    P = _prefix_sums(params.n, params.m, params.N)
-    return Fraction(sum(P[b] - P[a] for a, b in runs), 1 << params.N)
+    runs, N = event_runs(params, event), params.N
+    return Fraction(sum(_prefix(N, b) - _prefix(N, a) for a, b in runs), 1 << N)
 
 
 @dataclass(frozen=True)

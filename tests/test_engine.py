@@ -1,7 +1,9 @@
 """Batched-engine tests: row k of a batch is exactly the single run of trial k."""
 
+import copy
 import hashlib
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -298,6 +300,48 @@ def test_concatenated_blocks_with_row_masks_equal_separate_batches(bob):
                           bob=bob()) for rng, start, count, labels in parts]
     assert [_row(batch, k) for k in range(batch.rows)] == [
         _row(state, k) for state in alone for k in range(state.rows)]
+
+
+def _permuted(draws, pi):
+    """A copy of `draws` whose survivor slot i has slot pi[i]'s draws: both
+    halves of r, beta, beta_b and coin, d, the removal keys and each N-half
+    of the family keys.  The input bits and choice keys, per label, stay."""
+    out, N = copy.copy(draws), len(pi)
+    for name in ("r", "beta", "beta_b", "coin", "d", "removal_keys"):
+        setattr(out, name, getattr(draws, name)[..., pi])
+    out.family_keys = np.concatenate([draws.family_keys[:, :N][:, pi],
+                                      draws.family_keys[:, N:][:, pi]], axis=1)
+    return out
+
+
+@pytest.mark.parametrize("nmN", [(3, 1, 6), (2, 1, 18), (4, 1, 40), (4, 2, 20), (5, 2, 25)],
+                         ids=str)
+def test_sessions_are_equivariant_under_a_slot_permutation(nmN):
+    """Only its draws tell a survivor slot from another.  With every per-slot
+    draw permuted by one pi, an honest, a greedy and (low case) a dishonest
+    removal Bob give every row the same status, abort step and claimed labels,
+    and every completed row the same recovered bits and, mapped back by pi,
+    the same family.  LeakyBob places subsets by slot number, so its family
+    changes: the positive control."""
+    params = validate_params(*nmN)
+    draws = draw_sessions(params, RandomSource(26).stream("equivariance"), 0, 2000)
+    pi = np.array(random.Random(str(nmN)).sample(range(params.N), params.N))
+    permuted = _permuted(draws, pi)
+    bobs = [HonestBob, GreedyBob, LeakyBob]
+    if params.case is Case.LOW:
+        bobs.insert(2, DishonestRemovalBob)
+    for bob in bobs:
+        a, b = (run_protocol(params, None, None, d, bob=bob()) for d in (draws, permuted))
+        done = a.status == 0
+        assert done.any(), bob
+        assert np.array_equal(a.status, b.status), bob
+        assert np.array_equal(a.aborted_at, b.aborted_at), bob
+        assert np.array_equal(a.claimed, b.claimed), bob
+        family = np.array_equal(a.family[done], np.sort(pi[b.family[done]], axis=2))
+        if bob is LeakyBob:
+            assert not family
+        else:
+            assert family and np.array_equal(a.recovered[done], b.recovered[done]), bob
 
 
 def test_row_mask_must_fit_the_batch():

@@ -1,10 +1,12 @@
 """Parameter/bound formula tests: exact rational values and properties."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -15,9 +17,9 @@ from hypothesis import strategies as st
 
 from qotsim.params import (
     _EVENTS,
-    _binomial_walk,
     _bound_constants,
-    _prefix_sums,
+    _checkpoints,
+    _prefix,
     Case,
     InvalidChoiceCount,
     InvalidN,
@@ -389,43 +391,61 @@ def test_exact_oracle_matches_comb_sum_past_brute_force():
     assert any(last and not first for _, _, first, last in shapes)
 
 
+@functools.cache
+def _comb_row(N):
+    return [math.comb(N, M) for M in range(N + 1)]
+
+
 def _reference_oracle(params, event):
-    N = params.N
+    N, row = params.N, _comb_row(params.N)
     holds = REFERENCE[event](params, np.arange(N + 1))
-    return Fraction(sum(math.comb(N, M) for M in range(N + 1) if holds[M]), 2**N)
+    return Fraction(sum(row[M] for M in range(N + 1) if holds[M]), 2**N)
 
 
 def test_oracle_depends_on_no_query_order_or_cache_state():
     """Every admissible set with n <= 6 and N <= 120: its three events asked
-    in each of the six orders, from a cleared cache each time, give the
-    reference comb sums."""
-    checked = 0
+    in each of the six orders, from a cleared cache each time; and each N's
+    sets, which share one walk, asked reversed and shuffled from a cleared
+    cache.  All give the reference comb sums."""
+    by_N, rng, checked = {}, random.Random(26), 0
     for n in range(2, 7):
         for m in range(1, n):
             for N in _admissible_Ns(n, m, 120):
-                params = validate_params(n, m, N)
-                want = {event: _reference_oracle(params, event) for event in REFERENCE}
-                for order in itertools.permutations(REFERENCE):
-                    _prefix_sums.cache_clear()
-                    for event in order:
-                        assert exact_failure_oracle(params, event) == want[event], (params, order)
-                        checked += 1
+                by_N.setdefault(N, []).append(validate_params(n, m, N))
+    assert max(len(sets) for sets in by_N.values()) >= 8
+    for sets in by_N.values():
+        want = {(p, e): _reference_oracle(p, e) for p in sets for e in REFERENCE}
+        for params in sets:
+            for events in itertools.permutations(REFERENCE):
+                _checkpoints.cache_clear()
+                for event in events:
+                    assert exact_failure_oracle(params, event) == want[params, event], (
+                        params, events)
+                    checked += 1
+        for order in (sets[::-1], rng.sample(sets, len(sets))):
+            _checkpoints.cache_clear()
+            for params in order:
+                for event in REFERENCE:
+                    assert exact_failure_oracle(params, event) == want[params, event], (
+                        params, order)
+                    checked += 1
     assert checked > 5_000
 
 
 def test_oracle_is_right_after_evictions():
-    """Sets interleaved round-robin, more of them than the walk cache holds,
-    so that entries are evicted and walked again."""
+    """Sets interleaved round-robin, at more N than the walk cache holds, so
+    that walks are evicted and taken again."""
     sets = [validate_params(n, m, N) for n in range(2, 7) for m in range(1, n)
-            for N in _admissible_Ns(n, m, 90)[-5:]]
-    assert len(sets) > 2 * _prefix_sums.cache_info().maxsize
+            for N in _admissible_Ns(n, m, 140) if N > 20]
+    Ns = {params.N for params in sets}
+    assert len(Ns) > 2 * _checkpoints.cache_info().maxsize
     want = {(p, e): _reference_oracle(p, e) for p in sets for e in REFERENCE}
-    _prefix_sums.cache_clear()
+    _checkpoints.cache_clear()
     for event in [*REFERENCE, *reversed(REFERENCE)]:
         for params in sets:
             assert exact_failure_oracle(params, event) == want[params, event], (params, event)
-    info = _prefix_sums.cache_info()
-    assert info.misses > len(sets) and info.currsize == info.maxsize
+    info = _checkpoints.cache_info()
+    assert info.misses > len(Ns) and info.currsize == info.maxsize
 
 
 def _prefixes(N):
@@ -433,36 +453,119 @@ def _prefixes(N):
     return [0, *itertools.accumulate(math.comb(N, M) for M in range(N + 1))]
 
 
-def _walk_sums(P, points):
-    return [P[k] - P[points[0]] for k in points]
+def _stride(N):
+    """The checkpoint spacing _checkpoints documents."""
+    return 2 * max(1, N >> 6)
 
 
-def test_binomial_walk_sums_every_point_list():
-    """Every set of 2 and 3 points in 0..N+1 at N <= 40: segments of odd and
-    even length, walks from 0 and from past 0.  The walk returns each
-    point's prefix sum from the lowest point."""
-    checked = 0
+def _check_walk(N, P):
+    """N's checkpoints are the documented ones: P(j) and comb(N+1, j+1) at
+    j = 0, h, 2h, ... with no gap, in the lower half, and at -1 the same at
+    an even j there: at most 34 entries."""
+    walk, h = dict(_checkpoints(N)), _stride(N)
+    j, *last = walk.pop(-1, (0, 0, N + 1))
+    assert j % 2 == 0 and 2 * j <= N + 1, (N, j)
+    assert last == [P[j], math.comb(N + 1, j + 1)], (N, j)
+    assert sorted(walk) == list(range(0, h * len(walk), h)), N
+    assert 2 * max(walk) <= N + 1 and len(walk) <= 33, N
+    for j, (total, pair) in walk.items():
+        assert (total, pair) == (P[j], math.comb(N + 1, j + 1)), (N, j)
+
+
+def test_prefix_sums_every_query_sequence():
+    """Every set of 2 and 3 points in 0..N+1 at N <= 40, asked from a cleared
+    cache, in turn ascending, descending and in each mixed order: walks from
+    0 and from a checkpoint, folds past the middle, odd and even remainders.
+    At N <= 40 every even position is a checkpoint."""
+    clear, checked = _checkpoints.cache_clear, 0
     for N in range(1, 41):
         P = _prefixes(N)
         for size in (2, 3):
-            for points in itertools.combinations(range(N + 2), size):
-                assert _binomial_walk(N, list(points)) == _walk_sums(P, points), (N, points)
-                checked += 1
+            up = tuple(range(size))  # ascending, descending, then the mixed orders
+            orders = sorted(itertools.permutations(up), key=lambda o: (o != up, o != up[::-1]))
+            for i, points in enumerate(itertools.combinations(range(N + 2), size)):
+                clear()
+                ks = [points[j] for j in orders[i % len(orders)]]
+                assert [_prefix(N, k) for k in ks] == [P[k] for k in ks], (N, ks)
+            checked += i + 1
+        _check_walk(N, P)
     assert checked > 100_000
 
 
-def test_binomial_walk_at_large_N():
-    """Seven point sets at N = 1000, from 0 and from past 0, with adjacent
-    points and segments of odd and even length, and one short run at
-    N = 33,000, where the step factors (N-M)(N-M-1) no longer fit one 30-bit
-    digit."""
+def test_prefix_resumes_from_sparse_checkpoints():
+    """At N from 64 to 300, past N = 128 the checkpoints ~N/32 apart: every
+    point asked ascending, descending and shuffled, from a cleared cache each
+    time, so that most queries resume from a checkpoint in the middle of an
+    earlier walk, and every point asked alone from a cold cache at three N."""
+    rng = random.Random(2600)
+    for N in [*range(64, 301, 9), 127, 128, 129, 191, 192, 255, 256]:
+        P, points = _prefixes(N), list(range(N + 2))
+        for order in (points, points[::-1], rng.sample(points, len(points))):
+            _checkpoints.cache_clear()
+            for k in order:
+                assert _prefix(N, k) == P[k], (N, k)
+            _check_walk(N, P)
+    for N in (130, 257, 300):
+        P = _prefixes(N)
+        assert _stride(N) > 2
+        for k in range(N + 2):
+            _checkpoints.cache_clear()
+            assert _prefix(N, k) == P[k], (N, k)
+
+
+def test_prefix_at_large_N():
+    """Seven point sets at N = 1000, asked from a cleared cache in order and
+    in reverse, from 0 and from past 0, with adjacent points and segments of
+    odd and even length; and at N = 33,000, where the step factors
+    (N-M)(N-M-1) no longer fit one 30-bit digit, a short run and a point past
+    the first checkpoint."""
     P = _prefixes(1000)
     for points in ([0, 500], [0, 1, 2, 3], [1, 499, 500, 501], [137, 400], [250, 251, 501],
                    [0, 501], [0, 333, 334, 336, 339, 343, 499]):
-        assert _binomial_walk(1000, points) == _walk_sums(P, points), points
+        for order in (points, points[::-1]):
+            _checkpoints.cache_clear()
+            assert [_prefix(1000, k) for k in order] == [P[k] for k in order], order
+        _check_walk(1000, P)
     N = 33_000
     assert (N - 3) * (N - 4) >= 1 << 30
-    assert _binomial_walk(N, [3, 10]) == [0, sum(math.comb(N, M) for M in range(3, 10))]
+    _checkpoints.cache_clear()
+    assert _prefix(N, 10) - _prefix(N, 3) == sum(math.comb(N, M) for M in range(3, 10))
+    # comb(N, M) for M <= k by the one-term step, tied to math.comb at its end
+    k, terms = _stride(N) + 5, [1]
+    for M in range(k):
+        terms.append(terms[-1] * (N - M) // (M + 1))
+    assert terms[k] == math.comb(N, k)
+    assert _prefix(N, k) == sum(terms[:k])
+    assert _checkpoints(N)[_stride(N)] == (sum(terms[:_stride(N)]),
+                                           math.comb(N + 1, _stride(N) + 1))
+
+
+def test_walk_memory_is_bounded_per_N():
+    """After all three events of every admissible (n, m) with n <= 6 at each
+    N from 990 to 1010, and of (4, 1) at N = 20,000, each N holds at most 34
+    checkpoints: a fixed number of N-bit ints, whatever was asked.  CI's
+    large-N step checks (4, 1) at N = 100,000 the same way."""
+    _checkpoints.cache_clear()
+    asked = 0
+    for N in range(990, 1011):
+        for n in range(2, 7):
+            for m in range(1, n):
+                try:
+                    params = validate_params(n, m, N)
+                except InvalidN:
+                    continue
+                for event in REFERENCE:
+                    exact_failure_oracle(params, event)
+                asked += 1
+        assert len(_checkpoints(N)) <= 34, N
+    assert asked == 60
+    big = validate_params(4, 1, 20_000)
+    for event in REFERENCE:
+        exact_failure_oracle(big, event)
+    # the walk reaches the correctness end 2N/5, leaving a checkpoint every h,
+    # and the last query, dishonest removal's lower end, ends there too
+    walk = _checkpoints(big.N)
+    assert sorted(walk) == [-1, *range(0, 8_001, _stride(big.N))] and walk[-1][0] == 8_000
 
 
 def _admissible_Ns(n, m, N_max):

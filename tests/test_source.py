@@ -70,7 +70,7 @@ def test_every_cache_with_arguments_is_bounded():
               for f, takes, bounded in _caches(path.read_text(encoding="utf-8"))]
     assert [name for name, takes, bounded in caches if takes and not bounded] == []
     names = {name for name, _, _ in caches}  # the scan sees the package's caches
-    assert {"params.py:_prefix_sums", "params.py:_bound_constants",
+    assert {"params.py:_checkpoints", "params.py:_bound_constants",
             "harness.py:_popcount_bits", "channel.py:_key_seed"} <= names
 
 
