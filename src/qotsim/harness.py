@@ -15,8 +15,9 @@ engine, in one row sequence, and compares the vectors pairwise with a
 chi-square test of independence (:func:`chi2_contingency`).  That test
 does scipy.stats' arithmetic in numpy and takes its p-value from the
 closed-form chi-square tail, so the package loads no scipy.  Reports come
-from a one-pass writer, byte-identical to ``json.dumps(indent=2)`` of the
-:func:`round_sig` document.
+from a writer that appends pieces to one list, joined once, byte-identical
+to ``json.dumps(indent=2)`` of the :func:`round_sig` document; a float goes
+through repr only at a positive or three-digit exponent, nan or inf.
 The brute-force check enumerates all 2^N outcomes, with a popcount table
 built once per width: it checks the oracle's binomial walk, but not the runs
 of match counts where each event holds (:func:`event_runs`), which it shares.
@@ -419,30 +420,53 @@ _quote = json.encoder.encode_basestring_ascii
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-# each scalar type's JSON text, as json.dumps writes it (a subclass: its first type here)
+def _float_text(v: float) -> str:
+    """float.__repr__(float(_ROUNDED % v)) as json.dumps writes it, read off the %g text where
+    the two agree: positional (".0" added if integral) or a two-digit negative exponent.  A
+    positive exponent (%g's from 1e12, repr's from 1e16), a three-digit one (a subnormal keeps
+    fewer digits), nan and inf take the repr."""
+    t = _ROUNDED % v
+    if "e" in t:
+        return t if t[-3] == "-" else float.__repr__(float(t))
+    return t if "." in t else t + ".0" if t[-1].isdigit() else _NON_FINITE[t]
+
+
+# each scalar type's JSON text, as json.dumps writes it; a subclass is not looked up here
 _SCALARS = {str: _quote, bool: lambda v: "true" if v else "false", type(None): lambda v: "null",
-            float: lambda v: _NON_FINITE.get(t := float.__repr__(float(_ROUNDED % v)), t),
-            int: int.__repr__, Fraction: lambda v: _quote(str(v))}
+            float: _float_text, int: int.__repr__, Fraction: lambda v: _quote(str(v))}
 
 
-def _json_text(value, newline: str = "\n") -> str:
-    """json.dumps(round_sig(value), indent=2), at indent `newline`."""
-    inner, text = newline + "  ", _SCALARS.get
-    if isinstance(value, dict):  # keys are not rounded; json.dumps itself writes or refuses them
-        items = [(_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": "
-                 + (t(v) if (t := text(type(v))) else _json_text(v, inner))
-                 for k, v in value.items()]
-    elif isinstance(value, (list, tuple)):
-        items = [t(v) if (t := text(type(v))) else _json_text(v, inner) for v in value]
-    else:
-        t = next((t for kind, t in _SCALARS.items() if isinstance(value, kind)), None)
-        if t is None:
-            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-        return t(value)
-    opening, closing = "{}" if isinstance(value, dict) else "[]"
-    if not items:
-        return opening + closing
-    return opening + inner + ("," + inner).join(items) + newline + closing
+@functools.lru_cache(maxsize=256)
+def _key_text(key: str) -> str:
+    """A str key's '"key": ' text; other keys skip the cache, as 0.0 and -0.0 are one key."""
+    return _quote(key) + ": "
+
+
+def _json_text(value, newline: str = "\n", out=None) -> str | None:
+    """json.dumps(round_sig(value), indent=2), at indent `newline`: the pieces are appended
+    with `out`, or else to one list, joined once.  Anything but a plain dict, list or tuple
+    or a scalar of a type in :data:`_SCALARS` goes to json.dumps, which keeps its own
+    subclass handling and TypeErrors."""
+    if out is None:
+        pieces: list[str] = []
+        _json_text(value, newline, pieces.append)
+        return "".join(pieces)
+    kind, text = type(value), _SCALARS.get
+    if (t := text(kind)) is not None:
+        return out(t(value))
+    if kind is not dict and kind is not list and kind is not tuple:
+        return out(json.dumps(round_sig(value), indent=2).replace("\n", newline))
+    brackets, inner = "{}" if kind is dict else "[]", newline + "  "
+    if not value:
+        return out(brackets)
+    sep = brackets[0] + inner
+    for k, v in value.items() if kind is dict else zip(itertools.repeat(None), value):
+        out(sep)
+        if kind is dict:  # keys are not rounded; json.dumps writes or refuses a key not a str
+            out(_key_text(k) if type(k) is str else json.dumps({k: 0})[1:-4] + ": ")
+        out(t(v)) if (t := text(type(v))) else _json_text(v, inner, out)
+        sep = "," + inner
+    out(newline + brackets[1])
 
 
 def emit_report(

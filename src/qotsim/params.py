@@ -9,11 +9,13 @@ N > ln(2)/delta^2.  Each exact event is at most two runs of the survivor
 match count M ~ Binomial(N, 1/2), with closed-form ends (:func:`event_runs`),
 and the oracle sums binomial terms over them in plain integers, from one
 walk per N, shared by every (n, m) and event, resumed from checkpoints in a
-bounded cache keyed on N.  A bound report's (n, m) fields are built once.
+bounded cache keyed on N, into a rational built in lowest terms without a
+gcd.  A bound report's (n, m) fields and a checked (n, m, N) are kept too.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
@@ -112,23 +114,20 @@ def validate_params(n: int, m: int, N: int) -> ProtocolParams:
     Constraints: n, m and N are ints (not bools); 1 <= m < n; N >= 1; the
     removal count x exact; and (N-x) divisible by n so equal-size subsets
     exist.  The first violated constraint raises (:class:`InvalidChoiceCount`
-    or :class:`InvalidN`).
+    or :class:`InvalidN`).  Three ints proper are answered from a bounded
+    cache of checked sets; anything else, and every refusal, is checked anew.
     """
+    return (_validated if type(n) is type(m) is type(N) is int else _validated.__wrapped__)(n, m, N)
+
+
+@functools.lru_cache(maxsize=32)
+def _validated(n: int, m: int, N: int) -> ProtocolParams:
     x = compute_x(n, m, N)
     if (N - x) % n != 0:
-        raise InvalidN(
-            f"(N - x) = {N - x} must be divisible by n = {n} "
-            f"to form equal-size subsets"
-        )
-    return ProtocolParams(  # compute_x has checked (n, m)
-        n=n,
-        m=m,
-        N=N,
-        case=Case.LOW if 2 * m + 1 < n else Case.HIGH,
-        x=x,
-        subset_size=(N - x) // n,
-        target_rate=Fraction(2 * m + 1, 2 * n),
-    )
+        raise InvalidN(f"(N - x) = {N - x} must be divisible by n = {n} to form equal-size subsets")
+    # compute_x has checked (n, m)
+    return ProtocolParams(n=n, m=m, N=N, case=Case.LOW if 2 * m + 1 < n else Case.HIGH, x=x,
+                          subset_size=(N - x) // n, target_rate=Fraction(2 * m + 1, 2 * n))
 
 
 def smallest_valid_N(n: int, m: int, floor: float = 1) -> int:
@@ -297,6 +296,10 @@ def _prefix(N: int, k: int) -> int:
     return total
 
 
+# a rational in lowest terms, which Fraction's one-argument numbers.Rational form copies
+_Lowest = numbers.Rational.register(collections.namedtuple("_Lowest", "numerator denominator"))
+
+
 def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> Fraction:
     """Exact probability of the event under M ~ Binomial(N, 1/2).
 
@@ -307,10 +310,13 @@ def exact_failure_oracle(params: ProtocolParams, event: str = "correctness") -> 
     P(b) - P(a) with P(k) = sum(comb(N, M) for M < k).  Every P(k) comes
     from one walk per N (:func:`_prefix`), shared by every (n, m) and event
     and resumed from checkpoints in a bounded cache keyed on N; each call
-    builds its own rational, hits / 2^N.
+    builds its own rational, hits / 2^N, in lowest terms without a gcd: the
+    only common factors are the twos at the foot of hits.
     """
     runs, N = event_runs(params, event), params.N
-    return Fraction(sum(_prefix(N, b) - _prefix(N, a) for a, b in runs), 1 << N)
+    hits = sum(_prefix(N, b) - _prefix(N, a) for a, b in runs)
+    twos = (hits & -hits or 1 << N).bit_length() - 1  # N when hits is 0
+    return Fraction(_Lowest(hits >> twos, 1 << N - twos))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,10 @@ from qotsim.adversary import (
 )
 from qotsim.channel import RandomSource
 from qotsim.harness import (
+    _NON_FINITE,
+    _ROUNDED,
     ExperimentConfig,
+    _float_text,
     _json_text,
     all_verdicts_pass,
     brute_force_failure_probability,
@@ -516,8 +519,46 @@ _DOCS = st.recursive(_LEAVES, lambda inner: st.one_of(
 @example({float("nan"): 1, float("inf"): [1e16, 1e-7, 123456789012.5]})
 @example([type("Int", (int,), {})(7), type("Str", (str,), {})("s"),
           collections.OrderedDict(a=np.float64(1 / 3)), type("List", (list,), {})([1])])
+@example([0.0001, math.nextafter(0.0001, 0), 999999999999.0, 1e12, 123456789012.5,
+          9999999999999998.0, 1e16])
+@example([1e-99, 1e-100, 2.2250738585072014e-308, 5e-324])
+@example([-0.0, 100.0, -3.0, float("nan"), float("inf"), -float("inf"), np.float64(1 / 3)])
 def test_report_writer_matches_json_dumps_of_the_rounded_doc(doc):
     assert _report_json(doc) == json.dumps(round_sig(doc), indent=2)
+
+
+def _float_edges(powers) -> list[float]:
+    """Each power of ten 1e<k>, the value that rounds up to it at 12 digits, and
+    both neighbours of each: where %g and repr switch between their forms."""
+    edges = []
+    for k in powers:
+        for v in (float(f"1e{k}"), float(f"9.999999999995e{k - 1}")):
+            edges += [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+    return edges + [-v for v in edges]
+
+
+def test_float_text_is_the_repr_of_the_rounded_float():
+    """The writer reads a float's text off its %g text where that equals the
+    repr of the rounded float, and takes the repr elsewhere: the two agree on
+    200,000 seeded float64 bit patterns with exponents from 2^-60 to 2^60,
+    where %g's text changes form at 1e-5, 1e12 and 1e16, and on both sides of
+    every power of ten from 1e-330 to 1e20, where it changes at 1e-100 and at
+    the subnormals.  CI sweeps 5,000,000 patterns over the whole range."""
+    rng = np.random.default_rng(27)
+    words = rng.integers(0, 2**64, size=200_000, dtype=np.uint64) & np.uint64(0x800FFFFFFFFFFFFF)
+    words |= rng.integers(1023 - 60, 1023 + 60, size=words.size, dtype=np.uint64) << np.uint64(52)
+    values = words.view(np.float64).tolist() + _float_edges(range(-330, 21))
+    reprs = list(map(float.__repr__, map(float, map(_ROUNDED.__mod__, values))))
+    texts = zip(values, map(_float_text, values), map(_NON_FINITE.get, reprs, reprs))
+    assert [(v, text, want) for v, text, want in texts if text != want][:5] == []
+
+
+def test_report_writer_keeps_equal_keys_apart():
+    """0.0 and -0.0 are one dict key, as are 1, True and 1.0; each is written
+    as json.dumps writes it, whichever came first."""
+    for keys in ((0.0, -0.0, 0.0), (1, True, 1.0, True)):
+        for key in keys:
+            assert _report_json({key: [key]}) == json.dumps({key: [key]}, indent=2)
 
 
 @pytest.mark.parametrize("doc", [

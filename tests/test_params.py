@@ -20,9 +20,11 @@ from qotsim.params import (
     _bound_constants,
     _checkpoints,
     _prefix,
+    _validated,
     Case,
     InvalidChoiceCount,
     InvalidN,
+    ParameterError,
     build_bound_report,
     case_of,
     commitment_attack_bound,
@@ -91,6 +93,29 @@ def test_validate_params_populates_derived_fields():
     assert p.target_rate == Fraction(3, 8)
     p = validate_params(2, 1, 6)
     assert (p.case, p.x, p.subset_size) == (Case.HIGH, 2, 2)
+
+
+def test_validation_cache_keeps_the_input_boundary():
+    """Three ints proper are answered from a bounded cache.  Right after (3, 1, 6)
+    is cached, a bool, a float or a numpy integer equal to one of its ints, and
+    an N that is not admissible, raise what the uncached check raises, on every
+    call, and no refusal is cached."""
+    _validated.cache_clear()
+    params = validate_params(3, 1, 6)
+    assert validate_params(3, 1, 6) is params
+    refused = (
+        ((3, True, 6), InvalidChoiceCount, "n and m must be integers, got n=3, m=True"),
+        ((3.0, 1, 6), InvalidChoiceCount, "n and m must be integers, got n=3.0, m=1"),
+        ((np.int64(3), 1, 6), InvalidChoiceCount,
+         "n and m must be integers, got n=np.int64(3), m=1"),
+        ((3, 1, 7), InvalidN, "(N - x) = 7 must be divisible by n = 3 to form equal-size subsets"),
+    )
+    for _ in range(3):
+        for nmN, error, message in refused:
+            with pytest.raises(ParameterError) as raised:
+                validate_params(*nmN)
+            assert (type(raised.value), str(raised.value)) == (error, message)
+    assert _validated.cache_info().currsize == 1
 
 
 def test_validate_params_lists_all_violations():

@@ -70,8 +70,8 @@ def test_every_cache_with_arguments_is_bounded():
               for f, takes, bounded in _caches(path.read_text(encoding="utf-8"))]
     assert [name for name, takes, bounded in caches if takes and not bounded] == []
     names = {name for name, _, _ in caches}  # the scan sees the package's caches
-    assert {"params.py:_checkpoints", "params.py:_bound_constants",
-            "harness.py:_popcount_bits", "channel.py:_key_seed"} <= names
+    assert {"params.py:_checkpoints", "params.py:_bound_constants", "params.py:_validated",
+            "harness.py:_popcount_bits", "harness.py:_key_text", "channel.py:_key_seed"} <= names
 
 
 def _imports(tree: ast.AST):
