@@ -1,11 +1,14 @@
 """Dishonest-party strategies probing the protocol's privacy claims.
 
-Each strategy is one row of :data:`STRATEGIES`.  It replaces one hook of
-the honest behavior and leaves the counterpart fully honest, including all
-checks.  Information gain is always recomputed from ground truth (the
-actual basis matches), never taken from the adversary's own claims.  Every
-strategy runs T sessions at once through one batched runner; a single
-session is the T=1 call.
+Each strategy is one row of :data:`STRATEGIES`, the one place that defines
+it: runner, event, hit and exact reference; `checks`, the verdicts that
+follow the 3-sigma one in :func:`~qotsim.harness.check_bounds`; `admits`,
+its refusals; `takes_p`.  It replaces one hook of the honest behavior and
+leaves the counterpart fully honest, including all checks.  Information
+gain is always recomputed from ground truth (the actual basis matches),
+never taken from the adversary's own claims.  Every strategy runs T
+sessions at once through one batched runner; a single session is the T=1
+call.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from .channel import RandomSource
 from .params import (
     Case,
     ProtocolParams,
+    _bound_constants,
     _is_int,
     check_cheat_probability,
-    commitment_attack_bound,
-    correctness_epsilon,
     exact_failure_oracle,
-    privacy_epsilon,
+    hoeffding_bound,
 )
 from .protocol import (
     STATUSES,
@@ -47,17 +49,17 @@ _CHEAT = STATUSES.index(Status.ABORT_CHEAT_DETECTED)
 
 @dataclass(frozen=True)
 class Strategy:
-    """A named adversary (a key of :data:`STRATEGIES`).  `p` is required for
-    commit-cheat, refused elsewhere; `strict_alice` picks the strict removal verifier."""
+    """A named adversary (a key of :data:`STRATEGIES`).  `p` is required where its row
+    takes it, refused elsewhere; `strict_alice` picks the strict removal verifier."""
 
-    kind: str
+    kind: str = "honest"
     p: float | None = None
     strict_alice: bool = False
 
     def __post_init__(self):
         if self.kind not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.kind!r}; one of {tuple(STRATEGIES)}")
-        if self.kind == "commit-cheat":
+        if STRATEGIES[self.kind].takes_p:
             check_cheat_probability(self.p)
         elif self.p is not None:
             raise ValueError(f"p applies only to commit-cheat, got p={self.p} for {self.kind!r}")
@@ -131,12 +133,12 @@ class DishonestRemovalBob(GreedyBob):
     notices; the strict verifier always does."""
 
     @staticmethod
-    def check_case(case: Case) -> None:
-        if case is not Case.LOW:
+    def check_case(params: ProtocolParams) -> None:
+        if params.case is not Case.LOW:
             raise ValueError("dishonest-removal strategy applies to the low case only")
 
     def removal_pool(self, state) -> np.ndarray:
-        self.check_case(state.params.case)
+        self.check_case(state.params)
         return ~state.match_flags()
 
 
@@ -170,8 +172,7 @@ def _sessions(bob: type[HonestBob]) -> Callable:
 
 def postpone_bob(params, strategy, rng, start, count, inputs=None, choices=None) -> Outcomes:
     """Steps 1-2 with an unmeasuring Bob; a row survives iff no challenge fails."""
-    state = phase1_transmit(params, draw_sessions(params, rng, start, count),
-                            bob=PostponeBob())
+    state = phase1_transmit(params, draw_sessions(params, rng, start, count), bob=PostponeBob())
     phase2_challenge(state)
     return Outcomes(params.m, state)
 
@@ -211,11 +212,41 @@ class StrategySpec:
     # run(params, strategy, rng, start, count, inputs, choices): Outcomes of
     # trials start .. start+count-1 of rng's stream
     run: Callable
-    bound: Callable | None = None  # correctness_epsilon, privacy_epsilon or commitment_attack_bound
+    # checks(stats, params): the verdicts after the 3-sigma one, each as
+    # (criterion, empirical, reference, relation, passed)
+    checks: Callable = lambda stats, params: []
+    admits: Callable = lambda params: None  # admits(params) raises ValueError on a refused set
+    takes_p: bool = False  # reads the cheat probability p, which it then requires
 
 
 def _oracle(event: str) -> Callable:
     return lambda params, strategy: exact_failure_oracle(params, event)
+
+
+def _tail(bound: str, decode: bool = False) -> Callable:
+    """Checks of the "correctness" or "privacy" tail bound, at N >= its min_N, from the bound
+    report's (n, m) constants; `decode` first checks that completed runs decode exactly."""
+    def checks(stats, params):
+        found = [("completed_runs_decode_exactly", float(stats.wrong_decodes), 0.0, "eq",
+                  stats.wrong_decodes == 0)] if decode else []
+        constants, fc, fp = _bound_constants(params.n, params.m)
+        if params.N >= constants[f"min_N_{bound}"]:
+            q, raw = stats.oracle_rate, hoeffding_bound(params.N, fp if bound == "privacy" else fc)
+            eps_pow = constants[f"eps_{bound}"] ** params.N
+            found += [(criterion, value, reference, "le", value <= limit)
+                      for criterion, value, reference, limit in (
+                          ("oracle_le_hoeffding_bound", q, min(raw, 1.0), raw),
+                          ("oracle_le_eps_pow_N", q, eps_pow, eps_pow),
+                          ("empirical_le_eps_pow_N", stats.event_rate, eps_pow, eps_pow))]
+        return found
+    return checks
+
+
+def _commitment_check(stats, params):
+    # q = p^s and eps^N = q^(N/(2ns)) may both underflow to 0.0: p^s < eps^N iff 2ns > N
+    q, s = stats.oracle_rate, params.subset_size
+    return [("commitment_bound_lt_eps_pow_N", q, q ** (params.N / (2 * params.n * s)), "le",
+             2 * params.n * s > params.N)]
 
 
 def _extra_bit(out: Outcomes) -> np.ndarray:
@@ -224,14 +255,14 @@ def _extra_bit(out: Outcomes) -> np.ndarray:
 
 STRATEGIES: dict[str, StrategySpec] = {
     "honest": StrategySpec(
-        event="abort", reference=_oracle("correctness"), bound=correctness_epsilon,
+        event="abort", reference=_oracle("correctness"), checks=_tail("correctness", True),
         run=_sessions(HonestBob), hit=lambda out: (out.status != 0) | out.wrong_decode),
     "greedy": StrategySpec(
         event="extra_bit_success", hit=_extra_bit, reference=_oracle("privacy"),
-        bound=privacy_epsilon, run=_sessions(GreedyBob)),
+        checks=_tail("privacy"), run=_sessions(GreedyBob)),
     "dishonest-removal": StrategySpec(
-        event="extra_bit_success", hit=_extra_bit, bound=privacy_epsilon,
-        run=_sessions(DishonestRemovalBob),
+        event="extra_bit_success", hit=_extra_bit, checks=_tail("privacy"),
+        run=_sessions(DishonestRemovalBob), admits=DishonestRemovalBob.check_case,
         # the strict verifier rejects every mismatched removal, so no session survives it
         reference=lambda params, s: Fraction(0) if s.strict_alice
         else exact_failure_oracle(params, "privacy_dishonest_removal")),
@@ -239,7 +270,7 @@ STRATEGIES: dict[str, StrategySpec] = {
         event="challenge_survival", hit=lambda out: out.status != _CHEAT,
         reference=lambda params, s: Fraction(3, 4) ** params.N, run=postpone_bob),
     "commit-cheat": StrategySpec(
-        event="commit_cheat_success", hit=_extra_bit, bound=commitment_attack_bound,
+        event="commit_cheat_success", hit=_extra_bit, checks=_commitment_check, takes_p=True,
         reference=lambda params, s: s.p ** params.subset_size, run=_commit_cheat),
     "curious-alice": StrategySpec(
         event="choice_guess_correct", run=_sessions(HonestBob),

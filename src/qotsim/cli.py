@@ -4,10 +4,11 @@ Subcommands: `bounds` (security-bound report), `run` (honest Monte Carlo),
 `attack` (adversarial Monte Carlo), `privacy-test` (choice-vector
 distinguishability), `oracle` (exact event probability).  Exit code 0 iff
 every verdict passes; bad input (inadmissible parameters, or strategy for
-them, malformed bits, choices or seed, a cheat probability outside (0, 1) or
-not for commit-cheat, too few trials, an `--out` file that will not open; it
-is opened before any work) prints one `error:` line and exits 2; a closed
-stdout exits 1.  QOTSIM_SEED sets the default seed; flags override.
+them, neither or both of --N and --auto-N, malformed bits, choices or seed,
+a cheat probability outside (0, 1) or not for commit-cheat, too few trials,
+an `--out` file that will not open; it is opened before any work) prints
+one `error:` line and exits 2; a closed stdout exits 1.  QOTSIM_SEED sets
+the default seed; flags override.
 """
 
 from __future__ import annotations
@@ -137,8 +138,9 @@ def _main(argv: list[str] | None) -> int:
         return 0
 
     if args.command in ("run", "attack"):
-        if args.N is None and args.auto_N is None:
-            return _usage_error("one of --N or --auto-N is required")
+        if (args.N is None) == (args.auto_N is None):  # neither or both
+            return _usage_error("one of --N or --auto-N is required" if args.N is None
+                                else "--N and --auto-N cannot be used together")
         try:
             N = args.N if args.N is not None else smallest_valid_N(args.n, args.m, args.auto_N)
             params = validate_params(args.n, args.m, N)

@@ -1,8 +1,9 @@
 """Monte Carlo experiments, exact oracles, and bound verdicts.
 
-Every empirical rate is checked two ways: against an exact binomial oracle
-(3-sigma tolerance) and against the analytic bounds (a one-sided <= check,
-only at N past the threshold where the simplified bound is non-vacuous).
+Every empirical rate is checked against its exact reference (3-sigma), and
+:func:`check_bounds` adds the checks of its strategy's :data:`STRATEGIES`
+row (a tail bound's <=, say, past its non-vacuity threshold); the row also
+refuses the sets the strategy does not admit, so the harness names none.
 An experiment's randomness is one Philox key, derived from its seed, and
 trial k owns the k-th fixed-width block of words of that key's stream (see
 :meth:`RandomSource.block`).  Trials run in batches of
@@ -37,17 +38,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .adversary import STRATEGIES, DishonestRemovalBob, LeakyBob, Strategy
+from .adversary import STRATEGIES, LeakyBob, Strategy
 from .channel import RandomSource
 from .params import (
     ProtocolParams,
     _is_int,
-    commitment_attack_bound,
-    correctness_epsilon,
     event_runs,
     exact_failure_oracle,  # re-exported: the oracle lives in params
-    hoeffding_bound,
-    min_N,
     validate_params,
 )
 from .protocol import (
@@ -73,7 +70,7 @@ class ExperimentConfig:
     N: int
     trials: int
     seed: int
-    strategy: Strategy = Strategy("honest")
+    strategy: Strategy = Strategy()
     bits: tuple[int, ...] | None = None      # None: fresh random bits per trial
     choices: tuple[int, ...] | None = None   # None: fresh random choices per trial
 
@@ -81,8 +78,7 @@ class ExperimentConfig:
         object.__setattr__(self, "params", validate_params(self.n, self.m, self.N))
         _check_run("trials", self.trials, self.seed)
         check_inputs(self.n, self.m, self.bits, self.choices)
-        if self.strategy.kind == "dishonest-removal":
-            DishonestRemovalBob.check_case(self.params.case)
+        STRATEGIES[self.strategy.kind].admits(self.params)
 
 
 @dataclass
@@ -180,14 +176,9 @@ def brute_force_failure_probability(params: ProtocolParams, event: str = "correc
 # ---------------------------------------------------------------------------
 
 def run_experiment(config: ExperimentConfig) -> AggregateStats:
-    """Execute the configured trials and aggregate counts.
-
-    The tracked event is the strategy's (see :data:`STRATEGIES`): honest runs
-    count aborts and wrong decodes (correctness failures); adversarial runs
-    count successes (postpone Bob's "success" is surviving the challenge
-    phase).  Trial k of the experiment is trial k of the stream
-    ``RandomSource(seed).stream("trials")``.
-    """
+    """Execute the configured trials and count the tracked event of the
+    strategy's row (see :data:`STRATEGIES`).  Trial k of the experiment is
+    trial k of the stream ``RandomSource(seed).stream("trials")``."""
     params = config.params
     rng = RandomSource(config.seed).stream("trials")
     strategy = config.strategy
@@ -217,38 +208,13 @@ def run_experiment(config: ExperimentConfig) -> AggregateStats:
 # ---------------------------------------------------------------------------
 
 def check_bounds(stats: AggregateStats, params: ProtocolParams) -> list[Verdict]:
-    """Compare empirical rates with the exact oracle (3-sigma) and with the
-    analytic bounds of the strategy's bound family (<=, only at N >= the
-    non-vacuity threshold)."""
+    """Compare the empirical rate with the exact reference (3-sigma), then
+    run the checks of the strategy's row (see :data:`STRATEGIES`)."""
     q = stats.oracle_rate
     tol = 3 * math.sqrt(q * (1 - q) / stats.trials)
-    verdicts = [Verdict(f"{stats.event_name}_rate_within_3sigma_of_oracle", stats.event_rate,
-                        q, "within_3sigma", abs(stats.event_rate - q) <= tol, tolerance=tol)]
-
-    bound = STRATEGIES[stats.strategy].bound
-    if bound is correctness_epsilon:
-        verdicts.append(Verdict("completed_runs_decode_exactly", float(stats.wrong_decodes),
-                                0.0, "eq", stats.wrong_decodes == 0))
-
-    if bound is commitment_attack_bound:
-        # q = p^s and eps^N = p^(N/(2n)) = q^(N/(2ns)); both may underflow
-        # to 0.0, so p^s < eps^N is decided exactly: it holds iff 2ns > N.
-        s = params.subset_size
-        verdicts.append(Verdict("commitment_bound_lt_eps_pow_N", q,
-                                q ** (params.N / (2 * params.n * s)), "le",
-                                2 * params.n * s > params.N))
-    elif bound is not None:
-        delta, eps = bound(params.n, params.m)
-        if params.N >= min_N(delta):
-            raw = hoeffding_bound(params.N, float(delta))
-            eps_pow = eps**params.N
-            for criterion, value, reference, limit in (
-                ("oracle_le_hoeffding_bound", q, min(raw, 1.0), raw),
-                ("oracle_le_eps_pow_N", q, eps_pow, eps_pow),
-                ("empirical_le_eps_pow_N", stats.event_rate, eps_pow, eps_pow),
-            ):
-                verdicts.append(Verdict(criterion, value, reference, "le", value <= limit))
-    return verdicts
+    return [Verdict(f"{stats.event_name}_rate_within_3sigma_of_oracle", stats.event_rate,
+                    q, "within_3sigma", abs(stats.event_rate - q) <= tol, tolerance=tol),
+            *(Verdict(*check) for check in STRATEGIES[stats.strategy].checks(stats, params))]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,15 @@ def test_run_requires_N_or_auto_N(capsys):
     assert "one of --N or --auto-N" in capsys.readouterr().err
 
 
+def test_run_refuses_both_N_and_auto_N(capsys):
+    """Neither flag wins: --auto-N is not dropped in favour of --N."""
+    code = main(["run", "--n", "3", "--m", "1", "--N", "6", "--auto-N", "100", "--trials", "10"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == "error: --N and --auto-N cannot be used together\n"
+    assert out == ""
+
+
 def test_run_auto_N_picks_admissible(capsys):
     code = main(["run", "--n", "4", "--m", "1", "--auto-N", "36",
                  "--trials", "200", "--seed", "1"])

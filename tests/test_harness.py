@@ -392,6 +392,39 @@ def test_check_bounds_includes_bound_verdicts_at_large_N():
     assert all_verdicts_pass(verdicts)
 
 
+_TAIL = [("oracle_le_hoeffding_bound", "le"), ("oracle_le_eps_pow_N", "le"),
+         ("empirical_le_eps_pow_N", "le")]
+_DECODE = [("completed_runs_decode_exactly", "eq")]
+_EVENT = {"honest": "abort", "greedy": "extra_bit_success",
+          "dishonest-removal": "extra_bit_success", "postpone": "challenge_survival",
+          "commit-cheat": "commit_cheat_success", "curious-alice": "choice_guess_correct"}
+
+
+@pytest.mark.parametrize("kind, strict, n, m, N, after", [
+    ("honest", False, 4, 1, 40, _DECODE),  # min_N = 70 for (4, 1)
+    ("honest", False, 4, 1, 70, _DECODE + _TAIL),
+    ("greedy", False, 4, 1, 40, []),
+    ("greedy", False, 4, 1, 70, _TAIL),
+    ("greedy", False, 2, 1, 18, []),  # high case, min_N = 25 for (2, 1)
+    ("greedy", False, 2, 1, 27, _TAIL),
+    ("dishonest-removal", False, 4, 1, 40, []),
+    ("dishonest-removal", False, 4, 1, 70, _TAIL),
+    ("dishonest-removal", True, 4, 1, 40, []),
+    ("dishonest-removal", True, 4, 1, 70, _TAIL),
+    ("postpone", False, 4, 1, 40, []),
+    ("commit-cheat", False, 4, 1, 40, [("commitment_bound_lt_eps_pow_N", "le")]),
+    ("curious-alice", False, 4, 1, 40, []),
+])
+def test_every_row_gets_its_verdict_list(kind, strict, n, m, N, after):
+    """Each row's verdicts, in order: the 3-sigma one, then the row's own,
+    a tail bound's only at N >= its threshold."""
+    strategy = Strategy(kind, p=0.5 if kind == "commit-cheat" else None, strict_alice=strict)
+    config = ExperimentConfig(n=n, m=m, N=N, trials=16, seed=3, strategy=strategy)
+    verdicts = check_bounds(run_experiment(config), config.params)
+    assert [(v.criterion, v.relation) for v in verdicts] == [
+        (f"{_EVENT[kind]}_rate_within_3sigma_of_oracle", "within_3sigma"), *after]
+
+
 # -- privacy independence ---------------------------------------------------
 
 def test_privacy_independence_honest_passes():

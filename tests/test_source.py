@@ -1,6 +1,7 @@
 """Source-level guards on the package code."""
 
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -99,6 +100,38 @@ def test_no_module_imports_scipy_stats():
         for path in sorted(PACKAGE.glob("*.py"))
         for name in _imports(ast.parse(path.read_text(encoding="utf-8")))
         if name == "scipy" or name.startswith("scipy.")
+    ]
+    assert found == []
+
+
+def test_the_harness_names_no_strategy():
+    """Each STRATEGIES row says which verdicts its strategy gets and which
+    inputs it refuses: the harness names no row and imports no bound, the
+    row holds no bound to dispatch on, and no __post_init__ picks out a
+    kind by name."""
+    from qotsim.adversary import STRATEGIES, StrategySpec
+
+    tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
+    assert [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and node.value in STRATEGIES] == []
+    bounds = {"correctness_epsilon", "privacy_epsilon", "commitment_attack_bound", "min_N",
+              "hoeffding_bound"}
+    assert {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names} & bounds == set()
+    assert "bound" not in {field.name for field in dataclasses.fields(StrategySpec)}
+
+    def names_kind(node):
+        return isinstance(node, ast.Attribute) and node.attr == "kind" or (
+            isinstance(node, ast.Name) and node.id == "kind")
+
+    found = [
+        f"{path.name}:{compare.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef) and func.name == "__post_init__"
+        for compare in ast.walk(func) if isinstance(compare, ast.Compare)
+        if any(map(names_kind, [compare.left, *compare.comparators]))
+        and any(isinstance(side, ast.Constant) for side in [compare.left, *compare.comparators])
     ]
     assert found == []
 
