@@ -8,7 +8,7 @@ Monte Carlo experiments checked against exact binomial oracles.
 
 __version__ = "0.1.0"
 
-from .channel import Basis, Photon, RandomSource, encode, measure
+from .channel import RandomSource
 from .commitment import CommitmentSession
 from .params import (
     BoundReport,
@@ -28,10 +28,8 @@ from .protocol import Status, TrialOutcome, run_protocol
 from .adversary import Strategy, run_with_adversary
 
 __all__ = [
-    "Basis",
     "BoundReport",
     "CommitmentSession",
-    "Photon",
     "ProtocolParams",
     "RandomSource",
     "Status",
@@ -41,9 +39,7 @@ __all__ = [
     "commitment_attack_bound",
     "compute_x",
     "correctness_epsilon",
-    "encode",
     "hoeffding_bound",
-    "measure",
     "min_N",
     "privacy_epsilon",
     "run_protocol",

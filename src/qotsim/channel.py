@@ -1,10 +1,9 @@
-"""Idealized BB84 photon channel.
+"""Idealized BB84 photon channel, batched, and its random numbers.
 
 A classical bit is encoded in one of two conjugate polarization bases.
 Measuring in the emission basis reproduces the bit exactly (the channel is
-noiseless); measuring in the other basis yields an unbiased coin.  Photons
-are classical records with a consumed flag: each admits exactly one
-measurement, and a second measurement is a hard error.  Every Philox is
+noiseless); measuring in the other basis yields an unbiased coin, which
+:func:`transmit_batch` takes from the caller's draws.  Every Philox is
 built from its key alone, as the words of ``np.random.Philox(key=key)``
 without the OS-entropy ``SeedSequence`` numpy would build and discard.
 """
@@ -13,32 +12,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .params import _is_integer
-
-
-class Basis(Enum):
-    """Photon polarization basis: rectilinear (H/V) or diagonal (+/-45 deg)."""
-
-    RECTILINEAR = 0
-    DIAGONAL = 1
-
-
-class PhotonReuseError(RuntimeError):
-    """Raised when a photon is measured more than once (simulator misuse)."""
-
-
-@dataclass
-class Photon:
-    """A single polarized photon in transit: the encoded bit and its basis."""
-
-    bit: int
-    basis: Basis
-    _consumed: bool = field(default=False, repr=False, compare=False)
 
 
 @functools.cache
@@ -70,10 +47,9 @@ class RandomSource:
     trial k owns the `width` uint64 words that start at word k*width, so
     :meth:`block` returns the same row for trial k whichever batch it is
     drawn in, and no generator is built per trial.  :attr:`gen` is a
-    separate sequential generator for scalar draws (:meth:`bit`,
-    :meth:`bits`); a single one must not be shared across concurrent
-    consumers.  The seed is an int or a numpy integer (not a bool) that
-    fits in a signed 64-bit word.
+    separate sequential generator (:meth:`bits`); a single one must not be
+    shared across concurrent consumers.  The seed is an int or a numpy
+    integer (not a bool) that fits in a signed 64-bit word.
     """
 
     __slots__ = ("seed", "_digest", "_gen")
@@ -125,39 +101,9 @@ class RandomSource:
         philox = np.random.Philox(_key_seed()(self.key)).advance(int(start) * width // 4)
         return philox.random_raw(count * width).reshape(count, width)
 
-    def bit(self) -> int:
-        """One fair coin flip."""
-        return int(self.gen.integers(0, 2))
-
     def bits(self, count: int) -> np.ndarray:
-        """`count` fair coin flips as a uint8 array.
-
-        Drawn at the generator's native width so a batch of `count` consumes
-        the stream exactly as `count` calls to :meth:`bit` would.
-        """
+        """The next `count` fair coin flips of :attr:`gen`, as a uint8 array."""
         return self.gen.integers(0, 2, size=count).astype(np.uint8)
-
-
-def encode(r: int, basis: Basis) -> Photon:
-    """Encode bit `r` as a photon polarized in `basis`."""
-    if r not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {r!r}")
-    return Photon(bit=int(r), basis=basis)
-
-
-def measure(photon: Photon, basis: Basis, rng: RandomSource) -> int:
-    """Measure a photon in `basis`, consuming it.
-
-    Matching basis reproduces the encoded bit; a mismatched basis yields an
-    uncorrelated fair coin.  Measuring a photon twice raises
-    :class:`PhotonReuseError`.
-    """
-    if photon._consumed:
-        raise PhotonReuseError("photon already measured")
-    photon._consumed = True
-    if basis is photon.basis:
-        return photon.bit
-    return rng.bit()
 
 
 def transmit_batch(
@@ -170,8 +116,8 @@ def transmit_batch(
 
     Bases are given as 0/1 arrays (0 = rectilinear, 1 = diagonal).  `coins`
     holds the fair coin each photon yields if it is measured in the other
-    basis, so position i gives what :func:`measure` gives for photon i with
-    a source whose next bit is ``coins[i]``.
+    basis: position i is ``bits[i]`` where the two bases agree, else
+    ``coins[i]``.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     coins = np.asarray(coins, dtype=np.uint8)

@@ -218,9 +218,13 @@ def commitment_attack_bound(p: float, n: int, N: int, x: int) -> tuple[float, fl
 
     Returns (p^((N-x)/n), eps) with eps = p^(1/(2n)).  The bound is strictly
     below eps^N because (N-x)/n > N/(2n), i.e. x < N/2, for every admissible
-    parameter set (the floats may both underflow to 0 for tiny p).
+    parameter set (the floats may both underflow to 0 for tiny p).  n, N and
+    x are ints proper with n, N >= 1 and 0 <= x < N.
     """
     check_cheat_probability(p)
+    if not (_is_int(n) and _is_int(N) and _is_int(x) and n >= 1 and 0 <= x < N):
+        raise ParameterError(f"require ints n >= 1, N >= 1 and 0 <= x < N, "
+                             f"got n={n!r}, N={N!r}, x={x!r}")
     if (N - x) % n != 0:
         raise InvalidN(f"(N - x) = {N - x} must be divisible by n = {n}")
     forgeries = (N - x) // n

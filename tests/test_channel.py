@@ -1,53 +1,31 @@
-"""Channel-layer tests: basis physics, photon consumption, RNG streams."""
+"""Channel-layer tests: basis physics of the batched channel, RNG streams."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotsim.channel import (
-    Basis,
-    Photon,
-    PhotonReuseError,
-    RandomSource,
-    encode,
-    measure,
-    transmit_batch,
-)
-
-
-def test_encode_rejects_non_bit():
-    with pytest.raises(ValueError):
-        encode(2, Basis.RECTILINEAR)
+import reference
+from qotsim.channel import RandomSource, transmit_batch
+from qotsim.params import validate_params
+from qotsim.protocol import draw_sessions
 
 
 def test_matching_basis_reproduces_bit_exactly():
-    rng = RandomSource(7)
-    for r in (0, 1):
-        for basis in Basis:
-            assert measure(encode(r, basis), basis, rng) == r
+    """Every bit in either basis, whatever its coin."""
+    bits, bases, coins = np.array(np.meshgrid([0, 1], [0, 1], [0, 1])).reshape(3, -1)
+    assert np.array_equal(transmit_batch(bits, bases, bases, coins), bits)
 
 
 def test_mismatched_basis_is_fair_coin():
-    rng = RandomSource(11)
-    draws = [
-        measure(encode(0, Basis.RECTILINEAR), Basis.DIAGONAL, rng)
-        for _ in range(4000)
-    ]
-    rate = sum(draws) / len(draws)
+    """Bob's step-1 reading of a session's photons measured in the other
+    basis: each is the photon's coin, and half of them miss Alice's bit."""
+    draws = draw_sessions(validate_params(4, 1, 40), RandomSource(11), 0, 100)
+    received = transmit_batch(draws.r, draws.beta, draws.beta_b, draws.coin)
+    mismatched = draws.beta != draws.beta_b
+    assert np.array_equal(received[mismatched], draws.coin[mismatched])
+    rate = (received[mismatched] != draws.r[mismatched]).mean()
     assert 0.45 < rate < 0.55
-
-
-def test_photon_single_use():
-    rng = RandomSource(3)
-    photon = encode(1, Basis.DIAGONAL)
-    measure(photon, Basis.DIAGONAL, rng)
-    with pytest.raises(PhotonReuseError):
-        measure(photon, Basis.DIAGONAL, rng)
-
-
-def test_photon_repr_hides_consumed_flag():
-    assert "_consumed" not in repr(Photon(bit=1, basis=Basis.RECTILINEAR))
 
 
 def test_random_source_deterministic():
@@ -153,11 +131,6 @@ def test_random_source_stream_path_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_random_bit_is_binary():
-    rng = RandomSource(0)
-    assert all(rng.bit() in (0, 1) for _ in range(64))
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(min_value=-(2**31), max_value=2**31),
@@ -165,8 +138,9 @@ def test_random_bit_is_binary():
     data=st.data(),
 )
 def test_transmit_batch_matches_scalar_loop(seed, size, data):
-    """Vectorized transmission must be identical to per-photon measurement
-    that is handed the same coin for each photon, in any array shape."""
+    """Vectorized transmission must be identical to the scalar reference's
+    per-photon rule handed the same coin for each photon, in any array
+    shape."""
     bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)), dtype=np.uint8)
     ba = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)), dtype=np.uint8)
     bb = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)), dtype=np.uint8)
@@ -174,25 +148,13 @@ def test_transmit_batch_matches_scalar_loop(seed, size, data):
 
     batch = transmit_batch(bits, ba, bb, coins)
 
-    scalar = np.empty(size, dtype=np.uint8)
-    for i in range(size):
-        photon = encode(int(bits[i]), Basis(int(ba[i])))
-        scalar[i] = measure(photon, Basis(int(bb[i])), _Coin(coins[i]))
+    scalar = np.array([reference.measure(*photon) for photon in zip(
+        bits.tolist(), ba.tolist(), bb.tolist(), coins.tolist())], dtype=np.uint8)
     assert np.array_equal(batch, scalar)
     rows = (2, size // 2)
     cut = 2 * (size // 2)
     as_rows = transmit_batch(*(a[:cut].reshape(rows) for a in (bits, ba, bb, coins)))
     assert np.array_equal(as_rows.reshape(-1), scalar[:cut])
-
-
-class _Coin:
-    """A source whose every bit is the given coin."""
-
-    def __init__(self, coin):
-        self.coin = int(coin)
-
-    def bit(self) -> int:
-        return self.coin
 
 
 def test_transmit_batch_matching_positions_exact():

@@ -18,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
-    "01_photon_channel.py": "9c719837f65fb25d118ce05c696b76389cc85d7beaddfecd5d961c4ff6784511",
+    "01_photon_channel.py": "9a6595fc5ebb6e79373943b81ffa55b5ea2d26b74a16de655bce734567f3c9c3",
     "02_parameters_and_bounds.py":
         "a89d7dbec8f637945d82e41fe470a9ed7ce43fae7e1b92acb4a4bcf2f3189d49",
     "03_protocol_walkthrough.py":

@@ -246,6 +246,19 @@ def test_commitment_attack_bound_values():
         commitment_attack_bound(0.5, 4, 41, 8)
 
 
+@pytest.mark.parametrize("n, N, x", [
+    (0, 10, 0),  # was a ZeroDivisionError
+    (-1, 10, 0),  # was a "probability" of 1024.0
+    (2, -10, 0),  # was 32.0
+    (2, 10, 12),  # was 2.0
+    (2.0, 10.0, 0.0),
+    (True, 10, 0),
+])
+def test_commitment_attack_bound_refuses_a_bad_n_N_or_x(n, N, x):
+    with pytest.raises(ParameterError, match=r"require ints n >= 1, N >= 1 and 0 <= x < N"):
+        commitment_attack_bound(0.5, n, N, x)
+
+
 def test_bound_report_forms():
     report = build_bound_report(2, 1, N=18, p=0.5)
     assert report.hoeffding_privacy_form == "2*exp(-N/18)"

@@ -85,6 +85,17 @@ def _imports(tree: ast.AST):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
+def test_the_scalar_reference_imports_only_the_draws_and_params():
+    """tests/reference.py checks the engine, so the only package code it
+    runs is the draws it reads and the params it is given."""
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
+    names = {name for name in _imports(tree) if name.split(".")[0] == "qotsim"}
+    allowed = {"qotsim.protocol", "qotsim.protocol.Draws", "qotsim.params",
+               "qotsim.params.Case", "qotsim.params.ProtocolParams",
+               "qotsim.params.validate_params"}
+    assert names and names <= allowed, names - allowed
+
+
 def test_every_exported_name_exists():
     """A name left in `__all__` after its module or class is gone would only
     fail at a caller's star import."""
