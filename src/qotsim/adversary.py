@@ -3,12 +3,12 @@
 Each strategy is one row of :data:`STRATEGIES`, the one place that defines
 it: runner, event, hit and exact reference; `checks`, the verdicts that
 follow the 3-sigma one in :func:`~qotsim.harness.check_bounds`; `admits`,
-its refusals; `takes_p`.  It replaces one hook of the honest behavior and
-leaves the counterpart fully honest, including all checks.  Information
-gain is always recomputed from ground truth (the actual basis matches),
-never taken from the adversary's own claims.  Every strategy runs T
-sessions at once through one batched runner; a single session is the T=1
-call.
+its refusals; `takes_p`; `width`, the words a trial draws.  It replaces one
+hook of the honest behavior and leaves the counterpart fully honest,
+including all checks.  Information gain is always recomputed from ground
+truth (the actual basis matches), never taken from the adversary's own
+claims.  Every strategy runs T sessions at once through one batched
+runner; a single session is the T=1 call.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .protocol import (
     phase1_transmit,
     phase2_challenge,
     run_protocol,
+    session_width,
 )
 
 _CHEAT = STATUSES.index(Status.ABORT_CHEAT_DETECTED)
@@ -177,12 +178,15 @@ def postpone_bob(params, strategy, rng, start, count, inputs=None, choices=None)
     return Outcomes(params.m, state)
 
 
+def _forgery_width(params: ProtocolParams) -> int:  # a commit-cheat trial's s words, as a block
+    return -(-params.subset_size // 4) * 4
+
+
 def _forgeries_accepted(params: ProtocolParams, p: float, rng: RandomSource,
                         start: int, count: int) -> np.ndarray:
     """(T,) bool: all (N-x)/n forged unveils of one extra subset pass, each
     with probability p, from the row's own uniform words."""
-    s = params.subset_size
-    words = rng.block(-(-s // 4) * 4, start, count)[:, :s]
+    words = rng.block(_forgery_width(params), start, count)[:, :params.subset_size]
     return ((words >> np.uint64(11)) * 2.0**-53 < p).all(axis=1)
 
 
@@ -212,6 +216,7 @@ class StrategySpec:
     # run(params, strategy, rng, start, count, inputs, choices): Outcomes of
     # trials start .. start+count-1 of rng's stream
     run: Callable
+    width: Callable = session_width  # width(params): uint64 words a trial of `run` draws
     # checks(stats, params): the verdicts after the 3-sigma one, each as
     # (criterion, empirical, reference, relation, passed)
     checks: Callable = lambda stats, params: []
@@ -271,7 +276,8 @@ STRATEGIES: dict[str, StrategySpec] = {
         reference=lambda params, s: Fraction(3, 4) ** params.N, run=postpone_bob),
     "commit-cheat": StrategySpec(
         event="commit_cheat_success", hit=_extra_bit, checks=_commitment_check, takes_p=True,
-        reference=lambda params, s: s.p ** params.subset_size, run=_commit_cheat),
+        reference=lambda params, s: s.p ** params.subset_size, run=_commit_cheat,
+        width=_forgery_width),
     "curious-alice": StrategySpec(
         event="choice_guess_correct", run=_sessions(HonestBob),
         hit=lambda out: (out.status == 0) & (out.guess == out.chosen).all(axis=1),

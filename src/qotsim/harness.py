@@ -6,8 +6,8 @@ row (a tail bound's <=, say, past its non-vacuity threshold); the row also
 refuses the sets the strategy does not admit, so the harness names none.
 An experiment's randomness is one Philox key, derived from its seed, and
 trial k owns the k-th fixed-width block of words of that key's stream (see
-:meth:`RandomSource.block`).  Trials run in batches of
-:data:`~qotsim.protocol.CHUNK` through the batched session engine, so
+:meth:`RandomSource.block`).  Trials run through the batched session engine
+in batches that :func:`~qotsim.protocol.chunks` sizes by one budget of words, so
 results are independent of batching and execution order, reproducible
 byte-for-byte, and any trial can be replayed from (seed, trial index).
 
@@ -184,7 +184,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateStats:
     strategy = config.strategy
     spec = STRATEGIES[strategy.kind]
     counts, wrong, event_count = np.zeros(len(STATUSES), dtype=np.int64), 0, 0
-    for start, count in chunks(config.trials, params):
+    for start, count in chunks(config.trials, spec.width(params)):
         out = spec.run(params, strategy, rng, start, count, config.bits, config.choices)
         counts += np.bincount(out.status, minlength=len(STATUSES))
         wrong += int(np.count_nonzero(out.wrong_decode))
@@ -321,7 +321,7 @@ def privacy_independence_test(
     masks = np.array([[label in cv for label in range(1, n + 1)] for cv in choice_vectors])
     tally = np.zeros(len(choice_vectors) * n, dtype=np.int64)
     width = session_width(params)
-    for start, count in chunks(len(choice_vectors) * T, params):
+    for start, count in chunks(len(choice_vectors) * T, width):
         stop = start + count
         vector = np.arange(start, stop) // T  # row r is trial r % T of vector r // T
         words = []

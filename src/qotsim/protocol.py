@@ -48,13 +48,9 @@ from .channel import RandomSource, transmit_batch
 from .commitment import CommitmentSession
 from .params import Case, ProtocolParams, _is_integer
 
-# Sessions per batch in Monte Carlo experiments: large enough that the
-# per-phase Python overhead is a small share.  A batch's arrays grow as
-# rows * N, so at large N a batch holds fewer rows: its block of random
-# words stays within BATCH_WORDS (8 MB; the batch peaks at several times
-# that).  At the acceptance sets (N <= 40) every batch has CHUNK rows.
-CHUNK = 4096
-BATCH_WORDS = 2**20
+# A Monte Carlo batch holds as many rows as fit in BATCH_WORDS random words (512 KB): few
+# enough that its arrays (about three blocks at their peak) reuse the memory the last freed.
+BATCH_WORDS = 2**16
 
 
 class Status(Enum):
@@ -179,7 +175,7 @@ class Draws:
             raise ValueError(f"draws need a (T, {width}) block of words, got shape {words.shape}")
         bits = np.unpackbits(words.view(np.uint8), axis=1, count=n + 9 * N,
                              bitorder="little")
-        self.inputs = bits[:, :n]
+        self.inputs = bits[:, :n].copy()  # a view would keep all of `bits` alive
         # the nine N-bit fields after the inputs, each a contiguous (T, N) array
         fields = np.ascontiguousarray(bits[:, n:].reshape(-1, 9, N).transpose(1, 0, 2))
         self.r, self.beta, self.d = fields[0:2], fields[2:4], fields[4]
@@ -218,7 +214,7 @@ def _packed(keys: np.ndarray, eligible: np.ndarray | None = None) -> np.ndarray:
     packed = keys & high
     if eligible is not None:
         np.minimum(packed, clamp, out=packed)
-        packed |= (~eligible).astype(np.uint64) * high
+        packed |= np.multiply(~eligible, high, dtype=np.uint64)
     packed |= slots
     return packed
 
@@ -238,9 +234,9 @@ def draw_sessions(params: ProtocolParams, rng: RandomSource, start: int,
     return Draws(params, rng.block(session_width(params), start, count))
 
 
-def chunks(trials: int, params: ProtocolParams):
-    """(start, count) of each batch of `trials` trials at `params`."""
-    rows = max(1, min(CHUNK, BATCH_WORDS // session_width(params)))
+def chunks(trials: int, width: int):
+    """(start, count) of each batch of `trials` trials that draw `width` words each."""
+    rows = max(1, BATCH_WORDS // width)
     return ((start, min(rows, trials - start)) for start in range(0, trials, rows))
 
 
@@ -282,13 +278,18 @@ def _legal_family(
     packed = _packed(keys[:, :N], state.match_flags() & ~state.removed)
     first = np.sort(packed, axis=1)
     count = np.add.accumulate(targets, axis=1, dtype=np.intp)
-    # the targets take the first s * (their count) positions of `first`, ties included
-    picked = packed <= first.reshape(-1)[state.offsets + (count[:, -1:] * s - 1)]
-    rest = np.sort(_packed(keys[:, N:], ~(state.removed | picked)), axis=1)
+    # the targets take the first s * (their count) positions of `first` (its
+    # words are distinct), so a row with no targets picks nothing
+    picked = packed < first.reshape(-1)[state.offsets + count[:, -1:] * s]
+    del packed
+    rest = _packed(keys[:, N:], ~(state.removed | picked))
+    rest.sort(axis=1)
     # blocks 0..n-1 of a row are the first n blocks of `first`, blocks
     # n..2n-1 those of `rest`; the k-th target label (ascending) takes block
     # k, the k-th other label block n+k
-    blocks = np.concatenate([first[:, :n * s], rest[:, :n * s]], axis=1) & _slot_words(N)[0]
+    blocks = np.concatenate([first[:, :n * s], rest[:, :n * s]], axis=1)
+    del first, rest
+    blocks &= _slot_words(N)[0]
     block = np.where(targets, count - 1, np.arange(n, 2 * n) - count).T + 2 * n * np.arange(rows)
     return list(np.take(blocks.view(np.int64).reshape(-1, s), block, axis=0)), targets
 
@@ -318,7 +319,7 @@ class ProtocolState:
     beta_bs: np.ndarray | None = None
     match: np.ndarray | None = None    # (T, N) survivor basis agreement, from step 3
     removed: np.ndarray | None = None  # (T, N) bool per survivor slot
-    family: np.ndarray | None = None   # (T, n, size), each subset sorted
+    subsets: np.ndarray | None = None  # (n, T, size) the family Alice checked, as sent
     cells: np.ndarray | None = None    # family as flat positions in (T, N) arrays, (size, T, n)
     claimed: np.ndarray | None = None  # (T, n) labels Bob claims all-matching
     masked: np.ndarray | None = None   # (T, n) Alice's masked input bits, from step 6
@@ -331,6 +332,11 @@ class ProtocolState:
     @property
     def rows(self) -> int:
         return self.status.shape[0]
+
+    @cached_property
+    def family(self) -> np.ndarray | None:
+        """(T, n, size): the family Alice checked at step 5, each subset sorted on first read."""
+        return None if self.subsets is None else np.sort(self.subsets, axis=2).transpose(1, 0, 2)
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -466,9 +472,9 @@ def select_subsets(state: ProtocolState) -> None:
 
     Bob gives up on a row whose surviving matches cannot fill the subsets he
     claims.  Alice checks each family's structure: count, sizes,
-    disjointness, coverage.  The sorted
-    (T, n, size) family goes to `state.family`; a family whose count or
-    sizes are wrong aborts every row and leaves it None."""
+    disjointness, coverage.  The family goes to `state.subsets`, and
+    `state.family` sorts it when read; a family whose count or sizes are
+    wrong aborts every row and leaves both None."""
     state._require_stage(4)
     if state.chosen is None or state.inputs is None:
         raise ValueError("steps 5-7 need the input bits and chosen labels given at step 1")
@@ -483,24 +489,22 @@ def select_subsets(state: ProtocolState) -> None:
     if len(family) != n or any(np.shape(f) != (state.rows, s) for f in family):
         state.abort(np.ones(state.rows, dtype=bool), Status.ABORT_INVALID_MESSAGE)
         return
-    # (n, T, s), a fresh copy: Bob's own subsets are left as sent
-    fam = np.array(family, dtype=np.int64)
+    # (n, T, s), a fresh copy in place of Bob's list: his own subsets are left as sent
+    family = np.array(family, dtype=np.int64)
     # legal: in range, and every surviving slot in exactly one subset
     # (disjoint, covering, no removed slot); a slot out of range is clipped
     # into its row, so that later gathers read the row's own cells
-    if fam.view(np.uint64).max() >= N:  # a negative slot reads as a huge one
-        state.abort(((fam < 0) | (fam >= N)).any(axis=(0, 2)), Status.ABORT_INVALID_MESSAGE)
-        fam = np.clip(fam, 0, N - 1)
-    fam.sort(axis=2)
-    cells = fam + state.offsets
-    hits = np.bincount(cells.reshape(-1), minlength=alive.size)
-    wrong = hits.reshape(alive.shape) != alive
+    if family.view(np.uint64).max() >= N:  # a negative slot reads as a huge one
+        state.abort((family.view(np.uint64) >= N).any(axis=(0, 2)), Status.ABORT_INVALID_MESSAGE)
+        family = np.clip(family, 0, N - 1)
+    state.subsets = family
+    vars(state).pop("family", None)  # a read before step 5 cached None
+    # (size, T, n), so that reductions over a subset run along whole rows
+    state.cells = np.add(family.transpose(2, 1, 0), state.offsets, order="C")
+    wrong = np.bincount(state.cells.reshape(-1), minlength=alive.size).reshape(alive.shape) != alive
     if np.count_nonzero(wrong):  # live rows only: one aborted at step 4 removed nothing
         wrong[~state.live()] = False
         state.abort(wrong, Status.ABORT_INVALID_MESSAGE)
-    state.family = fam.transpose(1, 0, 2)
-    # (size, T, n), so that reductions over a subset run along whole rows
-    state.cells = np.ascontiguousarray(cells.transpose(2, 1, 0))
 
 
 def mask_bits(state: ProtocolState) -> np.ndarray:

@@ -20,7 +20,6 @@ from qotsim.channel import RandomSource
 from qotsim.params import Case, smallest_valid_N, validate_params
 from qotsim.protocol import (
     BATCH_WORDS,
-    CHUNK,
     STATUSES,
     Draws,
     HonestBob,
@@ -35,10 +34,12 @@ from qotsim.protocol import (
     phase2_challenge,
     removal_phase,
     run_protocol,
+    _legal_family,
     _order,
     select_subsets,
     session_width,
 )
+import reference
 from test_stability import _RepeatingBob
 
 SETS = ((3, 1, 6), (2, 1, 18), (4, 1, 40))
@@ -276,13 +277,50 @@ def test_every_unveil_opens_a_distinct_committed_id(case):
 
 
 def test_batches_cover_every_trial_and_shrink_at_large_N():
-    assert list(chunks(CHUNK + 1, validate_params(4, 1, 40))) == [(0, CHUNK), (CHUNK, 1)]
-    large = validate_params(4, 1, 1000)
-    batches = list(chunks(10_000, large))
-    counts = [count for _, count in batches]
-    assert max(counts) * session_width(large) <= BATCH_WORDS
-    assert [start for start, _ in batches] == list(itertools.accumulate([0] + counts[:-1]))
-    assert sum(counts) == 10_000
+    """A full batch holds as many rows as fit in the word budget, so it
+    shrinks as the width grows with N; the batches tile the trials."""
+    full = {}
+    for nmN in [(3, 1, 6), (2, 1, 18), (4, 1, 40), (4, 1, 1000)]:
+        width = session_width(validate_params(*nmN))
+        rows = full[nmN] = BATCH_WORDS // width
+        trials = 2 * rows + 7
+        batches = list(chunks(trials, width))
+        counts = [count for _, count in batches]
+        assert counts == [rows, rows, 7], nmN
+        assert [start for start, _ in batches] == list(itertools.accumulate([0] + counts[:-1]))
+        assert sum(counts) == trials
+    assert full[(4, 1, 1000)] < full[(4, 1, 40)] < full[(2, 1, 18)] < full[(3, 1, 6)]
+    assert list(chunks(3, BATCH_WORDS * 2)) == [(0, 1), (1, 1), (2, 1)]  # one row at least
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_legal_family_of_rows_with_no_targets_covers_their_survivors(mixed):
+    """A row with no target labels picks no slot for them: every label takes
+    survivors in order of the last N keys.  With all rows' targets empty, or
+    every other row's, each live row's family is the scalar reference's, and
+    covers its survivors where they hold matches enough for its targets."""
+    params, T = validate_params(4, 1, 40), 64
+    draws = draw_sessions(params, RandomSource(2032).stream("no targets"), 0, T)
+    state = phase1_transmit(params, draws, inputs=draws.inputs, chosen=draws.chosen(params.m))
+    phase2_challenge(state)
+    announce_bases(state)
+    removal_phase(state)
+    targets = state.chosen & (mixed & (np.arange(T) % 2 == 0))[:, None]
+    family, _ = _legal_family(state, targets, draws.family_keys)
+    live = np.flatnonzero(state.live())
+    assert live.size > T // 2
+    rows = reference.rows(draws)
+    for k in live:
+        row = rows[k]
+        trial = reference.Trial(params, row)
+        trial.match, trial.removed = state.match[k].tolist(), set(np.flatnonzero(state.removed[k]))
+        expected, _ = reference.legal_family(trial, set(np.flatnonzero(targets[k])),
+                                             row.family_keys)
+        got = [f[k].tolist() for f in family]
+        assert got == expected, k
+        usable = sum(trial.match[i] for i in trial.survivors())
+        if usable >= targets[k].sum() * params.subset_size:
+            assert sorted(sum(got, [])) == trial.survivors(), k
 
 
 @pytest.mark.parametrize("bob", [HonestBob, LeakyBob])
@@ -455,8 +493,8 @@ def test_batch_rows_equal_single_trials_at_a_large_set():
     batch equal the one-row runs of their trials."""
     params = validate_params(6, 1, 225)
     rng = RandomSource(2032).stream("large")
-    batch = run_protocol(params, None, None, draw_sessions(params, rng, 0, CHUNK))
-    assert batch.rows == CHUNK and (batch.status == 0).any() and (batch.status != 0).any()
-    for k in [*range(0, CHUNK, 257), CHUNK - 1]:
+    batch = run_protocol(params, None, None, draw_sessions(params, rng, 0, 4096))
+    assert batch.rows == 4096 and (batch.status == 0).any() and (batch.status != 0).any()
+    for k in [*range(0, 4096, 257), 4095]:
         alone = run_protocol(params, None, None, draw_sessions(params, rng, k, 1))
         assert _row(batch, k) == _row(alone, 0), k

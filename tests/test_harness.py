@@ -42,10 +42,18 @@ from qotsim.harness import (
     wilson_interval,
 )
 from qotsim.params import InvalidN, validate_params
-from qotsim.protocol import CHUNK, STATUSES, HonestBob, chunks, draw_sessions, run_protocol
+from qotsim.protocol import (
+    STATUSES,
+    HonestBob,
+    chunks,
+    draw_sessions,
+    run_protocol,
+    session_width,
+)
 from test_params import REFERENCE, run_table
 
 P316 = validate_params(3, 1, 6)
+ROWS316 = next(chunks(2**40, session_width(P316)))[1]  # rows in a full batch at (3,1,6)
 P216 = validate_params(2, 1, 6)
 P4140 = validate_params(4, 1, 40)
 
@@ -262,7 +270,7 @@ def test_experiment_config_rejects_repeated_choices():
 def test_run_experiment_straddling_chunks_equals_trial_replays():
     """Counts over a chunk boundary equal those of replaying each trial
     alone from the experiment's stream."""
-    config = ExperimentConfig(n=3, m=1, N=6, trials=CHUNK + 40, seed=12)
+    config = ExperimentConfig(n=3, m=1, N=6, trials=ROWS316 + 40, seed=12)
     stats = run_experiment(config)
     spec = STRATEGIES["honest"]
     rng = RandomSource(config.seed).stream("trials")
@@ -288,8 +296,37 @@ def test_run_experiment_builds_no_generator_per_trial(monkeypatch):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
-    run_experiment(ExperimentConfig(n=3, m=1, N=6, trials=10_000, seed=3))
-    assert 0 < len(built) <= math.ceil(10_000 / CHUNK) + 2
+    trials = ROWS316 * 3 // 2  # a full batch and a partial one
+    run_experiment(ExperimentConfig(n=3, m=1, N=6, trials=trials, seed=3))
+    assert 0 < len(built) <= math.ceil(trials / ROWS316) + 2
+
+
+def test_commit_cheat_draws_are_one_batch(monkeypatch):
+    """The batch budget counts the words a runner draws: commit-cheat's
+    2,000 draws at (4,1,40) take s = 8 words each, so they are one block."""
+    blocks, block = [], RandomSource.block
+    monkeypatch.setattr(RandomSource, "block", lambda self, *args: blocks.append(args)
+                        or block(self, *args))
+    run_experiment(ExperimentConfig(n=4, m=1, N=40, trials=2000, seed=6,
+                                    strategy=Strategy("commit-cheat", p=0.5)))
+    assert blocks == [(8, 0, 2000)]
+
+
+def test_a_batch_peaks_near_three_blocks():
+    """A 200-trial honest batch at (4,1,40) keeps its traced peak within
+    3.25 times its block of random words (211,200 bytes), so that a batch's
+    arrays fit in the memory the last one freed."""
+    config = ExperimentConfig(n=4, m=1, N=40, trials=200, seed=3)
+    run_experiment(config)  # caches filled outside the trace
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 200 * session_width(P4140) * 8
+    assert block == 211_200
+    assert peak <= 3.25 * block, peak / block
 
 
 def test_run_experiment_fixed_vs_random_inputs():
@@ -503,7 +540,8 @@ def _privacy_by_vector(params, trials, seed, leaky):
 
 
 @pytest.mark.parametrize("nmN, trials", [((3, 1, 6), 300), ((4, 2, 20), 200),
-                                         ((3, 1, 6), 1500)])
+                                         pytest.param((3, 1, 6), ROWS316 // 3 + 1,
+                                                      id="nmN2-straddling")])
 @pytest.mark.parametrize("leaky", [False, True])
 def test_privacy_batch_equals_one_run_per_choice_vector(nmN, trials, leaky):
     params = validate_params(*nmN)
@@ -511,8 +549,8 @@ def test_privacy_batch_equals_one_run_per_choice_vector(nmN, trials, leaky):
     counts, p_values = _privacy_by_vector(params, trials, 31, leaky)
     assert report["feature_counts"] == counts
     assert [pair["p_value"] for pair in report["pairs"]] == p_values
-    if trials == 1500:  # 4,500 rows: a batch holds the rows of several vectors
-        starts = [start for start, _ in chunks(3 * trials, params)]
+    if trials > ROWS316 // 3:  # two batches, the first with the rows of every vector
+        starts = [start for start, _ in chunks(3 * trials, session_width(params))]
         assert len(starts) > 1 and starts[1] % trials != 0
 
 
