@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -72,8 +72,8 @@ class Outcomes:
     `state` on first access: `wrong_decode` (T,) marks a completed row that
     recovered a wrong chosen bit; `bits_learned` (T,), the claimed subsets
     truly all-matching; `target_exceeded` (T,), more than m of them; `guess`
-    (T, n), curious Alice's guess of the `chosen` (T, n) labels, read from
-    the announced family (all False on a row that did not complete).
+    (T, n), curious Alice's guess of the `chosen` (T, n) labels, read off each
+    announced subset's least cell (all False on a row that did not complete).
     A run without an engine passes `status` and `bits_learned` instead of
     a state, and has no `chosen` or `guess`."""
 
@@ -110,8 +110,8 @@ class Outcomes:
             return None
         if state.recovered is None:  # no row reached step 7
             return np.zeros((state.rows, state.params.n), dtype=bool)
-        # the m subsets with the smallest first slots, distinct in a legal family
-        firsts = state.family[:, :, 0]
+        # the m subsets with the smallest first slots (least cells), distinct in a legal family
+        firsts = state.cells.min(axis=0)
         return (firsts <= np.sort(firsts, axis=1)[:, self.m - 1:self.m]) & state.live()[:, None]
 
 
@@ -184,10 +184,13 @@ def _forgery_width(params: ProtocolParams) -> int:  # a commit-cheat trial's s w
 
 def _forgeries_accepted(params: ProtocolParams, p: float, rng: RandomSource,
                         start: int, count: int) -> np.ndarray:
-    """(T,) bool: all (N-x)/n forged unveils of one extra subset pass, each
-    with probability p, from the row's own uniform words."""
+    """(T,) bool: all (N-x)/n forged unveils of one extra subset pass, each with probability
+    p (w >> 11 < ceil(p * 2^53), exactly), from the row's own uniform words."""
     words = rng.block(_forgery_width(params), start, count)[:, :params.subset_size]
-    return ((words >> np.uint64(11)) * 2.0**-53 < p).all(axis=1)
+    # a few words a row reduce faster down the columns of a (s, T) copy than row by row
+    wide = words.shape[1] >= 32
+    largest = words.max(axis=1) if wide else np.ascontiguousarray(words.T).max(axis=0)
+    return largest >> np.uint64(11) < np.uint64(math.ceil(p * 2**53))
 
 
 def _commit_cheat(params, strategy, rng, start, count, inputs=None, choices=None) -> Outcomes:
@@ -224,8 +227,10 @@ class StrategySpec:
     takes_p: bool = False  # reads the cheat probability p, which it then requires
 
 
-def _oracle(event: str) -> Callable:
-    return lambda params, strategy: exact_failure_oracle(params, event)
+@lru_cache(maxsize=64)
+def _exact_rate(params: ProtocolParams, event: str) -> Fraction:
+    """The oracle's rate of `event` at `params`: a reference, computed once per pair."""
+    return exact_failure_oracle(params, event)
 
 
 def _tail(bound: str, decode: bool = False) -> Callable:
@@ -260,17 +265,18 @@ def _extra_bit(out: Outcomes) -> np.ndarray:
 
 STRATEGIES: dict[str, StrategySpec] = {
     "honest": StrategySpec(
-        event="abort", reference=_oracle("correctness"), checks=_tail("correctness", True),
+        event="abort", checks=_tail("correctness", True),
+        reference=lambda params, s: _exact_rate(params, "correctness"),
         run=_sessions(HonestBob), hit=lambda out: (out.status != 0) | out.wrong_decode),
     "greedy": StrategySpec(
-        event="extra_bit_success", hit=_extra_bit, reference=_oracle("privacy"),
-        checks=_tail("privacy"), run=_sessions(GreedyBob)),
+        event="extra_bit_success", hit=_extra_bit, checks=_tail("privacy"),
+        reference=lambda params, s: _exact_rate(params, "privacy"), run=_sessions(GreedyBob)),
     "dishonest-removal": StrategySpec(
         event="extra_bit_success", hit=_extra_bit, checks=_tail("privacy"),
         run=_sessions(DishonestRemovalBob), admits=DishonestRemovalBob.check_case,
         # the strict verifier rejects every mismatched removal, so no session survives it
         reference=lambda params, s: Fraction(0) if s.strict_alice
-        else exact_failure_oracle(params, "privacy_dishonest_removal")),
+        else _exact_rate(params, "privacy_dishonest_removal")),
     "postpone": StrategySpec(
         event="challenge_survival", hit=lambda out: out.status != _CHEAT,
         reference=lambda params, s: Fraction(3, 4) ** params.N, run=postpone_bob),
@@ -282,7 +288,7 @@ STRATEGIES: dict[str, StrategySpec] = {
         event="choice_guess_correct", run=_sessions(HonestBob),
         hit=lambda out: (out.status == 0) & (out.guess == out.chosen).all(axis=1),
         # chance level per completed run, scaled by the completion probability
-        reference=lambda params, s: (1 - exact_failure_oracle(params, "correctness"))
+        reference=lambda params, s: (1 - _exact_rate(params, "correctness"))
         / math.comb(params.n, params.m)),
 }
 

@@ -3,8 +3,8 @@
 A classical bit is encoded in one of two conjugate polarization bases.
 Measuring in the emission basis reproduces the bit exactly (the channel is
 noiseless); measuring in the other basis yields an unbiased coin, which
-:func:`transmit_batch` takes from the caller's draws.  Every Philox is
-built from its key alone, as the words of ``np.random.Philox(key=key)``
+:func:`transmit_batch` takes from the caller's draws.  Every Philox is set
+to its key and counter, as the words of ``np.random.Philox(key=key)``
 without the OS-entropy ``SeedSequence`` numpy would build and discard.
 """
 
@@ -18,21 +18,15 @@ import numpy as np
 from .params import _is_integer
 
 
-@functools.cache
-def _key_seed() -> type:
-    """The type of a stateless Philox seed whose state is a (2,) uint64 key."""
-    from numpy.random.bit_generator import ISeedSequence
+_scratch_philox = functools.cache(lambda: np.random.Philox(0))  # every block's, built on first use
 
-    class KeySeed(ISeedSequence):
-        def __init__(self, key):
-            self.key = key
 
-        def generate_state(self, n_words, dtype=np.uint32):  # Philox asks for its key alone
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"a key seed holds 2 uint64 words, not {n_words} {dtype}")
-            return self.key
-
-    return KeySeed
+def _keyed(philox: np.random.Philox, key: np.ndarray, counter: int) -> np.random.Philox:
+    """`philox` set to a fresh generator's state at `key` and 256-bit `counter`."""
+    words = np.array([counter >> k & 2**64 - 1 for k in (0, 64, 128, 192)], dtype=np.uint64)
+    philox.state = {"bit_generator": "Philox", "state": {"counter": words, "key": key},
+                    "buffer": words, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return philox
 
 
 class RandomSource:
@@ -74,7 +68,7 @@ class RandomSource:
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(_key_seed()(self.key)))
+            self._gen = np.random.Generator(_keyed(np.random.Philox(0), self.key, 0))
         return self._gen
 
     def stream(self, name: str) -> "RandomSource":
@@ -98,8 +92,10 @@ class RandomSource:
         for name, value in (("start", start), ("count", count)):
             if not (_is_integer(value) and value >= 0):
                 raise ValueError(f"block {name} must be an int >= 0, got {value!r}")
-        philox = np.random.Philox(_key_seed()(self.key)).advance(int(start) * width // 4)
-        return philox.random_raw(count * width).reshape(count, width)
+        philox = _scratch_philox()
+        with philox.lock:  # Philox's counter steps over 4 words
+            _keyed(philox, self.key, int(start) * width // 4)
+            return philox.random_raw(count * width).reshape(count, width)
 
     def bits(self, count: int) -> np.ndarray:
         """The next `count` fair coin flips of :attr:`gen`, as a uint8 array."""

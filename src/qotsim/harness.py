@@ -11,11 +11,11 @@ in batches that :func:`~qotsim.protocol.chunks` sizes by one budget of words, so
 results are independent of batching and execution order, reproducible
 byte-for-byte, and any trial can be replayed from (seed, trial index).
 
-The privacy test runs the trials of every choice vector through the same
-engine, in one row sequence, and compares the vectors pairwise with a
-chi-square test of independence (:func:`chi2_contingency`).  That test
-does scipy.stats' arithmetic in numpy and takes its p-value from the
-closed-form chi-square tail, so the package loads no scipy.  Reports come
+The privacy test runs the trials of every choice vector through the same engine,
+in one row sequence, and compares the vectors pairwise with a chi-square test of
+independence (:func:`chi2_contingency`, whose cell checks its tables pass by
+construction, so they skip them).  That test does scipy.stats' arithmetic in numpy,
+its p-value the closed-form chi-square tail, so the package loads no scipy.  Reports come
 from a writer that appends pieces to one list, joined once, byte-identical
 to ``json.dumps(indent=2)`` of the :func:`round_sig` document; a float goes
 through repr only at a positive or three-digit exponent, nan or inf.
@@ -62,8 +62,8 @@ PRIVACY_SIGNIFICANCE = 0.001  # the privacy test's family-wise level, before Bon
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: parameter set, trial count, seed, strategy, IO modes.
-    Its validated (n, m, N) are kept as `params`, outside the dataclass fields."""
+    """One experiment: parameter set, trial count, seed, strategy, IO modes.  Its validated
+    (n, m, N) and seed's RandomSource are kept as `params` and `root`, outside the fields."""
 
     n: int
     m: int
@@ -76,7 +76,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "params", validate_params(self.n, self.m, self.N))
-        _check_run("trials", self.trials, self.seed)
+        object.__setattr__(self, "root", _check_run("trials", self.trials, self.seed))
         check_inputs(self.n, self.m, self.bits, self.choices)
         STRATEGIES[self.strategy.kind].admits(self.params)
 
@@ -111,16 +111,16 @@ class Verdict:
     tolerance: float | None = None
 
 
-def _check_run(name: str, trials: int, seed: int) -> None:
+def _check_run(name: str, trials: int, seed: int) -> RandomSource:
     """Refuse a trial count `name` that is not an int >= 1, or a seed that is
-    not an int (a report echoes it) within a signed 64-bit word."""
+    not an int (a report echoes it) within a signed 64-bit word; returns its RandomSource."""
     if not _is_int(trials):
         raise ValueError(f"{name} must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError(f"{name} must be >= 1, got {trials!r}")
     if not _is_int(seed):
         raise ValueError(f"seed must be an int, got {seed!r}")
-    RandomSource(seed)  # refuses a seed outside the signed 64-bit range
+    return RandomSource(seed)  # refuses a seed outside the signed 64-bit range
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -179,17 +179,16 @@ def run_experiment(config: ExperimentConfig) -> AggregateStats:
     """Execute the configured trials and count the tracked event of the
     strategy's row (see :data:`STRATEGIES`).  Trial k of the experiment is
     trial k of the stream ``RandomSource(seed).stream("trials")``."""
-    params = config.params
-    rng = RandomSource(config.seed).stream("trials")
-    strategy = config.strategy
+    params, strategy = config.params, config.strategy
+    rng = config.root.stream("trials")
     spec = STRATEGIES[strategy.kind]
-    counts, wrong, event_count = np.zeros(len(STATUSES), dtype=np.int64), 0, 0
+    statuses, wrong, event_count = [], 0, 0
     for start, count in chunks(config.trials, spec.width(params)):
         out = spec.run(params, strategy, rng, start, count, config.bits, config.choices)
-        counts += np.bincount(out.status, minlength=len(STATUSES))
+        statuses.append(np.bincount(out.status, minlength=len(STATUSES)))
         wrong += int(np.count_nonzero(out.wrong_decode))
         event_count += int(np.count_nonzero(spec.hit(out)))
-    completed, *aborted = counts.tolist()
+    completed, *aborted = sum(statuses).tolist()
     aborts = {s.value: c for s, c in zip(STATUSES[1:], aborted) if c}
 
     rate = event_count / config.trials
@@ -265,8 +264,13 @@ def chi2_contingency(table):
         raise ValueError("no data: the table has size 0")
     if total == 0:
         raise ValueError("no data: the table total is 0")
+    return _chi2(counts)
+
+
+def _chi2(counts: np.ndarray) -> tuple:
+    """:func:`chi2_contingency` past its cell checks, on the float64 table `counts`."""
     expected = counts.sum(axis=1, keepdims=True) * counts.sum(axis=0, keepdims=True)
-    expected /= total
+    expected /= counts.sum()
     if np.count_nonzero(expected == 0):
         cell = tuple(int(i) for i in np.argwhere(expected == 0)[0])
         raise ValueError(f"the table of expected counts has a zero at {cell}")
@@ -274,16 +278,25 @@ def chi2_contingency(table):
     if dof == 0:
         return 0.0, 1.0, dof, expected
     if dof == 1:
-        diff = expected - observed
-        observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
-    stat = ((observed - expected) ** 2 / expected).sum()
+        diff = expected - counts
+        counts = counts + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
+    stat = ((counts - expected) ** 2 / expected).sum()
     return stat, _chi2_sf(dof, stat), dof, expected
 
 
-def check_privacy_test(trials_per_choice: int, seed: int) -> None:
-    """Refuse a privacy test that cannot run: a trial count per choice vector
-    that is not an int >= 1, or a seed that is not an int within 64 bits."""
-    _check_run("trials_per_choice", trials_per_choice, seed)
+def check_privacy_test(trials_per_choice: int, seed: int) -> RandomSource:
+    """Refuse a privacy test that cannot run: a trial count per choice vector that is
+    not an int >= 1, or a seed that is not an int within 64 bits; returns its RandomSource."""
+    return _check_run("trials_per_choice", trials_per_choice, seed)
+
+
+@functools.lru_cache(maxsize=32)
+def _choice_vectors(n: int, m: int) -> tuple:
+    """The m-of-n choice vectors, their labels ("1,3") and read-only (V, n) chosen-label masks."""
+    vectors = tuple(itertools.combinations(range(1, n + 1), m))
+    masks = np.array([[label in cv for label in range(1, n + 1)] for cv in vectors])
+    masks.flags.writeable = False
+    return vectors, tuple(",".join(map(str, cv)) for cv in vectors), masks
 
 
 def privacy_independence_test(
@@ -295,30 +308,26 @@ def privacy_independence_test(
     """Distinguishability test of Alice's view across Bob's choice vectors.
 
     For every choice vector, runs honest sessions and records which announced
-    subset holds the smallest surviving slot (a feature of Alice's view).
-    Pairwise chi-square tests at :data:`PRIVACY_SIGNIFICANCE`, Bonferroni-
-    corrected over the pairs; under the uniform-announcement claim all pairs
-    should be indistinguishable.  The `leaky` flag swaps in the
-    deterministic positive-control Bob.
+    subset holds the smallest surviving slot (a feature of Alice's view, which
+    reads no input bit).  Pairwise chi-square tests at :data:`PRIVACY_SIGNIFICANCE`,
+    Bonferroni-corrected over the pairs; under the uniform-announcement claim all
+    pairs should be indistinguishable.  `leaky` swaps in the positive-control Bob.
 
     Vector v's trials are trials 0 .. `trials_per_choice`-1 of the stream
-    ``RandomSource(seed).stream("choice/<labels>")``.  The trials of all
-    vectors run as one row sequence, vector after vector, cut into engine
-    batches by :func:`~qotsim.protocol.chunks`; a batch may hold the rows
-    of two vectors, each with its own chosen labels.
+    ``RandomSource(seed).stream("choice/<labels>")``.  The trials of all vectors run as
+    one row sequence, vector after vector, cut into engine batches by
+    :func:`~qotsim.protocol.chunks`; a batch may hold the rows of two vectors, each with
+    its own chosen labels.  A pair's table passes the cell checks: it goes to :func:`_chi2`.
 
     A vector none of whose sessions completed has no feature distribution
     to test: the report lists it under ``untestable_vectors``, and each of
     its pairs has a null ``p_value`` and total variation, ``untestable``
     set and ``passed`` false, so ``all_pass`` is false.
     """
-    check_privacy_test(trials_per_choice, seed)
-    n, m = params.n, params.m
-    T = trials_per_choice
-    choice_vectors = list(itertools.combinations(range(1, n + 1), m))
-    root = RandomSource(seed)
-    rngs = [root.stream(f"choice/{','.join(map(str, cv))}") for cv in choice_vectors]
-    masks = np.array([[label in cv for label in range(1, n + 1)] for cv in choice_vectors])
+    root = check_privacy_test(trials_per_choice, seed)
+    n, m, T = params.n, params.m, trials_per_choice
+    choice_vectors, labels, masks = _choice_vectors(n, m)
+    rngs = [root.stream(f"choice/{label}") for label in labels]
     tally = np.zeros(len(choice_vectors) * n, dtype=np.int64)
     width = session_width(params)
     for start, count in chunks(len(choice_vectors) * T, width):
@@ -328,12 +337,12 @@ def privacy_independence_test(
         for v in range(start // T, (stop - 1) // T + 1):
             lo, hi = max(start, v * T), min(stop, (v + 1) * T)
             words.append(rngs[v].block(width, lo - v * T, hi - lo))
-        state = run_protocol(params, (0,) * n, masks[vector], Draws(params, np.concatenate(words)),
+        state = run_protocol(params, None, masks[vector], Draws(params, np.concatenate(words)),
                              bob=LeakyBob() if leaky else None)
         if state.recovered is not None:  # some row completed
             live = state.live()
-            # subsets are sorted: column 0 holds each subset's smallest slot
-            firsts = state.family[:, :, 0].argmin(axis=1)[live]
+            # each subset's least cell is its smallest slot plus the row's offset
+            firsts = state.cells.min(axis=0).argmin(axis=1)[live]
             tally += np.bincount(vector[live] * n + firsts, minlength=tally.size)
     counts = tally.reshape(-1, n)
     freqs = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)  # no sessions: 0
@@ -346,16 +355,15 @@ def privacy_independence_test(
         if a in untestable or b in untestable:
             pair |= {"p_value": None, "total_variation": None, "passed": False, "untestable": True}
         else:
-            table = counts[[i, j]]
-            _, p, _, _ = chi2_contingency(table[:, table.sum(axis=0) > 0])
+            table = counts[[i, j]].astype(np.float64)
+            p = _chi2(table[:, table.sum(axis=0) > 0])[1]
             tv = 0.5 * float(np.abs(freqs[i] - freqs[j]).sum())
             pair |= {"p_value": float(p), "total_variation": tv, "passed": p >= corrected}
         pairs.append(pair)
     report = {"n": n, "m": m, "N": params.N, "trials_per_choice": trials_per_choice,
               "leaky": leaky, "significance": PRIVACY_SIGNIFICANCE,
               "corrected_significance": corrected,
-              "feature_counts": {",".join(map(str, cv)): c
-                                 for cv, c in zip(choice_vectors, counts.tolist())}}
+              "feature_counts": dict(zip(labels, counts.tolist()))}
     if untestable:
         report["untestable_vectors"] = [list(cv) for cv in untestable]
     tvs = [pair["total_variation"] for pair in pairs if pair["total_variation"] is not None]

@@ -253,13 +253,13 @@ class HonestBob:
         """(T, N) mask of survivor slots eligible for removal."""
         return state.match_flags() if state.params.case is Case.LOW else ~state.match_flags()
 
-    def build_family(self, state: "ProtocolState") -> tuple[list[np.ndarray], np.ndarray]:
+    def build_family(self, state: "ProtocolState") -> tuple[np.ndarray, np.ndarray]:
         """Return (family, claimed labels) for the state's chosen labels.
 
-        The family is a list of n (T, size) index arrays, the claimed labels
-        a (T, n) mask.  Chosen subsets are uniform over all-matching sets of
-        surviving matches; the rest of the survivors are distributed
-        uniformly among the remaining labels."""
+        The family is an (n, T, size) int array (or n (T, size) arrays), the
+        claimed labels a (T, n) mask.  Chosen subsets are uniform over
+        all-matching sets of surviving matches; the rest of the survivors are
+        distributed uniformly among the remaining labels."""
         return _legal_family(state, state.chosen, state.draws.family_keys)
 
 
@@ -267,12 +267,12 @@ def _legal_family(
     state: "ProtocolState",
     targets: np.ndarray,
     keys: np.ndarray,
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fill the `targets` labels (ascending) with surviving matches in order
     of the first N of the rows' (T, 2N) `keys`, then the other labels with
-    the remaining survivors in order of the last N.  A row with too few
-    matches gets other slots in its target subsets; Bob gives up on it in
-    :func:`select_subsets`."""
+    the remaining survivors in order of the last N, as an (n, T, size) family.  A
+    row with too few matches gets other slots in its target subsets; Bob gives
+    up on it in :func:`select_subsets`."""
     n, s = state.params.n, state.params.subset_size
     rows, N = state.removed.shape
     packed = _packed(keys[:, :N], state.match_flags() & ~state.removed)
@@ -291,7 +291,7 @@ def _legal_family(
     del first, rest
     blocks &= _slot_words(N)[0]
     block = np.where(targets, count - 1, np.arange(n, 2 * n) - count).T + 2 * n * np.arange(rows)
-    return list(np.take(blocks.view(np.int64).reshape(-1, s), block, axis=0)), targets
+    return blocks.view(np.int64).reshape(-1, s).take(block, axis=0), targets
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ def phase1_transmit(
         r_b = transmit_batch(draws.r, draws.beta, draws.beta_b, draws.coin)
     status = np.zeros(draws.d.shape[0], dtype=np.int8)
     return ProtocolState(params=params, draws=draws, r_b=r_b, session=CommitmentSession(),
-                         status=status, bob=bob, aborted_at=np.zeros_like(status),
+                         status=status, bob=bob, aborted_at=np.zeros(status.shape, np.int8),
                          inputs=inputs, chosen=chosen, strict_removal=strict_removal)
 
 
@@ -472,9 +472,9 @@ def select_subsets(state: ProtocolState) -> None:
 
     Bob gives up on a row whose surviving matches cannot fill the subsets he
     claims.  Alice checks each family's structure: count, sizes,
-    disjointness, coverage.  The family goes to `state.subsets`, and
-    `state.family` sorts it when read; a family whose count or sizes are
-    wrong aborts every row and leaves both None."""
+    disjointness, coverage.  The family goes to `state.subsets` as an
+    (n, T, size) int64 array, and `state.family` sorts it when read; a
+    family whose count or sizes are wrong aborts every row and leaves both None."""
     state._require_stage(4)
     if state.chosen is None or state.inputs is None:
         raise ValueError("steps 5-7 need the input bits and chosen labels given at step 1")
@@ -489,8 +489,8 @@ def select_subsets(state: ProtocolState) -> None:
     if len(family) != n or any(np.shape(f) != (state.rows, s) for f in family):
         state.abort(np.ones(state.rows, dtype=bool), Status.ABORT_INVALID_MESSAGE)
         return
-    # (n, T, s), a fresh copy in place of Bob's list: his own subsets are left as sent
-    family = np.array(family, dtype=np.int64)
+    # Bob's array as sent, or one built from his sequence; it is not written to
+    family = np.asarray(family, dtype=np.int64)
     # legal: in range, and every surviving slot in exactly one subset
     # (disjoint, covering, no removed slot); a slot out of range is clipped
     # into its row, so that later gathers read the row's own cells

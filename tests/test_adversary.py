@@ -14,18 +14,26 @@ from qotsim.adversary import (
     STRATEGIES,
     LeakyBob,
     Outcomes,
+    PostponeBob,
     Strategy,
+    _forgeries_accepted,
     commit_cheat_trials,
     run_with_adversary,
 )
 from qotsim.channel import RandomSource
-from qotsim.params import build_bound_report, commitment_attack_bound, validate_params
+from qotsim.params import (
+    build_bound_report,
+    commitment_attack_bound,
+    exact_failure_oracle,
+    validate_params,
+)
 from qotsim.protocol import STATUSES, HonestBob, Status, draw_sessions, run_protocol
 from test_stability import _RepeatingBob
 
 P316 = validate_params(3, 1, 6)
 P216 = validate_params(2, 1, 6)
 P4140 = validate_params(4, 1, 40)
+P425 = validate_params(4, 2, 5)
 CHEAT = STATUSES.index(Status.ABORT_CHEAT_DETECTED)
 
 
@@ -169,6 +177,52 @@ def test_single_session_runners_refuse_a_seed_that_is_not_an_int(seed):
         run_with_adversary(Strategy("greedy"), P216, None, None, seed)
 
 
+class _Words:
+    """A stream stand-in whose row k holds the k-th given word among zeros
+    (which every p accepts), at one of its first s columns."""
+
+    def __init__(self, words, s):
+        self.words, self.s = np.asarray(words, dtype=np.uint64), s
+
+    def block(self, width, start, count):
+        rows = np.zeros((len(self.words), width), dtype=np.uint64)
+        rows[np.arange(len(rows)), np.arange(len(rows)) % self.s] = self.words
+        return rows[start:start + count]
+
+
+@pytest.mark.parametrize("nmN", [(4, 1, 40), (4, 1, 200)], ids=str)  # s = 8 and 40 words a row
+@pytest.mark.parametrize("p", [0.5, 0.3, 2.0**-60, 5e-324, 1 - 2.0**-53, Fraction(1, 3)],
+                         ids=str)
+def test_commit_cheat_acceptance_is_the_float_rule(p, nmN):
+    """A row accepts iff each word's top 53 bits, as a fraction of 2^53, lie
+    below p: at the least word that rejects, its neighbours and random
+    words, the verdict is the float rule's, for float and Fraction p."""
+    least = math.ceil(Fraction(p) * 2**53) << 11
+    edges = [w for w in (least - 1, least, least + 1) if 0 <= w < 2**64]
+    words = edges + np.random.default_rng(7919).integers(0, 2**64, 200, np.uint64).tolist()
+    rule = ((np.array(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53 < p).tolist()
+    assert rule[:2] == [True, False]  # the edge itself rejects, the word below it accepts
+    params = validate_params(*nmN)
+    got = _forgeries_accepted(params, p, _Words(words, params.subset_size), 0, len(words))
+    assert got.tolist() == rule
+
+
+def test_each_reference_is_its_events_oracle():
+    """A strategy's reference is its own event's oracle, whichever strategy
+    asked first at the same set."""
+    for params in (P316, P4140):
+        refs = [(kind, STRATEGIES[kind].reference(params, Strategy(kind)))
+                for kind in ("honest", "greedy", "curious-alice", "honest")]
+        assert refs == [
+            ("honest", exact_failure_oracle(params, "correctness")),
+            ("greedy", exact_failure_oracle(params, "privacy")),
+            ("curious-alice", (1 - exact_failure_oracle(params, "correctness"))
+             / math.comb(params.n, params.m)),
+            ("honest", exact_failure_oracle(params, "correctness"))]
+    ref = STRATEGIES["dishonest-removal"].reference(P4140, Strategy("dishonest-removal"))
+    assert ref == exact_failure_oracle(P4140, "privacy_dishonest_removal")
+
+
 def test_commit_cheat_trials_vectorized_consistent():
     p, trials = 0.5, 200000
     hits = commit_cheat_trials(P4140, p, trials, RandomSource(33))
@@ -205,6 +259,18 @@ def test_curious_alice_guesses_on_completed_rows_only(bob):
     assert np.array_equal(guess, rule)
     if bob is HonestBob:  # rows of every kind: completed, and aborted at step 5
         assert done.sum() > 300 and (state.aborted_at == 5).any()
+
+
+def test_curious_alice_guess_reads_each_subsets_least_cell():
+    """Alice's guess, read from each subset's least cell, is the guess read
+    from the sorted family's first slots, on a batch with rows aborted at
+    steps 2, 4 and 5 besides completed ones."""
+    draws = draw_sessions(P425, RandomSource(3).stream("x"), 0, 600)
+    state = run_protocol(P425, None, None, draws, bob=PostponeBob())
+    assert {0, 2, 4, 5} <= set(state.aborted_at.tolist()) and state.live().any()
+    firsts = state.family[:, :, 0]
+    rule = (firsts <= np.sort(firsts, axis=1)[:, P425.m - 1:P425.m]) & state.live()[:, None]
+    assert np.array_equal(Outcomes(P425.m, state).guess, rule)
 
 
 def test_leaky_bob_placement_is_deterministic():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qotsim import channel
 from qotsim.adversary import (
     STRATEGIES,
     GreedyBob,
@@ -287,8 +288,10 @@ def test_run_experiment_straddling_chunks_equals_trial_replays():
 
 
 def test_run_experiment_builds_no_generator_per_trial(monkeypatch):
-    """Trials share one counter-addressed stream: one Philox per chunk."""
-    built = []
+    """Trials share one counter-addressed stream, and every block re-keys
+    the process's one Philox (built by its first block), so a run builds none."""
+    RandomSource(0).block(4, 0, 1)
+    built, keyed = [], channel._keyed
     philox = np.random.Philox
 
     def counting_philox(*args, **kwargs):
@@ -296,9 +299,10 @@ def test_run_experiment_builds_no_generator_per_trial(monkeypatch):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
+    monkeypatch.setattr(channel, "_keyed", lambda *args: built.append(0) or keyed(*args))
     trials = ROWS316 * 3 // 2  # a full batch and a partial one
     run_experiment(ExperimentConfig(n=3, m=1, N=6, trials=trials, seed=3))
-    assert 0 < len(built) <= math.ceil(trials / ROWS316) + 2
+    assert built == [0, 0]  # two batches, each re-keying the one Philox
 
 
 def test_commit_cheat_draws_are_one_batch(monkeypatch):
@@ -537,6 +541,29 @@ def _privacy_by_vector(params, trials, seed, leaky):
         table = np.vstack([counts[a], counts[b]])
         p_values.append(float(chi2_contingency(table[:, table.sum(axis=0) > 0])[1]))
     return {k: c.tolist() for k, c in counts.items()}, p_values
+
+
+@pytest.mark.parametrize("nmN", [(3, 1, 6), (4, 2, 5)], ids=str)
+@pytest.mark.parametrize("leaky", [False, True])
+def test_privacy_feature_counts_recount_row_by_row_from_the_family(nmN, leaky):
+    """Each completed session's feature, the subset holding its smallest
+    slot, read from its own one-row run's sorted family (not from the
+    cells the test reads) recounts the report's feature counts."""
+    params, trials = validate_params(*nmN), 40
+    report = privacy_independence_test(params, trials, seed=5, leaky=leaky)
+    root, counts = RandomSource(5), {}
+    for cv in itertools.combinations(range(1, params.n + 1), params.m):
+        label, row = ",".join(map(str, cv)), [0] * params.n
+        rng = root.stream(f"choice/{label}")
+        for k in range(trials):
+            state = run_protocol(params, None, cv, draw_sessions(params, rng, k, 1),
+                                 bob=(LeakyBob if leaky else HonestBob)())
+            if state.live()[0]:
+                firsts = [int(subset[0]) for subset in state.family[0]]
+                row[firsts.index(min(firsts))] += 1
+        counts[label] = row
+    assert report["feature_counts"] == counts
+    assert sum(map(sum, counts.values())) > 0
 
 
 @pytest.mark.parametrize("nmN, trials", [((3, 1, 6), 300), ((4, 2, 20), 200),

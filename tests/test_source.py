@@ -72,7 +72,7 @@ def test_every_cache_with_arguments_is_bounded():
     assert [name for name, takes, bounded in caches if takes and not bounded] == []
     names = {name for name, _, _ in caches}  # the scan sees the package's caches
     assert {"params.py:_checkpoints", "params.py:_bound_constants", "params.py:_validated",
-            "harness.py:_popcount_bits", "harness.py:_key_text", "channel.py:_key_seed"} <= names
+            "harness.py:_popcount_bits", "harness.py:_key_text"} <= names
 
 
 def _imports(tree: ast.AST):
@@ -322,3 +322,14 @@ def test_a_failing_property_test_hides_no_later_test(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout[-2000:]
+
+
+def test_each_mutant_of_the_register_finds_its_text_once():
+    """tests/mutants.py names the code it mutates by its text: each entry's
+    old text occurs exactly once in its file, and no two entries share a name."""
+    import mutants
+
+    counts = {name: (mutants.ROOT / file).read_text(encoding="utf-8").count(old)
+              for name, file, old, _, _ in mutants.MUTANTS}
+    assert len(counts) == len(mutants.MUTANTS)
+    assert counts == dict.fromkeys(counts, 1)
