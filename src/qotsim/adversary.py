@@ -187,9 +187,7 @@ def _forgeries_accepted(params: ProtocolParams, p: float, rng: RandomSource,
     """(T,) bool: all (N-x)/n forged unveils of one extra subset pass, each with probability
     p (w >> 11 < ceil(p * 2^53), exactly), from the row's own uniform words."""
     words = rng.block(_forgery_width(params), start, count)[:, :params.subset_size]
-    # a few words a row reduce faster down the columns of a (s, T) copy than row by row
-    wide = words.shape[1] >= 32
-    largest = words.max(axis=1) if wide else np.ascontiguousarray(words.T).max(axis=0)
+    largest = np.ascontiguousarray(words.T).max(axis=0)  # down the columns: few words a row
     return largest >> np.uint64(11) < np.uint64(math.ceil(p * 2**53))
 
 

@@ -23,7 +23,7 @@ _scratch_philox = functools.cache(lambda: np.random.Philox(0))  # every block's,
 
 def _keyed(philox: np.random.Philox, key: np.ndarray, counter: int) -> np.random.Philox:
     """`philox` set to a fresh generator's state at `key` and 256-bit `counter`."""
-    words = np.array([counter >> k & 2**64 - 1 for k in (0, 64, 128, 192)], dtype=np.uint64)
+    words = [counter >> k & 2**64 - 1 for k in (0, 64, 128, 192)]  # the setter reads any sequence
     philox.state = {"bit_generator": "Philox", "state": {"counter": words, "key": key},
                     "buffer": words, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return philox
@@ -82,10 +82,9 @@ class RandomSource:
         """Rows `start` .. `start+count-1` of the key's stream cut into rows
         of `width` uint64 words, as a (count, width) array.
 
-        `width` must be a multiple of 4: Philox's counter steps over 4
-        words, so :meth:`numpy.random.Philox.advance` can seek to row
-        `start` exactly.  `start` and `count` are ints (or numpy integers)
-        >= 0.
+        `width` must be a multiple of 4, so that row `start` begins at
+        counter `start*width//4`, which :func:`_keyed` sets.  `start` and
+        `count` are ints (or numpy integers) >= 0.
         """
         if width % 4:
             raise ValueError(f"block width must be a multiple of 4, got {width}")
@@ -93,8 +92,8 @@ class RandomSource:
             if not (_is_integer(value) and value >= 0):
                 raise ValueError(f"block {name} must be an int >= 0, got {value!r}")
         philox = _scratch_philox()
-        with philox.lock:  # Philox's counter steps over 4 words
-            _keyed(philox, self.key, int(start) * width // 4)
+        with philox.lock:  # the process-wide Philox, shared by every stream
+            _keyed(philox, self.key, int(start) * width // 4)  # its counter steps over 4 words
             return philox.random_raw(count * width).reshape(count, width)
 
     def bits(self, count: int) -> np.ndarray:

@@ -44,9 +44,9 @@ MUTANTS = [
      "return largest >> np.uint64(11) < np.uint64(",
      "return largest >> np.uint64(11) <= np.uint64(",
      "tests/test_adversary.py -k float_rule"),
-    ("commit-cheat judges wide rows by their least word", ADVERSARY,
-     "largest = words.max(axis=1) if wide",
-     "largest = words.min(axis=1) if wide",
+    ("commit-cheat judges each row by its least word", ADVERSARY,
+     "largest = np.ascontiguousarray(words.T).max(axis=0)",
+     "largest = np.ascontiguousarray(words.T).min(axis=0)",
      "tests/test_adversary.py -k float_rule"),
     ("commit-cheat threshold without its ceil", ADVERSARY,
      "np.uint64(math.ceil(p * 2**53))",
@@ -56,6 +56,10 @@ MUTANTS = [
      "firsts = state.cells.min(axis=0).argmin(axis=1)[live]",
      "firsts = state.cells.min(axis=0).argmax(axis=1)[live]",
      "tests/test_harness.py -k recount"),
+    ("privacy pairs take Yates' correction at dof 2", HARNESS,
+     "np.sign(diff) * (dof == 1)[:, None, None]",
+     "np.sign(diff) * (dof == 2)[:, None, None]",
+     "tests/test_harness.py -k one_run_per_choice"),
     ("curious Alice's guess drops its m-th subset", ADVERSARY,
      "return (firsts <= np.sort(firsts, axis=1)",
      "return (firsts < np.sort(firsts, axis=1)",
