@@ -580,7 +580,7 @@ def run_protocol(
     driven out of order (e.g. by a faulty Bob hook) raises
     :class:`ProtocolOrderError`.
     """
-    check_inputs(params.n, params.m, inputs, None if np.ndim(choices) == 2 else choices)
+    check_inputs(params.n, params.m, inputs, None if (mask := np.ndim(choices) == 2) else choices)
     batch = isinstance(seed, Draws)
     draws = seed if batch else draw_sessions(
         params, seed if isinstance(seed, RandomSource) else RandomSource(seed), 0, 1)
@@ -590,7 +590,7 @@ def run_protocol(
                          f"not n={params.n}, N={params.N}")
     if choices is None:
         chosen = draws.chosen(params.m)
-    elif np.ndim(choices) == 2:
+    elif mask:  # check_inputs skips a mask; the public boundary checks it here
         chosen = np.asarray(choices, dtype=bool)
         if chosen.shape != (count, params.n) or (chosen.sum(axis=1) != params.m).any():
             raise ValueError(f"choice mask must be ({count}, {params.n}) with "

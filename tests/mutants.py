@@ -20,8 +20,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PROTOCOL, ADVERSARY, HARNESS = (f"src/qotsim/{name}.py"
-                                for name in ("protocol", "adversary", "harness"))
+PROTOCOL, ADVERSARY, HARNESS, PARAMS, CLI = (
+    f"src/qotsim/{name}.py" for name in ("protocol", "adversary", "harness", "params", "cli"))
+
+# two lines of the CLI's usage-error boundary, which the two CLI mutants edit
+_CHECKS = "        config, work = _COMMANDS[args.command][0](args)\n"
+_OPEN_OUT = ('        out = open(args.out, "w", encoding="utf-8") '
+             'if getattr(args, "out", None) else None\n')
 
 MUTANTS = [
     ("step-5 target block +1", PROTOCOL,
@@ -70,6 +75,30 @@ MUTANTS = [
      "    return _seen.setdefault(params, exact_failure_oracle(params, event))\n\n\n"
      "def _exact_rate_unused(params: ProtocolParams, event: str) -> Fraction:\n",
      "tests/test_adversary.py -k each_reference"),
+    ("chi-square tail not capped at 1", HARNESS,
+     "    return min(p, 1.0)",
+     "    return p",
+     "tests/test_source.py -k chi2_sf"),
+    ("step-4 unveils the kept slot's pair", PROTOCOL,
+     "4 * j + 2 - 2 * d[j]",
+     "4 * j + 2 * d[j]",
+     "tests/test_engine.py -k every_unveil"),
+    ("transcript seq counts from 1", PROTOCOL,
+     "enumerate(lines)",
+     "enumerate(lines, 1)",
+     "tests/test_stability.py -k read_back"),
+    ("bound report looks (n, m) up unchecked", PARAMS,
+     "    _require_choice_count(n, m)  # before the lookup: [2], True and 2.0 are refused\n",
+     "",
+     "tests/test_params.py -k checks_its_arguments_before_the_cache"),
+    ("CLI work runs inside the usage-error boundary", CLI,
+     _CHECKS,
+     _CHECKS + "        done = work()\n        work = lambda: done\n",
+     "tests/test_cli.py -k bug_not_a_usage_error"),
+    ("CLI opens --out before the subcommand's checks", CLI,
+     _CHECKS + _OPEN_OUT,
+     _OPEN_OUT + _CHECKS,
+     "tests/test_cli.py -k refused_command_leaves_no_out_file"),
 ]
 
 

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, flag handling, output files, seed env var."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from qotsim.cli import main
+from qotsim import cli
+from qotsim.cli import build_parser, main
 
 
 def _cli(*args, env=None):
@@ -288,3 +290,60 @@ def test_seed_at_the_64_bit_limits_runs(command, seed, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert json.loads(out)["config"]["seed"] == seed
+
+
+WORK = {  # subcommand: the work call it makes through qotsim.cli, and a valid command line
+    "run": ("run_experiment", ("run", "--n", "3", "--m", "1", "--N", "6", "--trials", "10")),
+    "attack": ("run_experiment", ("attack", "--strategy", "greedy", "--n", "2", "--m", "1",
+                                  "--N", "6", "--trials", "10")),
+    "privacy-test": ("privacy_independence_test", ("privacy-test", "--n", "3", "--m", "1",
+                                                   "--N", "6", "--trials-per-choice", "10")),
+    "oracle": ("exact_failure_oracle", ("oracle", "--n", "3", "--m", "1", "--N", "6",
+                                        "--event", "correctness")),
+}
+
+
+@pytest.mark.parametrize("command", WORK)
+def test_an_error_raised_by_the_work_is_a_bug_not_a_usage_error(command, monkeypatch, capsys):
+    """Only the checks run inside the usage-error boundary: a ValueError from the
+    work itself escapes main with its traceback, and no `error:` line is printed."""
+    name, args = WORK[command]
+
+    def bug(*_args, **_kwargs):
+        raise ValueError("simulated bug")
+    monkeypatch.setattr(cli, name, bug)
+    with pytest.raises(ValueError, match="simulated bug"):
+        main(list(args))
+    assert "error:" not in capsys.readouterr().err
+
+
+FLAGS = {  # subcommand: (option, required, default) of each flag, in the parser's order
+    "bounds": [("--n", True, None), ("--m", True, None), ("--N", False, None),
+               ("--p", False, None), ("--format", False, "structured")],
+    "run": [("--n", True, None), ("--m", True, None), ("--N", False, None),
+            ("--auto-N", False, None), ("--trials", True, None), ("--seed", False, 0),
+            ("--bits", False, None), ("--choices", False, None), ("--out", False, None),
+            ("--format", False, "structured")],
+    "attack": [("--n", True, None), ("--m", True, None), ("--strategy", True, None),
+               ("--p", False, None), ("--strict-alice", False, False), ("--N", True, None),
+               ("--trials", True, None), ("--seed", False, 0), ("--out", False, None),
+               ("--format", False, "structured")],
+    "privacy-test": [("--n", True, None), ("--m", True, None), ("--N", True, None),
+                     ("--trials-per-choice", True, None), ("--seed", False, 0),
+                     ("--leaky", False, False), ("--out", False, None)],
+    "oracle": [("--n", True, None), ("--m", True, None), ("--N", True, None),
+               ("--event", True, None)],
+}
+
+
+def test_the_flag_surface_is_pinned(monkeypatch):
+    """No flag is dropped, added, made (not) required or re-defaulted, and their order,
+    which argparse's usage line and required-argument error follow, holds."""
+    monkeypatch.delenv("QOTSIM_SEED", raising=False)
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    surface = {name: [(" ".join(action.option_strings), action.required, action.default)
+                      for action in parser._actions
+                      if not isinstance(action, argparse._HelpAction)]
+               for name, parser in commands.items()}
+    assert surface == FLAGS
