@@ -4,19 +4,19 @@ Subcommands: `bounds` (security-bound report), `run` (honest Monte Carlo),
 `attack` (adversarial Monte Carlo), `privacy-test` (choice-vector
 distinguishability), `oracle` (exact event probability).  Exit code 0 iff
 every verdict passes.  Each subcommand checks all of its input first and
-`--out` is opened last, before any work: bad input (inadmissible
+`--out` last, before any work: bad input (inadmissible
 parameters, or strategy for them, neither or both of --N and --auto-N,
 malformed bits, choices or seed, a cheat probability outside (0, 1) or not
 for commit-cheat, too few trials, an `--out` file that will not open)
 prints one `error:` line and exits 2.  An exception raised during the work
-is a simulator bug, so it ends with a traceback, never an `error:` line.  A
+is a simulator bug, so it ends with a traceback, never an `error:` line, and
+leaves an existing `--out` as it was: the report is written after the work.  A
 closed stdout exits 1.  QOTSIM_SEED sets the default seed; flags override.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import os
 import sys
@@ -168,15 +168,16 @@ def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:  # the one usage-error boundary: every check, then --out, and no work
         config, work = _COMMANDS[args.command][0](args)
-        out = open(args.out, "w", encoding="utf-8") if getattr(args, "out", None) else None
+        if out := getattr(args, "out", None):  # opened to write, not truncated before the work
+            open(out, "a", encoding="utf-8").close()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with out or contextlib.nullcontext():  # closed even when the work raises
-        passed, parts = work()  # an exception here is a simulator bug: it keeps its traceback
-        text = emit_report(config, **parts, fmt=getattr(args, "format", "structured"))
-        if out:
-            out.write(text + "\n")
+    passed, parts = work()  # an exception here is a simulator bug: it keeps its traceback
+    text = emit_report(config, **parts, fmt=getattr(args, "format", "structured"))
+    if out:
+        with open(out, "w", encoding="utf-8") as file:
+            file.write(text + "\n")
     print(text, flush=True)  # a closed stdout raises here, inside main
     return 0 if passed else 1
 

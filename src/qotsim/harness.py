@@ -12,10 +12,9 @@ results are independent of batching and execution order, reproducible
 byte-for-byte, and any trial can be replayed from (seed, trial index).
 
 The privacy test runs the trials of every choice vector through the same engine,
-in one row sequence, and compares the vectors pairwise with chi-square tests of
-independence, all pairs at once, each equal to :func:`chi2_contingency` on its table.
-That test does scipy.stats' arithmetic in numpy, its p-value the closed-form
-chi-square tail, so the package loads no scipy.  Reports come
+in one row sequence, and compares the vectors pairwise, one :func:`chi2_contingency`
+test of independence per pair.  That test does scipy.stats' arithmetic in numpy,
+its p-value the closed-form chi-square tail, so the package loads no scipy.  Reports come
 from a writer that appends pieces to one list, joined once, byte-identical
 to ``json.dumps(indent=2)`` of the :func:`round_sig` document; a float goes
 through repr only at a positive or three-digit exponent, nan or inf.
@@ -287,12 +286,11 @@ def check_privacy_test(trials_per_choice: int, seed: int) -> RandomSource:
 
 @functools.lru_cache(maxsize=32)
 def _choice_vectors(n: int, m: int) -> tuple:
-    """The m-of-n choice vectors, labels ("1,3"), read-only (V, n) masks and (2, P) pairs."""
+    """The m-of-n choice vectors, their labels ("1,3") and their read-only (V, n) masks."""
     vectors = tuple(itertools.combinations(range(1, n + 1), m))
     masks = np.array([[label in cv for label in range(1, n + 1)] for cv in vectors])
-    pairs = np.array(list(itertools.combinations(range(len(vectors)), 2))).T
-    masks.flags.writeable = pairs.flags.writeable = False
-    return vectors, tuple(",".join(map(str, cv)) for cv in vectors), masks, pairs
+    masks.flags.writeable = False
+    return vectors, tuple(",".join(map(str, cv)) for cv in vectors), masks
 
 
 def privacy_independence_test(
@@ -312,8 +310,8 @@ def privacy_independence_test(
     Vector v's trials are trials 0 .. `trials_per_choice`-1 of the stream
     ``RandomSource(seed).stream("choice/<labels>")``.  They run as one row sequence, vector
     after vector, cut into engine batches by :func:`~qotsim.protocol.chunks`, which may hold
-    two vectors' rows.  All pairs are tested at once; a pair's p-value is that of
-    :func:`chi2_contingency` on its table less the columns neither vector reached.
+    two vectors' rows.  Each pair is tested by :func:`chi2_contingency` on its 2 x n table
+    of feature counts, less the columns neither vector reached.
 
     A vector none of whose sessions completed has no feature distribution to test: the report
     lists it under ``untestable_vectors``, and each of its pairs has a null ``p_value`` and
@@ -321,7 +319,7 @@ def privacy_independence_test(
     """
     root = check_privacy_test(trials_per_choice, seed)
     n, m, T = params.n, params.m, trials_per_choice
-    choice_vectors, labels, masks, (a, b) = _choice_vectors(n, m)
+    choice_vectors, labels, masks = _choice_vectors(n, m)
     rngs = [root.stream(f"choice/{label}") for label in labels]
     tally = np.zeros(len(choice_vectors) * n, dtype=np.int64)
     width = session_width(params)
@@ -344,24 +342,16 @@ def privacy_independence_test(
     corrected = PRIVACY_SIGNIFICANCE / max(1, math.comb(len(choice_vectors), 2))
     # a vector that completed no session has no feature distribution to test
     untestable = [cv for cv, row in zip(choice_vectors, counts.tolist()) if not any(row)]
-    tables = np.stack([counts[a], counts[b]], axis=1).astype(np.float64)  # (P, 2, n)
-    seen = tables.sum(axis=1, keepdims=True)  # column totals: a 0 column is left out
-    expected = tables.sum(axis=2, keepdims=True) * seen  # an untestable pair's reads 0
-    expected /= np.maximum(seen.sum(axis=2, keepdims=True), 1)
-    dof = np.count_nonzero(seen, axis=(1, 2)) - 1
-    diff = expected - tables  # Yates' correction, at dof 1 only (elsewhere it adds 0)
-    tables += np.minimum(0.5, np.abs(diff)) * np.sign(diff) * (dof == 1)[:, None, None]
-    terms = (tables - expected) ** 2 / np.where(expected > 0, expected, 1)
-    tvs = (0.5 * np.abs(freqs[a] - freqs[b]).sum(axis=1)).tolist()
     pairs = []
-    for k, (va, vb) in enumerate(itertools.combinations(choice_vectors, 2)):
+    for (i, va), (j, vb) in itertools.combinations(enumerate(choice_vectors), 2):
         pair = {"choice_a": list(va), "choice_b": list(vb)}
         if va in untestable or vb in untestable:
             pair |= {"p_value": None, "total_variation": None, "passed": False, "untestable": True}
-        else:  # the kept cells, summed in chi2_contingency's order
-            stat = terms[k].compress(seen[k, 0] > 0, axis=1).sum()
-            p = _chi2_sf(int(dof[k]), stat) if dof[k] else 1.0
-            pair |= {"p_value": p, "total_variation": tvs[k], "passed": p >= corrected}
+        else:  # the columns neither vector reached are left out
+            table = counts[[i, j]]
+            _, p, _, _ = chi2_contingency(table[:, table.sum(axis=0) > 0])
+            tv = 0.5 * float(np.abs(freqs[i] - freqs[j]).sum())
+            pair |= {"p_value": p, "total_variation": tv, "passed": p >= corrected}
         pairs.append(pair)
     report = {"n": n, "m": m, "N": params.N, "trials_per_choice": trials_per_choice,
               "leaky": leaky, "significance": PRIVACY_SIGNIFICANCE,

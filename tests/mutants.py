@@ -25,8 +25,8 @@ PROTOCOL, ADVERSARY, HARNESS, PARAMS, CLI = (
 
 # two lines of the CLI's usage-error boundary, which the two CLI mutants edit
 _CHECKS = "        config, work = _COMMANDS[args.command][0](args)\n"
-_OPEN_OUT = ('        out = open(args.out, "w", encoding="utf-8") '
-             'if getattr(args, "out", None) else None\n')
+_OPEN_OUT = ('        if out := getattr(args, "out", None):  # opened to write, not truncated '
+             'before the work\n            open(out, "a", encoding="utf-8").close()\n')
 
 MUTANTS = [
     ("step-5 target block +1", PROTOCOL,
@@ -61,10 +61,10 @@ MUTANTS = [
      "firsts = state.cells.min(axis=0).argmin(axis=1)[live]",
      "firsts = state.cells.min(axis=0).argmax(axis=1)[live]",
      "tests/test_harness.py -k recount"),
-    ("privacy pairs take Yates' correction at dof 2", HARNESS,
-     "np.sign(diff) * (dof == 1)[:, None, None]",
-     "np.sign(diff) * (dof == 2)[:, None, None]",
-     "tests/test_harness.py -k one_run_per_choice"),
+    ("chi-square test takes Yates' correction at dof 2", HARNESS,
+     "    if dof == 1:\n",
+     "    if dof == 2:\n",
+     "tests/test_source.py -k chi2_contingency_is_scipys"),
     ("curious Alice's guess drops its m-th subset", ADVERSARY,
      "return (firsts <= np.sort(firsts, axis=1)",
      "return (firsts < np.sort(firsts, axis=1)",
@@ -87,6 +87,30 @@ MUTANTS = [
      "enumerate(lines)",
      "enumerate(lines, 1)",
      "tests/test_stability.py -k read_back"),
+    ("transcript seq colon followed by a space", PROTOCOL,
+     """f'{{"seq":{seq},""",
+     """f'{{"seq": {seq},""",
+     "tests/test_stability.py -k read_back"),
+    ("step 4 marks the removed slots of aborted rows too", PROTOCOL,
+     "state.removed.reshape(-1)[cells] = state.live()[:, None]",
+     "state.removed.reshape(-1)[cells] = True",
+     "tests/test_reference.py"),
+    ("rows with no targets read the word before their own", PROTOCOL,
+     "picked = packed < first.reshape(-1)[state.offsets + count[:, -1:] * s]",
+     "picked = packed <= first.reshape(-1)[state.offsets + count[:, -1:] * s - 1]",
+     "tests/test_engine.py -k legal_family_of_rows_with_no_targets"),
+    ("walk step off by one past M = 300", PARAMS,
+     "        pair = pair * ((N - M) * (N - M - 1)) // ((M + 2) * (M + 3))\n",
+     "        pair = pair * ((N - M) * (N - M - 1)) // ((M + 2) * (M + 3)) + (M > 300)\n",
+     "tests/test_params.py -k exact_oracle_matches_comb_sum_past_brute_force"),
+    ("walk checkpoints cached without a bound", PARAMS,
+     "@functools.lru_cache(maxsize=32)\ndef _checkpoints(",
+     "@functools.lru_cache(maxsize=None)\ndef _checkpoints(",
+     "tests/test_source.py -k every_cache_with_arguments_is_bounded"),
+    ("dishonest-removal run ends one match early", PARAMS,
+     "return [((p.m + 1) * p.subset_size, p.N - p.x + 1)]",
+     "return [((p.m + 1) * p.subset_size, p.N - p.x)]",
+     "tests/test_params.py -k event_runs_equal_the_feasibility_reference"),
     ("bound report looks (n, m) up unchecked", PARAMS,
      "    _require_choice_count(n, m)  # before the lookup: [2], True and 2.0 are refused\n",
      "",
@@ -99,6 +123,10 @@ MUTANTS = [
      _CHECKS + _OPEN_OUT,
      _OPEN_OUT + _CHECKS,
      "tests/test_cli.py -k refused_command_leaves_no_out_file"),
+    ("CLI truncates --out before the work", CLI,
+     'open(out, "a", encoding="utf-8").close()',
+     'open(out, "w", encoding="utf-8").close()',
+     "tests/test_cli.py -k crash_keeps_an_existing_out_file"),
 ]
 
 

@@ -317,6 +317,26 @@ def test_an_error_raised_by_the_work_is_a_bug_not_a_usage_error(command, monkeyp
     assert "error:" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "attack", "privacy-test"])
+def test_a_crash_keeps_an_existing_out_file(command, monkeypatch, tmp_path, capsys):
+    """--out is written only once the work is done: a work that raises leaves the old
+    report byte for byte, and the next good run replaces all of it."""
+    name, args = WORK[command]
+    path, old = tmp_path / "report.json", b'{"old": "report"}\n' * 1000
+
+    def bug(*_args, **_kwargs):
+        raise ValueError("simulated bug")
+    path.write_bytes(old)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, name, bug)
+        with pytest.raises(ValueError, match="simulated bug"):
+            main([*args, "--out", str(path)])
+    assert path.read_bytes() == old
+    capsys.readouterr()
+    main([*args, "--out", str(path)])
+    assert path.read_text() == capsys.readouterr().out
+
+
 FLAGS = {  # subcommand: (option, required, default) of each flag, in the parser's order
     "bounds": [("--n", True, None), ("--m", True, None), ("--N", False, None),
                ("--p", False, None), ("--format", False, "structured")],

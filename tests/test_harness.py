@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qotsim import channel
+from qotsim import channel, harness
 from qotsim.adversary import (
     STRATEGIES,
     GreedyBob,
@@ -579,6 +579,34 @@ def test_privacy_batch_equals_one_run_per_choice_vector(nmN, trials, leaky):
     if trials > ROWS316 // 3:  # two batches, the first with the rows of every vector
         starts = [start for start, _ in chunks(3 * trials, session_width(params))]
         assert len(starts) > 1 and starts[1] % trials != 0
+
+
+@pytest.mark.parametrize("nmN, trials, seed", [((3, 1, 6), 40, 5), ((3, 1, 6), 1, 7),
+                                                ((4, 2, 5), 40, 5), ((4, 2, 5), 1, 1)],
+                         ids=["3-1-6", "3-1-6-untestable", "4-2-5", "4-2-5-untestable"])
+def test_privacy_test_calls_chi2_contingency_once_per_testable_pair(nmN, trials, seed,
+                                                                    monkeypatch):
+    """The privacy test's one chi-square is harness.chi2_contingency: called once per
+    testable pair, in pair order, on the pair's two feature-count rows less the columns
+    neither vector reached, and never for a pair with an untestable vector."""
+    tables = []
+
+    def counting(table):
+        tables.append(np.array(table))
+        return chi2_contingency(table)
+    monkeypatch.setattr(harness, "chi2_contingency", counting)
+    report = privacy_independence_test(validate_params(*nmN), trials, seed)
+    untestable = report.get("untestable_vectors", [])
+    testable = [pair for pair in report["pairs"]
+                if pair["choice_a"] not in untestable and pair["choice_b"] not in untestable]
+    assert len(tables) == len(testable) == sum("untestable" not in p for p in report["pairs"])
+    for table, pair in zip(tables, testable):
+        rows = np.array([report["feature_counts"][",".join(map(str, pair[key]))]
+                         for key in ("choice_a", "choice_b")])
+        assert np.array_equal(table, rows[:, rows.sum(axis=0) > 0])
+        assert table.sum(axis=1).all()
+    if trials == 1:  # these seeds leave some vectors, but not all, untestable
+        assert 0 < len(testable) < len(report["pairs"])
 
 
 # -- reports ----------------------------------------------------------------
