@@ -2,15 +2,14 @@
 
 Subcommands: `bounds` (security-bound report), `run` (honest Monte Carlo),
 `attack` (adversarial Monte Carlo), `privacy-test` (choice-vector
-distinguishability), `oracle` (exact event probability).  Exit code 0 iff
-every verdict passes.  Each subcommand checks all of its input first and
-`--out` last, before any work: bad input (inadmissible
-parameters, or strategy for them, neither or both of --N and --auto-N,
-malformed bits, choices or seed, a cheat probability outside (0, 1) or not
-for commit-cheat, too few trials, an `--out` file that will not open)
-prints one `error:` line and exits 2.  An exception raised during the work
-is a simulator bug, so it ends with a traceback, never an `error:` line, and
-leaves an existing `--out` as it was: the report is written after the work.  A
+distinguishability), `oracle` (exact event probability).  Exit code 0 iff every
+verdict passes.  Each subcommand checks all of its input first and `--out`
+last, before any work: bad input (inadmissible parameters, or strategy for
+them, neither or both of --N and --auto-N, malformed bits, choices or seed, a
+cheat probability outside (0, 1) or not for commit-cheat, too few trials, an
+`--out` file that will not open) prints one `error:` line and exits 2.  An
+exception raised during the work is a simulator bug: it ends with a traceback,
+never an `error:` line, and leaves `--out` as it was (a report, or no file).  A
 closed stdout exits 1.  QOTSIM_SEED sets the default seed; flags override.
 """
 
@@ -169,11 +168,17 @@ def _main(argv: list[str] | None) -> int:
     try:  # the one usage-error boundary: every check, then --out, and no work
         config, work = _COMMANDS[args.command][0](args)
         if out := getattr(args, "out", None):  # opened to write, not truncated before the work
+            created = not os.path.lexists(out)
             open(out, "a", encoding="utf-8").close()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    passed, parts = work()  # an exception here is a simulator bug: it keeps its traceback
+    try:
+        passed, parts = work()  # an exception here is a simulator bug: it keeps its traceback
+    except BaseException:
+        if out and created:  # the check made this file, so a crash leaves none
+            os.remove(out)
+        raise
     text = emit_report(config, **parts, fmt=getattr(args, "format", "structured"))
     if out:
         with open(out, "w", encoding="utf-8") as file:

@@ -252,11 +252,10 @@ def chi2_contingency(table):
     if observed.ndim != 2:
         raise ValueError(f"need a 2-D table, got {observed.ndim} dimensions")
     counts = observed.astype(np.float64, casting="same_kind")
-    total, low = counts.sum(), counts.min(initial=0.0)
-    # cells are scanned only if the total or the least cell may hide a non-finite one
-    if not (total < math.inf and low == 0) and not np.isfinite(observed).all():
+    if not np.isfinite(observed).all():  # every cell is scanned, before any sum
         cell = tuple(int(i) for i in np.argwhere(~np.isfinite(observed))[0])
         raise ValueError(f"the table has a non-finite value {observed[cell]} at {cell}")
+    total, low = counts.sum(), counts.min(initial=0.0)
     if low < 0:
         raise ValueError("all table values must be nonnegative")
     if observed.size == 0:
@@ -284,12 +283,10 @@ def check_privacy_test(trials_per_choice: int, seed: int) -> RandomSource:
     return _check_run("trials_per_choice", trials_per_choice, seed)
 
 
-@functools.lru_cache(maxsize=32)
 def _choice_vectors(n: int, m: int) -> tuple:
-    """The m-of-n choice vectors, their labels ("1,3") and their read-only (V, n) masks."""
+    """The m-of-n choice vectors, their labels ("1,3") and their (V, n) masks, built per call."""
     vectors = tuple(itertools.combinations(range(1, n + 1), m))
     masks = np.array([[label in cv for label in range(1, n + 1)] for cv in vectors])
-    masks.flags.writeable = False
     return vectors, tuple(",".join(map(str, cv)) for cv in vectors), masks
 
 

@@ -80,7 +80,7 @@ class Transcript:
 
     @cached_property
     def records(self) -> list[dict]:
-        return [json.loads(line) for line in self.lines]
+        return json.loads("[" + ",".join(self.lines) + "]")
 
     def to_jsonl(self) -> bytes:
         return ("\n".join(self.lines) + "\n").encode("utf-8")
@@ -502,9 +502,7 @@ def select_subsets(state: ProtocolState) -> None:
     # (size, T, n), so that reductions over a subset run along whole rows
     state.cells = np.add(family.transpose(2, 1, 0), state.offsets, order="C")
     wrong = np.bincount(state.cells.reshape(-1), minlength=alive.size).reshape(alive.shape) != alive
-    if np.count_nonzero(wrong):  # live rows only: one aborted at step 4 removed nothing
-        wrong[~state.live()] = False
-        state.abort(wrong, Status.ABORT_INVALID_MESSAGE)
+    state.abort(wrong, Status.ABORT_INVALID_MESSAGE)  # a row aborted earlier keeps its status
 
 
 def mask_bits(state: ProtocolState) -> np.ndarray:

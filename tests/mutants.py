@@ -23,10 +23,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PROTOCOL, ADVERSARY, HARNESS, PARAMS, CLI = (
     f"src/qotsim/{name}.py" for name in ("protocol", "adversary", "harness", "params", "cli"))
 
-# two lines of the CLI's usage-error boundary, which the two CLI mutants edit
+# lines of the CLI's usage-error boundary, which two CLI mutants edit
 _CHECKS = "        config, work = _COMMANDS[args.command][0](args)\n"
 _OPEN_OUT = ('        if out := getattr(args, "out", None):  # opened to write, not truncated '
-             'before the work\n            open(out, "a", encoding="utf-8").close()\n')
+             'before the work\n            created = not os.path.lexists(out)\n'
+             '            open(out, "a", encoding="utf-8").close()\n')
 
 MUTANTS = [
     ("step-5 target block +1", PROTOCOL,
@@ -38,8 +39,8 @@ MUTANTS = [
      "block = np.where(targets, count - 1, np.arange(n, 2 * n) - count - 1)",
      "tests/test_reference.py"),
     ("step-5 coverage check dropped", PROTOCOL,
-     "    if np.count_nonzero(wrong):  # live rows only",
-     "    if False:  # live rows only",
+     "    state.abort(wrong, Status.ABORT_INVALID_MESSAGE)",
+     "    pass",
      "tests/test_protocol.py -k illegal_family"),
     ("step-5 claimed subsets need s - 1 matches", PROTOCOL,
      "matched < claimed.sum(axis=1) * s,",
@@ -75,6 +76,10 @@ MUTANTS = [
      "    return _seen.setdefault(params, exact_failure_oracle(params, event))\n\n\n"
      "def _exact_rate_unused(params: ProtocolParams, event: str) -> Fraction:\n",
      "tests/test_adversary.py -k each_reference"),
+    ("chi-square test skips its finiteness scan", HARNESS,
+     "    if not np.isfinite(observed).all():",
+     "    if False:",
+     "tests/test_source.py -k non_finite"),
     ("chi-square tail not capped at 1", HARNESS,
      "    return min(p, 1.0)",
      "    return p",
@@ -83,6 +88,10 @@ MUTANTS = [
      "4 * j + 2 - 2 * d[j]",
      "4 * j + 2 * d[j]",
      "tests/test_engine.py -k every_unveil"),
+    ("transcript records drop the last line", PROTOCOL,
+     'json.loads("[" + ",".join(self.lines) + "]")',
+     'json.loads("[" + ",".join(self.lines[:-1]) + "]")',
+     "tests/test_stability.py -k read_back"),
     ("transcript seq counts from 1", PROTOCOL,
      "enumerate(lines)",
      "enumerate(lines, 1)",
@@ -123,6 +132,10 @@ MUTANTS = [
      _CHECKS + _OPEN_OUT,
      _OPEN_OUT + _CHECKS,
      "tests/test_cli.py -k refused_command_leaves_no_out_file"),
+    ("CLI keeps the --out file its check made when the work raises", CLI,
+     "            os.remove(out)\n",
+     "            pass\n",
+     "tests/test_cli.py -k crash_leaves_no_new_out_file"),
     ("CLI truncates --out before the work", CLI,
      'open(out, "a", encoding="utf-8").close()',
      'open(out, "w", encoding="utf-8").close()',

@@ -337,6 +337,22 @@ def test_a_crash_keeps_an_existing_out_file(command, monkeypatch, tmp_path, caps
     assert path.read_text() == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "attack", "privacy-test"])
+def test_a_crash_leaves_no_new_out_file(command, monkeypatch, tmp_path):
+    """Checking a missing --out creates it; a work that raises then removes it again,
+    and its exception escapes main unchanged."""
+    name, args = WORK[command]
+    path = tmp_path / "report.json"
+
+    def bug(*_args, **_kwargs):  # runs after the check made the file
+        raise ValueError(f"simulated bug, --out exists: {path.exists()}")
+    monkeypatch.setattr(cli, name, bug)
+    with pytest.raises(ValueError, match="simulated bug, --out exists: True") as raised:
+        main([*args, "--out", str(path)])
+    assert raised.traceback[-1].name == "bug"
+    assert not path.exists()
+
+
 FLAGS = {  # subcommand: (option, required, default) of each flag, in the parser's order
     "bounds": [("--n", True, None), ("--m", True, None), ("--N", False, None),
                ("--p", False, None), ("--format", False, "structured")],
