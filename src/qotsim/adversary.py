@@ -231,16 +231,16 @@ def _exact_rate(params: ProtocolParams, event: str) -> Fraction:
     return exact_failure_oracle(params, event)
 
 
-def _tail(bound: str, decode: bool = False) -> Callable:
-    """Checks of the "correctness" or "privacy" tail bound, at N >= its min_N, from the bound
+def _tail(decode: bool = False) -> Callable:
+    """Checks of the event's tail bound, correctness or privacy, at N >= min_N, from the bound
     report's (n, m) constants; `decode` first checks that completed runs decode exactly."""
     def checks(stats, params):
         found = [("completed_runs_decode_exactly", float(stats.wrong_decodes), 0.0, "eq",
                   stats.wrong_decodes == 0)] if decode else []
-        constants, fc, fp = _bound_constants(params.n, params.m)
-        if params.N >= constants[f"min_N_{bound}"]:
-            q, raw = stats.oracle_rate, hoeffding_bound(params.N, fp if bound == "privacy" else fc)
-            eps_pow = constants[f"eps_{bound}"] ** params.N
+        constants, delta = _bound_constants(params.n, params.m)  # both bounds share these
+        if params.N >= constants["min_N_correctness"]:
+            q, raw = stats.oracle_rate, hoeffding_bound(params.N, delta)
+            eps_pow = constants["eps_correctness"] ** params.N
             found += [(criterion, value, reference, "le", value <= limit)
                       for criterion, value, reference, limit in (
                           ("oracle_le_hoeffding_bound", q, min(raw, 1.0), raw),
@@ -263,14 +263,14 @@ def _extra_bit(out: Outcomes) -> np.ndarray:
 
 STRATEGIES: dict[str, StrategySpec] = {
     "honest": StrategySpec(
-        event="abort", checks=_tail("correctness", True),
+        event="abort", checks=_tail(decode=True),
         reference=lambda params, s: _exact_rate(params, "correctness"),
         run=_sessions(HonestBob), hit=lambda out: (out.status != 0) | out.wrong_decode),
     "greedy": StrategySpec(
-        event="extra_bit_success", hit=_extra_bit, checks=_tail("privacy"),
+        event="extra_bit_success", hit=_extra_bit, checks=_tail(),
         reference=lambda params, s: _exact_rate(params, "privacy"), run=_sessions(GreedyBob)),
     "dishonest-removal": StrategySpec(
-        event="extra_bit_success", hit=_extra_bit, checks=_tail("privacy"),
+        event="extra_bit_success", hit=_extra_bit, checks=_tail(),
         run=_sessions(DishonestRemovalBob), admits=DishonestRemovalBob.check_case,
         # the strict verifier rejects every mismatched removal, so no session survives it
         reference=lambda params, s: Fraction(0) if s.strict_alice

@@ -82,15 +82,15 @@ class RandomSource:
         """Rows `start` .. `start+count-1` of the key's stream cut into rows
         of `width` uint64 words, as a (count, width) array.
 
-        `width` must be a multiple of 4, so that row `start` begins at
-        counter `start*width//4`, which :func:`_keyed` sets.  `start` and
-        `count` are ints (or numpy integers) >= 0.
+        `width`, `start` and `count` are ints (or numpy integers) >= 0, and
+        `width` is a multiple of 4, so that row `start` begins at counter
+        `start*width//4`, which :func:`_keyed` sets.
         """
-        if width % 4:
-            raise ValueError(f"block width must be a multiple of 4, got {width}")
-        for name, value in (("start", start), ("count", count)):
+        for name, value in (("width", width), ("start", start), ("count", count)):
             if not (_is_integer(value) and value >= 0):
                 raise ValueError(f"block {name} must be an int >= 0, got {value!r}")
+        if width % 4:
+            raise ValueError(f"block width must be a multiple of 4, got {width}")
         philox = _scratch_philox()
         with philox.lock:  # the process-wide Philox, shared by every stream
             _keyed(philox, self.key, int(start) * width // 4)  # its counter steps over 4 words

@@ -7,7 +7,7 @@ verdict passes.  Each subcommand checks all of its input first and `--out`
 last, before any work: bad input (inadmissible parameters, or strategy for
 them, neither or both of --N and --auto-N, malformed bits, choices or seed, a
 cheat probability outside (0, 1) or not for commit-cheat, too few trials, an
-`--out` file that will not open) prints one `error:` line and exits 2.  An
+`--out` path that will not open, "" too) prints one `error:` line and exits 2.  An
 exception raised during the work is a simulator bug: it ends with a traceback,
 never an `error:` line, and leaves `--out` as it was (a report, or no file).  A
 closed stdout exits 1.  QOTSIM_SEED sets the default seed; flags override.
@@ -167,7 +167,7 @@ def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:  # the one usage-error boundary: every check, then --out, and no work
         config, work = _COMMANDS[args.command][0](args)
-        if out := getattr(args, "out", None):  # opened to write, not truncated before the work
+        if (out := getattr(args, "out", None)) is not None:  # to write, not truncated yet
             created = not os.path.lexists(out)
             open(out, "a", encoding="utf-8").close()
     except (ValueError, OSError) as exc:

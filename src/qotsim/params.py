@@ -161,11 +161,10 @@ def hoeffding_bound(trials: int, deviation: float) -> float:
 
 
 def correctness_deviation(n: int, m: int) -> Fraction:
-    """Deviation delta_c in the correctness tail bound (exact rational)."""
-    if case_of(n, m) is Case.LOW:  # (n-m)/(2n-(2m+1)) - 1/2
-        d = 2 * n - (2 * m + 1)
-        return Fraction(2 * (n - m) - d, 2 * d)
-    return Fraction((2 * m + 1) - 2 * m, 2 * (2 * m + 1))  # 1/2 - m/(2m+1)
+    """Deviation delta_c = 1/(2k) in the correctness tail bound (exact rational): k =
+    2n-2m-1 in the low case, (n-m)/k - 1/2, and 2m+1 in the high case, 1/2 - m/k."""
+    k = 2 * n - 2 * m - 1 if case_of(n, m) is Case.LOW else 2 * m + 1
+    return Fraction(1, 2 * k)
 
 
 def correctness_epsilon(n: int, m: int) -> tuple[Fraction, float]:
@@ -176,23 +175,19 @@ def correctness_epsilon(n: int, m: int) -> tuple[Fraction, float]:
 
 
 def privacy_deviation_signed(n: int, m: int) -> Fraction:
-    """Privacy deviation exactly as written in the source analysis.
-
-    In the low case this expression, 1/2 - (n-m)/(2n-(2m+1)), is negative
-    for every admissible (n, m) despite being asserted positive; callers use
-    the absolute value and flag the sign anomaly rather than guessing intent.
-    """
-    if case_of(n, m) is Case.LOW:  # over the common denominator, as correctness_deviation
-        d = 2 * n - (2 * m + 1)
-        return Fraction(d - 2 * (n - m), 2 * d)
-    return Fraction(2 * (m + 1) - (2 * m + 1), 2 * (2 * m + 1))  # (m+1)/(2m+1) - 1/2
+    """Privacy deviation exactly as written in the source analysis: -delta_c in
+    the low case, where 1/2 - (n-m)/(2n-(2m+1)) is negative for every
+    admissible (n, m) despite being asserted positive, and delta_c in the
+    high case, (m+1)/(2m+1) - 1/2.  Callers use the absolute value and flag
+    the sign anomaly rather than guessing intent."""
+    delta = correctness_deviation(n, m)
+    return -delta if case_of(n, m) is Case.LOW else delta
 
 
 def privacy_epsilon(n: int, m: int) -> tuple[Fraction, float]:
-    """(|delta_p|, eps_p) with eps_p = exp(-delta_p^2) < 1; |delta_p| equals
-    delta_c in both cases, so it is always positive."""
-    delta = abs(privacy_deviation_signed(n, m))
-    return delta, math.exp(-float(delta) ** 2)
+    """(|delta_p|, eps_p) with eps_p = exp(-delta_p^2): |delta_p| is delta_c in
+    both cases, so this is :func:`correctness_epsilon`."""
+    return correctness_epsilon(n, m)
 
 
 def min_N(delta) -> int:
@@ -352,28 +347,23 @@ class BoundReport:
     commitment_bound: float | None = None       # p^((N-x)/n)
 
 
-def _bound_form(delta: Fraction) -> str:
-    """Closed form of the raw tail bound, exponent rate 2*delta^2.  Every
-    deviation is 1/(2k) (k = 2n-2m-1 low, 2m+1 high), so the rate is 1/(2k^2)."""
-    return f"2*exp(-N/{delta.denominator**2 // 2})"
-
-
 @functools.lru_cache(maxsize=32)
-def _bound_constants(n: int, m: int) -> tuple[dict, float, float]:
+def _bound_constants(n: int, m: int) -> tuple[dict, float]:
     """A checked (n, m)'s report fields that depend on neither N nor p, and the
-    float deviations delta_c and delta_p; callers copy the dict."""
-    delta_c, signed = correctness_deviation(n, m), privacy_deviation_signed(n, m)
-    anomaly = signed.numerator <= 0
-    delta_p = -signed if anomaly else signed
-    fc, fp = float(delta_c), float(delta_p)
+    float deviation delta; callers copy the dict.  Both tail bounds share delta
+    = 1/(2k), so each privacy field repeats its correctness field."""
+    delta = correctness_deviation(n, m)
+    fd = float(delta)
+    # the raw bound's closed form "2*exp(-c*N)": its rate c = 2*delta^2 is 1/(2k^2)
+    form, eps, least = f"2*exp(-N/{delta.denominator**2 // 2})", math.exp(-fd**2), min_N(fd)
     return dict(
         n=n, m=m, case=case_of(n, m).value, target_rate=str(Fraction(2 * m + 1, 2 * n)),
-        delta_correctness=str(delta_c), delta_privacy=str(delta_p), privacy_sign_anomaly=anomaly,
-        eps_correctness=math.exp(-fc**2), eps_privacy=math.exp(-fp**2),
-        hoeffding_correctness_form=_bound_form(delta_c),
-        hoeffding_privacy_form=_bound_form(delta_p),
-        min_N_correctness=min_N(fc), min_N_privacy=min_N(fp),
-    ), fc, fp
+        delta_correctness=str(delta), delta_privacy=str(delta),
+        privacy_sign_anomaly=privacy_deviation_signed(n, m) < 0,
+        eps_correctness=eps, eps_privacy=eps,
+        hoeffding_correctness_form=form, hoeffding_privacy_form=form,
+        min_N_correctness=least, min_N_privacy=least,
+    ), fd
 
 
 def build_bound_report(
@@ -385,15 +375,14 @@ def build_bound_report(
     if p is not None:
         check_cheat_probability(p)
     _require_choice_count(n, m)  # before the lookup: [2], True and 2.0 are refused
-    constants, fc, fp = _bound_constants(n, m)
+    constants, delta = _bound_constants(n, m)
     fields = dict(constants, p=p)
     if N is not None:
         params = validate_params(n, m, N)
+        raw, eps_pow = hoeffding_bound(N, delta), fields["eps_correctness"] ** N
         fields.update(N=N, x=params.x, subset_size=params.subset_size,
-                      hoeffding_correctness=hoeffding_bound(N, fc),
-                      hoeffding_privacy=hoeffding_bound(N, fp),
-                      eps_correctness_pow_N=fields["eps_correctness"] ** N,
-                      eps_privacy_pow_N=fields["eps_privacy"] ** N)
+                      hoeffding_correctness=raw, hoeffding_privacy=raw,
+                      eps_correctness_pow_N=eps_pow, eps_privacy_pow_N=eps_pow)
         if p is not None:
             bound, eps = commitment_attack_bound(p, n, N, params.x)
             fields.update(commitment_bound=bound, commitment_eps=eps)

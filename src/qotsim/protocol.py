@@ -319,7 +319,6 @@ class ProtocolState:
     beta_bs: np.ndarray | None = None
     match: np.ndarray | None = None    # (T, N) survivor basis agreement, from step 3
     removed: np.ndarray | None = None  # (T, N) bool per survivor slot
-    subsets: np.ndarray | None = None  # (n, T, size) the family Alice checked, as sent
     cells: np.ndarray | None = None    # family as flat positions in (T, N) arrays, (size, T, n)
     claimed: np.ndarray | None = None  # (T, n) labels Bob claims all-matching
     masked: np.ndarray | None = None   # (T, n) Alice's masked input bits, from step 6
@@ -335,8 +334,10 @@ class ProtocolState:
 
     @cached_property
     def family(self) -> np.ndarray | None:
-        """(T, n, size): the family Alice checked at step 5, each subset sorted on first read."""
-        return None if self.subsets is None else np.sort(self.subsets, axis=2).transpose(1, 0, 2)
+        """(T, n, size): the family Alice checked at step 5, read off `cells` less each row's
+        offset, each subset sorted on first read."""
+        return None if self.cells is None else (
+            np.sort(self.cells - self.offsets, axis=0).transpose(1, 2, 0))
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -472,8 +473,8 @@ def select_subsets(state: ProtocolState) -> None:
 
     Bob gives up on a row whose surviving matches cannot fill the subsets he
     claims.  Alice checks each family's structure: count, sizes,
-    disjointness, coverage.  The family goes to `state.subsets` as an
-    (n, T, size) int64 array, and `state.family` sorts it when read; a
+    disjointness, coverage.  The family goes to `state.cells` as flat
+    positions, (size, T, n), and `state.family` reads it back, sorted; a
     family whose count or sizes are wrong aborts every row and leaves both None."""
     state._require_stage(4)
     if state.chosen is None or state.inputs is None:
@@ -497,7 +498,6 @@ def select_subsets(state: ProtocolState) -> None:
     if family.view(np.uint64).max() >= N:  # a negative slot reads as a huge one
         state.abort((family.view(np.uint64) >= N).any(axis=(0, 2)), Status.ABORT_INVALID_MESSAGE)
         family = np.clip(family, 0, N - 1)
-    state.subsets = family
     vars(state).pop("family", None)  # a read before step 5 cached None
     # (size, T, n), so that reductions over a subset run along whole rows
     state.cells = np.add(family.transpose(2, 1, 0), state.offsets, order="C")

@@ -20,13 +20,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PROTOCOL, ADVERSARY, HARNESS, PARAMS, CLI = (
-    f"src/qotsim/{name}.py" for name in ("protocol", "adversary", "harness", "params", "cli"))
+PROTOCOL, ADVERSARY, HARNESS, PARAMS, CLI, CHANNEL = (f"src/qotsim/{name}.py" for name in (
+    "protocol", "adversary", "harness", "params", "cli", "channel"))
 
 # lines of the CLI's usage-error boundary, which two CLI mutants edit
 _CHECKS = "        config, work = _COMMANDS[args.command][0](args)\n"
-_OPEN_OUT = ('        if out := getattr(args, "out", None):  # opened to write, not truncated '
-             'before the work\n            created = not os.path.lexists(out)\n'
+_OPEN_OUT = ('        if (out := getattr(args, "out", None)) is not None:  # to write, not '
+             'truncated yet\n            created = not os.path.lexists(out)\n'
              '            open(out, "a", encoding="utf-8").close()\n')
 
 MUTANTS = [
@@ -104,6 +104,10 @@ MUTANTS = [
      "state.removed.reshape(-1)[cells] = state.live()[:, None]",
      "state.removed.reshape(-1)[cells] = True",
      "tests/test_reference.py"),
+    ("family read back without the row offsets", PROTOCOL,
+     "np.sort(self.cells - self.offsets, axis=0)",
+     "np.sort(self.cells, axis=0)",
+     "tests/test_reference.py"),
     ("rows with no targets read the word before their own", PROTOCOL,
      "picked = packed < first.reshape(-1)[state.offsets + count[:, -1:] * s]",
      "picked = packed <= first.reshape(-1)[state.offsets + count[:, -1:] * s - 1]",
@@ -124,6 +128,14 @@ MUTANTS = [
      "    _require_choice_count(n, m)  # before the lookup: [2], True and 2.0 are refused\n",
      "",
      "tests/test_params.py -k checks_its_arguments_before_the_cache"),
+    ("high-case deviation uses k = 2m + 3", PARAMS,
+     "if case_of(n, m) is Case.LOW else 2 * m + 1\n",
+     "if case_of(n, m) is Case.LOW else 2 * m + 3\n",
+     "tests/test_params.py -k bound_layer_is_pinned"),
+    ("privacy deviation loses its low-case sign", PARAMS,
+     "return -delta if case_of(n, m) is Case.LOW else delta",
+     "return delta if case_of(n, m) is Case.LOW else delta",
+     "tests/test_params.py -k sign_anomaly"),
     ("CLI work runs inside the usage-error boundary", CLI,
      _CHECKS,
      _CHECKS + "        done = work()\n        work = lambda: done\n",
@@ -140,6 +152,14 @@ MUTANTS = [
      'open(out, "a", encoding="utf-8").close()',
      'open(out, "w", encoding="utf-8").close()',
      "tests/test_cli.py -k crash_keeps_an_existing_out_file"),
+    ("CLI skips an empty --out", CLI,
+     'if (out := getattr(args, "out", None)) is not None:',
+     'if out := getattr(args, "out", None):',
+     "tests/test_cli.py -k empty_out"),
+    ("block does not check its width", CHANNEL,
+     '(("width", width), ("start", start), ("count", count))',
+     '(("start", start), ("count", count))',
+     "tests/test_channel.py -k block_refuses"),
 ]
 
 

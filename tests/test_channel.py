@@ -118,6 +118,13 @@ def test_block_refuses_a_start_or_count_that_is_not_an_int_at_least_0(start, cou
         RandomSource(1).block(8, start, count)
 
 
+@pytest.mark.parametrize("width", [-4, 4.0, True])
+def test_block_refuses_a_width_that_is_not_an_int_at_least_0(width):
+    """Checked with start and count, before numpy or the counter arithmetic sees it."""
+    with pytest.raises(ValueError, match="block width must be an int >= 0"):
+        RandomSource(1).block(width, 0, 2)
+
+
 def test_random_source_streams_differ():
     root = RandomSource(42)
     a = root.stream("alice").bits(100)

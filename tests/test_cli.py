@@ -353,6 +353,20 @@ def test_a_crash_leaves_no_new_out_file(command, monkeypatch, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "attack", "privacy-test"])
+def test_an_empty_out_is_a_usage_error(command, monkeypatch, capsys):
+    """`--out ""` names no file, so its check fails to open it: one error line and exit
+    2, with no work done, never a report printed and silently not written."""
+    name, args = WORK[command]
+    calls = []
+    monkeypatch.setattr(cli, name, lambda *call, **kwargs: calls.append(call))
+    assert main([*args, "--out", ""]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
+    assert calls == []
+
+
 FLAGS = {  # subcommand: (option, required, default) of each flag, in the parser's order
     "bounds": [("--n", True, None), ("--m", True, None), ("--N", False, None),
                ("--p", False, None), ("--format", False, "structured")],
