@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -225,12 +225,6 @@ class StrategySpec:
     takes_p: bool = False  # reads the cheat probability p, which it then requires
 
 
-@lru_cache(maxsize=64)
-def _exact_rate(params: ProtocolParams, event: str) -> Fraction:
-    """The oracle's rate of `event` at `params`: a reference, computed once per pair."""
-    return exact_failure_oracle(params, event)
-
-
 def _tail(decode: bool = False) -> Callable:
     """Checks of the event's tail bound, correctness or privacy, at N >= min_N, from the bound
     report's (n, m) constants; `decode` first checks that completed runs decode exactly."""
@@ -264,17 +258,17 @@ def _extra_bit(out: Outcomes) -> np.ndarray:
 STRATEGIES: dict[str, StrategySpec] = {
     "honest": StrategySpec(
         event="abort", checks=_tail(decode=True),
-        reference=lambda params, s: _exact_rate(params, "correctness"),
+        reference=lambda params, s: exact_failure_oracle(params, "correctness"),
         run=_sessions(HonestBob), hit=lambda out: (out.status != 0) | out.wrong_decode),
     "greedy": StrategySpec(
-        event="extra_bit_success", hit=_extra_bit, checks=_tail(),
-        reference=lambda params, s: _exact_rate(params, "privacy"), run=_sessions(GreedyBob)),
+        event="extra_bit_success", hit=_extra_bit, checks=_tail(), run=_sessions(GreedyBob),
+        reference=lambda params, s: exact_failure_oracle(params, "privacy")),
     "dishonest-removal": StrategySpec(
         event="extra_bit_success", hit=_extra_bit, checks=_tail(),
         run=_sessions(DishonestRemovalBob), admits=DishonestRemovalBob.check_case,
         # the strict verifier rejects every mismatched removal, so no session survives it
         reference=lambda params, s: Fraction(0) if s.strict_alice
-        else _exact_rate(params, "privacy_dishonest_removal")),
+        else exact_failure_oracle(params, "privacy_dishonest_removal")),
     "postpone": StrategySpec(
         event="challenge_survival", hit=lambda out: out.status != _CHEAT,
         reference=lambda params, s: Fraction(3, 4) ** params.N, run=postpone_bob),
@@ -286,7 +280,7 @@ STRATEGIES: dict[str, StrategySpec] = {
         event="choice_guess_correct", run=_sessions(HonestBob),
         hit=lambda out: (out.status == 0) & (out.guess == out.chosen).all(axis=1),
         # chance level per completed run, scaled by the completion probability
-        reference=lambda params, s: (1 - _exact_rate(params, "correctness"))
+        reference=lambda params, s: (1 - exact_failure_oracle(params, "correctness"))
         / math.comb(params.n, params.m)),
 }
 
@@ -301,7 +295,7 @@ def run_with_adversary(
     """Execute one session, trial 0 of `seed`'s stream, with the given party
     replaced by `strategy`: the one-row :class:`Outcomes` of the strategy's
     batched runner.  Fixed `inputs` and `choices` must pass
-    :func:`~qotsim.protocol.check_inputs`; None draws them from the trial."""
-    check_inputs(params.n, params.m, inputs, choices)
+    :func:`~qotsim.protocol.check_inputs` and run as it returns them; None draws them."""
+    inputs, choices = check_inputs(params.n, params.m, inputs, choices)
     root = seed if isinstance(seed, RandomSource) else RandomSource(seed)
     return STRATEGIES[strategy.kind].run(params, strategy, root, 0, 1, inputs, choices)

@@ -25,7 +25,7 @@ from .harness import (
     ExperimentConfig,
     all_verdicts_pass,
     check_bounds,
-    check_privacy_test,
+    check_run,
     emit_report,
     exact_failure_oracle,
     privacy_independence_test,
@@ -81,7 +81,7 @@ def _attack(args):
 
 def _privacy_test(args):
     params = validate_params(args.n, args.m, args.N)
-    check_privacy_test(args.trials_per_choice, args.seed)
+    check_run("trials_per_choice", args.trials_per_choice, args.seed)
     def work():
         report = privacy_independence_test(params, args.trials_per_choice, args.seed,
                                            leaky=args.leaky)

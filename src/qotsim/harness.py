@@ -62,7 +62,8 @@ PRIVACY_SIGNIFICANCE = 0.001  # the privacy test's family-wise level, before Bon
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: parameter set, trial count, seed, strategy, IO modes.  Its validated
-    (n, m, N) and seed's RandomSource are kept as `params` and `root`, outside the fields."""
+    (n, m, N) and seed's RandomSource are kept as `params` and `root`, outside the fields,
+    and `bits` and `choices` as the tuples :func:`~qotsim.protocol.check_inputs` returns."""
 
     n: int
     m: int
@@ -74,10 +75,11 @@ class ExperimentConfig:
     choices: tuple[int, ...] | None = None   # None: fresh random choices per trial
 
     def __post_init__(self):
-        object.__setattr__(self, "params", validate_params(self.n, self.m, self.N))
-        object.__setattr__(self, "root", _check_run("trials", self.trials, self.seed))
-        check_inputs(self.n, self.m, self.bits, self.choices)
-        STRATEGIES[self.strategy.kind].admits(self.params)
+        params = validate_params(self.n, self.m, self.N)
+        root = check_run("trials", self.trials, self.seed)
+        bits, choices = check_inputs(self.n, self.m, self.bits, self.choices)
+        STRATEGIES[self.strategy.kind].admits(params)
+        vars(self).update(params=params, root=root, bits=bits, choices=choices)  # frozen fields
 
 
 @dataclass
@@ -110,9 +112,10 @@ class Verdict:
     tolerance: float | None = None
 
 
-def _check_run(name: str, trials: int, seed: int) -> RandomSource:
-    """Refuse a trial count `name` that is not an int >= 1, or a seed that is
-    not an int (a report echoes it) within a signed 64-bit word; returns its RandomSource."""
+def check_run(name: str, trials: int, seed: int) -> RandomSource:
+    """Refuse a run's trial count `name` (an experiment's, or a privacy test's per choice
+    vector) that is not an int >= 1, or a seed that is not an int (a report echoes it)
+    within a signed 64-bit word; returns its RandomSource."""
     if not _is_int(trials):
         raise ValueError(f"{name} must be an int, got {trials!r}")
     if trials < 1:
@@ -277,12 +280,6 @@ def chi2_contingency(table):
     return stat, _chi2_sf(dof, stat), dof, expected
 
 
-def check_privacy_test(trials_per_choice: int, seed: int) -> RandomSource:
-    """Refuse a privacy test that cannot run: a trial count per choice vector that is
-    not an int >= 1, or a seed that is not an int within 64 bits; returns its RandomSource."""
-    return _check_run("trials_per_choice", trials_per_choice, seed)
-
-
 def _choice_vectors(n: int, m: int) -> tuple:
     """The m-of-n choice vectors, their labels ("1,3") and their (V, n) masks, built per call."""
     vectors = tuple(itertools.combinations(range(1, n + 1), m))
@@ -314,7 +311,7 @@ def privacy_independence_test(
     lists it under ``untestable_vectors``, and each of its pairs has a null ``p_value`` and
     total variation, ``untestable`` set and ``passed`` false, so ``all_pass`` is false.
     """
-    root = check_privacy_test(trials_per_choice, seed)
+    root = check_run("trials_per_choice", trials_per_choice, seed)
     n, m, T = params.n, params.m, trials_per_choice
     choice_vectors, labels, masks = _choice_vectors(n, m)
     rngs = [root.stream(f"choice/{label}") for label in labels]

@@ -352,10 +352,10 @@ def _bound_constants(n: int, m: int) -> tuple[dict, float]:
     """A checked (n, m)'s report fields that depend on neither N nor p, and the
     float deviation delta; callers copy the dict.  Both tail bounds share delta
     = 1/(2k), so each privacy field repeats its correctness field."""
-    delta = correctness_deviation(n, m)
+    delta, eps = correctness_epsilon(n, m)
     fd = float(delta)
     # the raw bound's closed form "2*exp(-c*N)": its rate c = 2*delta^2 is 1/(2k^2)
-    form, eps, least = f"2*exp(-N/{delta.denominator**2 // 2})", math.exp(-fd**2), min_N(fd)
+    form, least = f"2*exp(-N/{delta.denominator**2 // 2})", min_N(fd)
     return dict(
         n=n, m=m, case=case_of(n, m).value, target_rate=str(Fraction(2 * m + 1, 2 * n)),
         delta_correctness=str(delta), delta_privacy=str(delta),

@@ -88,31 +88,36 @@ class Transcript:
 
 class TrialOutcome:
     """Row `row` (an int or numpy integer in [0, T)) of a :class:`ProtocolState`,
-    read as one session up to the step the state has reached, so a run that
-    stopped early (postpone Bob's two steps, or phases driven by hand) reads
-    too.  `status` is the row's :class:`Status`, IN_PROGRESS for a row that
-    has not aborted in a state short of step 7; the rest is built on first
-    read.  `recovered` maps each chosen label, ascending, to Bob's unmasked
-    bit (empty unless the row completed step 7); `transcript` holds the row's
-    messages up to its abort or the state's stage.  Ground truth (match
-    flags, removed slots, family, claimed labels) is the state's at `row`."""
+    read as one session at the `stage` the state is at when made, so a run that
+    stopped early (postpone Bob's two steps, or phases driven by hand) reads too.
+    `status` is the row's :class:`Status`, IN_PROGRESS for a row not aborted short
+    of step 7; the rest is built on first read, which raises ProtocolOrderError once
+    the state has left `stage`.  `recovered` maps each chosen label, ascending, to
+    Bob's unmasked bit (empty unless the row completed step 7); `transcript` holds
+    the row's messages up to its abort or `stage`.  Ground truth (match flags,
+    removed slots, family, claimed labels) is the state's at `row`."""
 
     def __init__(self, state: ProtocolState, row: int = 0):
         if not (_is_integer(row) and 0 <= row < state.rows):
             raise ValueError(f"row must be an int in [0, {state.rows}), got {row!r}")
-        self.state, self.row = state, int(row)
+        self.state, self.row, self.stage = state, int(row), state.stage
         self.status = (STATUSES[state.status[self.row]] if state.status[self.row]
                        or state.stage == 7 else Status.IN_PROGRESS)
 
+    def _at_stage(self) -> ProtocolState:  # the state, refused once it has left `stage`
+        if (now := self.state.stage) != self.stage:
+            raise ProtocolOrderError(f"outcome of stage {self.stage} read at stage {now}")
+        return self.state
+
     @cached_property
     def recovered(self) -> dict[int, int]:
-        state, k = self.state, self.row
+        state, k = self._at_stage(), self.row
         chosen = np.flatnonzero(state.chosen[k]) if self.status is Status.COMPLETED else ()
         return {int(c) + 1: int(state.recovered[k, c]) for c in chosen}
 
     @cached_property
     def transcript(self) -> Transcript:
-        state, k, lines = self.state, self.row, []
+        state, k, lines = self._at_stage(), self.row, []
         N, d = state.params.N, state.draws.d[k].tolist()
         last = int(state.aborted_at[k]) or state.stage  # the last step the row took
         # commitment id 4i + 2h + b holds (r_b, beta_b)[b][h][k, i]
@@ -472,10 +477,10 @@ def select_subsets(state: ProtocolState) -> None:
     survivors, with the state's chosen ones all-matching.
 
     Bob gives up on a row whose surviving matches cannot fill the subsets he
-    claims.  Alice checks each family's structure: count, sizes,
-    disjointness, coverage.  The family goes to `state.cells` as flat
-    positions, (size, T, n), and `state.family` reads it back, sorted; a
-    family whose count or sizes are wrong aborts every row and leaves both None."""
+    claims.  Alice checks each family's structure: count, sizes, integer
+    slots, disjointness, coverage.  The family goes to `state.cells` as flat
+    positions, (size, T, n), and `state.family` reads it back, sorted; a family of
+    wrong count, sizes or slot type (float, bool) aborts every row, leaving both None."""
     state._require_stage(4)
     if state.chosen is None or state.inputs is None:
         raise ValueError("steps 5-7 need the input bits and chosen labels given at step 1")
@@ -487,11 +492,12 @@ def select_subsets(state: ProtocolState) -> None:
     matched = (state.match_flags() & alive).sum(axis=1)
     state.stage = 5
     state.abort(matched < claimed.sum(axis=1) * s, Status.ABORT_INSUFFICIENT_MATCHES)
-    if len(family) != n or any(np.shape(f) != (state.rows, s) for f in family):
+    # Bob's array as sent, or one built from his sequence; it is not written to
+    if (len(family) != n or any(np.shape(f) != (state.rows, s) for f in family)
+            or not np.issubdtype((family := np.asarray(family)).dtype, np.integer)):
         state.abort(np.ones(state.rows, dtype=bool), Status.ABORT_INVALID_MESSAGE)
         return
-    # Bob's array as sent, or one built from his sequence; it is not written to
-    family = np.asarray(family, dtype=np.int64)
+    family = family.astype(np.int64, copy=False)
     # legal: in range, and every surviving slot in exactly one subset
     # (disjoint, covering, no removed slot); a slot out of range is clipped
     # into its row, so that later gathers read the row's own cells
@@ -527,16 +533,18 @@ def decode(state: ProtocolState) -> np.ndarray:
     return state.recovered
 
 
-def check_inputs(n: int, m: int, bits, choices) -> None:
+def check_inputs(n: int, m: int, bits, choices) -> tuple:
     """Reject fixed inputs that do not fit (n, m): `bits` must be n values
     in {0, 1}, `choices` m distinct int labels in [1, n] (a bool is not a
-    label).  None is an input drawn per trial, so it is not checked."""
+    label).  None is an input drawn per trial, so it is not checked.  Returns
+    (bits, choices) as tuples of ints, None kept: what the caller must run."""
     if bits is not None:
         bits = tuple(bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"bits: input bits must be 0/1: {bits}")
         if len(bits) != n:
             raise ValueError(f"bits: need {n} values, got {bits!r}")
+        bits = tuple(map(int, bits))
     if choices is not None:
         choices = tuple(choices)
         if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
@@ -548,6 +556,8 @@ def check_inputs(n: int, m: int, bits, choices) -> None:
             raise ValueError(f"choices: choice indices must lie in [1, {n}]: {choices}")
         if len(choices) != m:
             raise ValueError(f"choices: need {m} values, got {choices!r}")
+        choices = tuple(map(int, choices))
+    return bits, choices
 
 
 def run_protocol(
@@ -563,7 +573,7 @@ def run_protocol(
     `inputs` is n bits fixed for every row, or None to draw each row's bits
     from its trial's block; `choices` is m labels fixed for every row, a
     (T, n) chosen-label mask, or None to draw them likewise.  Fixed bits and
-    labels must pass :func:`check_inputs`.
+    labels must pass :func:`check_inputs`, and run as the tuples it returns.
 
     With a :class:`Draws` as `seed`, runs its T rows as one batch and returns
     the final :class:`ProtocolState`; with ``draw_sessions(params, rng, k,
@@ -578,7 +588,8 @@ def run_protocol(
     driven out of order (e.g. by a faulty Bob hook) raises
     :class:`ProtocolOrderError`.
     """
-    check_inputs(params.n, params.m, inputs, None if (mask := np.ndim(choices) == 2) else choices)
+    mask = np.ndim(choices) == 2  # a (T, n) mask, which check_inputs skips
+    inputs, labels = check_inputs(params.n, params.m, inputs, None if mask else choices)
     batch = isinstance(seed, Draws)
     draws = seed if batch else draw_sessions(
         params, seed if isinstance(seed, RandomSource) else RandomSource(seed), 0, 1)
@@ -588,14 +599,14 @@ def run_protocol(
                          f"not n={params.n}, N={params.N}")
     if choices is None:
         chosen = draws.chosen(params.m)
-    elif mask:  # check_inputs skips a mask; the public boundary checks it here
+    elif mask:  # the public boundary checks it here
         chosen = np.asarray(choices, dtype=bool)
         if chosen.shape != (count, params.n) or (chosen.sum(axis=1) != params.m).any():
             raise ValueError(f"choice mask must be ({count}, {params.n}) with "
                              f"{params.m} labels per row")
     else:  # the same m labels in every row
         chosen = np.zeros(params.n, dtype=bool)
-        chosen[[c - 1 for c in choices]] = True
+        chosen[[c - 1 for c in labels]] = True
         chosen = np.broadcast_to(chosen, (count, params.n))
     inputs = draws.inputs if inputs is None else np.broadcast_to(
         np.asarray(inputs, dtype=np.uint8), (count, params.n))

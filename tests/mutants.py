@@ -42,6 +42,26 @@ MUTANTS = [
      "    state.abort(wrong, Status.ABORT_INVALID_MESSAGE)",
      "    pass",
      "tests/test_protocol.py -k illegal_family"),
+    ("step-5 size check reduced to row counts", PROTOCOL,
+     "any(np.shape(f) != (state.rows, s) for f in family)",
+     "any(len(f) != state.rows for f in family)",
+     "tests/test_protocol.py -k illegal_family"),
+    ("step-5 range guard skipped", PROTOCOL,
+     "    if family.view(np.uint64).max() >= N:",
+     "    if False:",
+     "tests/test_protocol.py -k illegal_family"),
+    ("step-5 slot type check widened to floats", PROTOCOL,
+     ".dtype, np.integer)):",
+     ".dtype, np.number)):",
+     "tests/test_protocol.py -k illegal_family"),
+    ("fixed labels built from the unchecked choices", PROTOCOL,
+     "chosen[[c - 1 for c in labels]] = True",
+     "chosen[[c - 1 for c in choices]] = True",
+     "tests/test_protocol.py -k fixed_inputs"),
+    ("trial outcome read past its stage", PROTOCOL,
+     "        if (now := self.state.stage) != self.stage:\n",
+     "        if (now := self.state.stage) is None:\n",
+     "tests/test_protocol.py -k not_read_past"),
     ("step-5 claimed subsets need s - 1 matches", PROTOCOL,
      "matched < claimed.sum(axis=1) * s,",
      "matched < claimed.sum(axis=1) * (s - 1),",
@@ -70,12 +90,6 @@ MUTANTS = [
      "return (firsts <= np.sort(firsts, axis=1)",
      "return (firsts < np.sort(firsts, axis=1)",
      "tests/test_adversary.py -k curious"),
-    ("reference cache keyed without the event", ADVERSARY,
-     "@lru_cache(maxsize=64)\ndef _exact_rate(params: ProtocolParams, event: str) -> Fraction:\n",
-     "def _exact_rate(params: ProtocolParams, event: str, _seen={}) -> Fraction:\n"
-     "    return _seen.setdefault(params, exact_failure_oracle(params, event))\n\n\n"
-     "def _exact_rate_unused(params: ProtocolParams, event: str) -> Fraction:\n",
-     "tests/test_adversary.py -k each_reference"),
     ("chi-square test skips its finiteness scan", HARNESS,
      "    if not np.isfinite(observed).all():",
      "    if False:",

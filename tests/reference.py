@@ -214,6 +214,9 @@ def run_session(params: ProtocolParams, row: Row, bob: HonestBob,
         return abort(SHORT, 5)
     if len(family) != n or any(len(f) != s for f in family):
         return abort(INVALID, 5)
+    # a slot is an int; a float, even 3.0, or a bool is not one
+    if not all(isinstance(i, int) and not isinstance(i, bool) for f in family for i in f):
+        return abort(INVALID, 5)
     # n subsets of s slots cover the n * s survivors iff each is in exactly one
     if set().union(*map(set, family)) != set(survivors):
         return abort(INVALID, 5)
@@ -304,6 +307,14 @@ class RepeatingBob(HonestBob):
     def build_family(self, trial):
         family, claimed = super().build_family(trial)
         return [family[0]] * len(family), claimed
+
+
+class FloatSlotBob(HonestBob):
+    """Sends his honest family with every slot as a float."""
+
+    def build_family(self, trial):
+        family, claimed = super().build_family(trial)
+        return [[float(i) for i in f] for f in family], claimed
 
 
 class OutOfRangeBob(HonestBob):

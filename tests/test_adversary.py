@@ -93,6 +93,17 @@ def test_run_with_adversary_is_row_zero_of_a_batch(kind):
     assert one.wrong_decode.tolist() == batch.wrong_decode[:1].tolist()
 
 
+@pytest.mark.parametrize("make", [iter, list, np.array], ids=["iterator", "list", "array"])
+def test_run_with_adversary_runs_fixed_inputs_as_their_tuple(make):
+    """An iterator, a list or an array of fixed bits and labels runs what the
+    tuple runs, though checking them reads an iterator to its end."""
+    want = run_with_adversary(Strategy("greedy"), P316, (0, 1, 0), (2,), 5)
+    got = run_with_adversary(Strategy("greedy"), P316, make((0, 1, 0)), make((2,)), 5)
+    for field in ("status", "chosen", "bits_learned", "wrong_decode", "guess"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert want.chosen.tolist() == [[False, True, False]]
+
+
 def test_greedy_bob_extra_bit_rate():
     """(2,1,6): chance of decoding both bits is 15/64 (M >= 4 and N-M >= 2)."""
     q = 15 / 64

@@ -33,7 +33,7 @@ from qotsim.harness import (
     all_verdicts_pass,
     brute_force_failure_probability,
     check_bounds,
-    check_privacy_test,
+    check_run,
     chi2_contingency,
     emit_report,
     exact_failure_oracle,
@@ -251,6 +251,21 @@ def test_experiment_config_and_run_protocol_accept_the_same_choices(choices):
     config = accepts(lambda: ExperimentConfig(n=3, m=1, N=6, trials=10, seed=0,
                                               choices=choices))
     assert config == accepts(lambda: run_protocol(P316, (0, 1, 0), choices, 1))
+
+
+@pytest.mark.parametrize("make", [iter, list, np.array], ids=["iterator", "list", "array"])
+def test_experiment_config_keeps_fixed_inputs_as_int_tuples(make):
+    """An iterator, a list or an array of fixed bits and labels is kept as the
+    tuple of ints it holds: the config hashes, runs as the tuple's config and
+    renders in a report."""
+    config = ExperimentConfig(n=3, m=1, N=6, trials=50, seed=0, bits=make((1, 0, 1)),
+                              choices=make((2,)))
+    want = ExperimentConfig(n=3, m=1, N=6, trials=50, seed=0, bits=(1, 0, 1), choices=(2,))
+    assert (config.bits, config.choices) == ((1, 0, 1), (2,))
+    assert {type(v) for v in config.bits + config.choices} == {int}
+    assert config == want and hash(config) == hash(want)
+    assert run_experiment(config) == run_experiment(want)
+    assert emit_report(dataclasses.asdict(config)) == emit_report(dataclasses.asdict(want))
 
 
 def test_dishonest_removal_is_refused_in_the_high_case_at_config_and_hook():
@@ -520,7 +535,7 @@ def test_privacy_independence_rejects_bad_arguments(kwargs, name):
     with pytest.raises(ValueError, match=name):
         privacy_independence_test(P316, **args)
     with pytest.raises(ValueError, match=name):
-        check_privacy_test(**args)
+        check_run("trials_per_choice", args["trials_per_choice"], args["seed"])
 
 
 def _privacy_by_vector(params, trials, seed, leaky):

@@ -12,6 +12,7 @@ from qotsim.protocol import (
     STATUSES,
     ProtocolOrderError,
     Status,
+    TrialOutcome,
     announce_bases,
     check_inputs,
     decode,
@@ -39,6 +40,22 @@ def test_choice_vector_validation():
 def test_input_bits_validation():
     with pytest.raises(ValueError, match="bits"):
         check_inputs(3, 1, (0, 2, 1), None)
+
+
+@pytest.mark.parametrize("make", [iter, list, np.array], ids=["iterator", "list", "array"])
+def test_fixed_inputs_run_as_their_tuple(make):
+    """An iterator, a list or an array of fixed bits and labels runs what the
+    tuple runs, as one session and as a batch: check_inputs reads an iterator
+    to its end, so the engine must run what it returns."""
+    want = run_protocol(P316, (0, 1, 0), (2,), 5)
+    got = run_protocol(P316, make((0, 1, 0)), make((2,)), 5)
+    assert (got.status, got.recovered) == (want.status, want.recovered) == (
+        Status.COMPLETED, {2: 1})
+    assert got.transcript.to_jsonl() == want.transcript.to_jsonl()
+    want, got = (run_protocol(P316, bits, labels, draw_sessions(P316, RandomSource(5), 0, 16))
+                 for bits, labels in (((0, 1, 0), (2,)), (make((0, 1, 0)), make((2,)))))
+    for field in ("status", "chosen", "inputs", "recovered"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 def test_run_rejects_wrong_lengths():
@@ -210,12 +227,14 @@ class _BadFamilyBob(HonestBob):
         return self.mangle(family), claimed
 
 
+# each mangle but the last sends a list of the family's (T, size) subsets
 MANGLES = [
-    lambda fam: fam[:-1],                                  # wrong count
-    lambda fam: [fam[0]] + fam[1:-1] + [fam[-1][:, :-1]],  # wrong size
-    lambda fam: [fam[0]] * len(fam),                       # not disjoint
-    lambda fam: [_shift(fam[0], P316.N)] + fam[1:],        # past the last slot
-    lambda fam: [_shift(fam[0], -P316.N)] + fam[1:],       # negative
+    lambda fam: list(fam)[:-1],                               # wrong count
+    lambda fam: list(fam)[:-1] + [fam[-1][:, :-1]],           # wrong size
+    lambda fam: [fam[0]] * len(fam),                          # not disjoint
+    lambda fam: [_shift(fam[0], P316.N)] + list(fam)[1:],     # past the last slot
+    lambda fam: [_shift(fam[0], -P316.N)] + list(fam)[1:],    # negative
+    lambda fam: fam + 0.5,                                    # slots that are not integers
 ]
 
 
@@ -269,6 +288,27 @@ def test_manual_phase_drive_matches_run_protocol():
     recovered = {3: int(decode(state)[0, 2])}
     assert auto.status is Status.COMPLETED
     assert recovered == auto.recovered
+
+
+def test_an_outcome_is_not_read_past_its_stage():
+    """An outcome made at stage 3 reads neither the recovered bits nor the
+    messages of the state driven on to step 7, which would mix two stages;
+    the error names both.  An outcome made at step 7 reads the completed row."""
+    state = phase1_transmit(P316, draw_sessions(P316, RandomSource(17), 0, 1),
+                            inputs=np.array([[1, 0, 1]], dtype=np.uint8),
+                            chosen=np.array([[False, False, True]]))
+    phase2_challenge(state)
+    announce_bases(state)
+    early = TrialOutcome(state)
+    for phase in (removal_phase, select_subsets, mask_bits, decode):
+        phase(state)
+    assert (early.stage, early.status) == (3, Status.IN_PROGRESS)
+    for part in ("recovered", "transcript"):
+        with pytest.raises(ProtocolOrderError, match="outcome of stage 3 read at stage 7"):
+            getattr(early, part)
+    late = TrialOutcome(state)
+    assert (late.status, late.recovered) == (Status.COMPLETED, {3: 1})
+    assert late.transcript.records[-1]["kind"] == "masked_bits"
 
 
 def test_step5_refuses_a_state_without_inputs_or_labels():

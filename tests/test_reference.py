@@ -48,6 +48,15 @@ class _OutOfRangeBob(HonestBob):
         return [first, *family[1:]], claimed
 
 
+class _FloatSlotBob(HonestBob):
+    """Sends his honest family with every slot as a float: the same slots,
+    but not integers, so step 5 refuses them."""
+
+    def build_family(self, state):
+        family, claimed = super().build_family(state)
+        return family.astype(np.float64), claimed
+
+
 # label -> (engine Bob, reference Bob, strict Alice)
 BOBS = {
     "honest": (HonestBob, reference.HonestBob, False),
@@ -58,6 +67,7 @@ BOBS = {
     "leaky": (LeakyBob, reference.LeakyBob, False),
     "repeating": (_RepeatingBob, reference.RepeatingBob, False),
     "out-of-range": (_OutOfRangeBob, reference.OutOfRangeBob, False),
+    "float-slots": (_FloatSlotBob, reference.FloatSlotBob, False),
 }
 CASES = [
     (nmN, label) for nmN in SETS for label in BOBS

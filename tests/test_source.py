@@ -72,7 +72,7 @@ def test_every_cache_with_arguments_is_bounded():
     assert [name for name, takes, bounded in caches if takes and not bounded] == []
     names = {name for name, _, _ in caches}  # the scan sees the package's caches
     assert {"params.py:_checkpoints", "params.py:_bound_constants", "params.py:_validated",
-            "harness.py:_popcount_bits", "harness.py:_key_text", "adversary.py:_exact_rate"} <= names
+            "harness.py:_popcount_bits", "harness.py:_key_text"} <= names
 
 
 def _imports(tree: ast.AST):
