@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-import numpy as np
-
 from .channel import RandomSource
 from .params import (
     Case,
@@ -30,6 +28,7 @@ from .params import (
     check_cheat_probability,
     exact_failure_oracle,
     hoeffding_bound,
+    np,
 )
 from .protocol import (
     STATUSES,

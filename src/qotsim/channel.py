@@ -13,12 +13,10 @@ from __future__ import annotations
 import functools
 import hashlib
 
-import numpy as np
-
-from .params import _is_integer
+from .params import _is_integer, np
 
 
-_scratch_philox = functools.cache(lambda: np.random.Philox(0))  # every block's, built on first use
+_scratch_philox = functools.cache(lambda: np.random.Philox(0))  # every block's; loads numpy
 
 
 def _keyed(philox: np.random.Philox, key: np.ndarray, counter: int) -> np.random.Philox:

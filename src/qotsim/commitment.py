@@ -13,7 +13,7 @@ twice; the engine never opens one position twice.
 
 from __future__ import annotations
 
-import numpy as np
+from .params import np
 
 
 class CommitmentSession:

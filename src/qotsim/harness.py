@@ -14,7 +14,8 @@ byte-for-byte, and any trial can be replayed from (seed, trial index).
 The privacy test runs the trials of every choice vector through the same engine,
 in one row sequence, and compares the vectors pairwise, one :func:`chi2_contingency`
 test of independence per pair.  That test does scipy.stats' arithmetic in numpy,
-its p-value the closed-form chi-square tail, so the package loads no scipy.  Reports come
+its p-value the closed-form chi-square tail, so the package loads no scipy; numpy loads
+at the first engine call, so an oracle or bound report runs without it.  Reports come
 from a writer that appends pieces to one list, joined once, byte-identical
 to ``json.dumps(indent=2)`` of the :func:`round_sig` document; a float goes
 through repr only at a positive or three-digit exponent, nan or inf.
@@ -34,8 +35,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .adversary import STRATEGIES, LeakyBob, Strategy
 from .channel import RandomSource
@@ -44,6 +43,7 @@ from .params import (
     _is_int,
     event_runs,
     exact_failure_oracle,  # re-exported: the oracle lives in params
+    np,
     validate_params,
 )
 from .protocol import (

@@ -19,11 +19,25 @@ import collections
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
+
+class _Numpy:
+    """numpy, imported on the first attribute read, which then binds every qotsim module's
+    ``np`` to numpy itself; the import lock makes the import happen once."""
+
+    def __getattr__(self, name):
+        import numpy
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith(__package__) and getattr(module, "np", None) is self:
+                module.np = numpy
+        return getattr(numpy, name)
+
+
+np = sys.modules.get("numpy") or _Numpy()  # the engine's numpy; the exact layer never reads it
 
 
 class Case(Enum):
@@ -58,7 +72,7 @@ def _is_int(value) -> bool:
 
 def _is_integer(value) -> bool:
     """An int or a numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(value, int) and not isinstance(value, bool) or isinstance(value, np.integer)
 
 
 def _require_choice_count(n: int, m: int) -> None:

@@ -42,11 +42,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .channel import RandomSource, transmit_batch
 from .commitment import CommitmentSession
-from .params import Case, ProtocolParams, _is_integer
+from .params import Case, ProtocolParams, _is_integer, np
 
 # A Monte Carlo batch holds as many rows as fit in BATCH_WORDS random words (512 KB): few
 # enough that its arrays (about three blocks at their peak) reuse the memory the last freed.

@@ -174,6 +174,14 @@ MUTANTS = [
      '(("width", width), ("start", start), ("count", count))',
      '(("start", start), ("count", count))',
      "tests/test_channel.py -k block_refuses"),
+    ("numpy imported with the package", PARAMS,
+     'np = sys.modules.get("numpy") or _Numpy()',
+     "import numpy as np",
+     "tests/test_source.py -k exact_layer_never_loads_numpy"),
+    ("stand-in never rebinds np", PARAMS,
+     "                module.np = numpy\n",
+     "                pass\n",
+     "tests/test_source.py -k exact_layer_never_loads_numpy"),
 ]
 
 

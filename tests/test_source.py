@@ -172,6 +172,67 @@ def test_package_set_up_leaves_numpy_random_unloaded():
     assert _run_python(code) == "False"
 
 
+def test_exact_layer_never_loads_numpy():
+    """The exact layer is integer code: the package's imports, its exact calls and the
+    CLI's exact commands, help and usage errors leave numpy unloaded.  The first engine
+    call loads it and binds every module's `np` to numpy itself, not to the stand-in."""
+    code = """
+import contextlib, io, sys
+import qotsim, qotsim.harness
+from qotsim import cli
+from qotsim.params import build_bound_report, exact_failure_oracle, validate_params
+validate_params(3, 1, 6)
+build_bound_report(2, 1, 18)
+exact_failure_oracle(validate_params(4, 1, 40), "privacy")
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in ("bounds --n 2 --m 1 --N 18", "oracle --n 3 --m 1 --N 6 --event correctness",
+                 "bounds --n 2 --m 1 --N 7", "--help"):
+        try:
+            codes.append(cli.main(argv.split()))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(codes, "numpy._core" in sys.modules)
+from qotsim.protocol import run_protocol
+run_protocol(validate_params(3, 1, 6), None, None, 1)
+print([name for name in ("protocol", "channel", "harness", "adversary", "commitment", "params")
+       if sys.modules["qotsim." + name].np is not sys.modules["numpy"]])
+"""
+    assert _run_python(code) == "[0, 0, 2, 0] False\n[]"
+
+
+def test_threaded_first_use_matches_the_serial_run():
+    """Eight threads make the process's first engine call at once, switching threads
+    every microsecond: none raises, and each trial's status and recovered bits are the
+    serial run's.  A stand-in whose attribute read is not guarded by the import lock
+    hands a thread a half-imported numpy here."""
+    code = """
+import sys, threading
+sys.setswitchinterval(1e-6)
+from qotsim.params import validate_params
+from qotsim.protocol import run_protocol
+params, barrier, results, errors = validate_params(3, 1, 6), threading.Barrier(8), {}, []
+def first_use(k):
+    try:
+        barrier.wait(60)
+        outcome = run_protocol(params, None, None, k)
+        results[k] = (outcome.status, outcome.recovered)
+    except BaseException as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=first_use, args=(k,)) for k in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+serial = {}
+for k in range(8):
+    outcome = run_protocol(params, None, None, k)
+    serial[k] = (outcome.status, outcome.recovered)
+print(errors, results == serial, len(results), any(thread.is_alive() for thread in threads))
+"""
+    assert _run_python(code) == "[] True 8 False"
+
+
 def test_privacy_test_leaves_scipy_stats_unloaded():
     """Nor does a privacy test, which runs the package's only chi-square."""
     code = ("import sys; from qotsim import harness; "
