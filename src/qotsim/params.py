@@ -37,7 +37,7 @@ class _Numpy:
         return getattr(numpy, name)
 
 
-np = sys.modules.get("numpy") or _Numpy()  # the engine's numpy; the exact layer never reads it
+np = _Numpy()  # the engine's numpy; the exact layer never reads it
 
 
 class Case(Enum):

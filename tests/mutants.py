@@ -175,7 +175,7 @@ MUTANTS = [
      '(("start", start), ("count", count))',
      "tests/test_channel.py -k block_refuses"),
     ("numpy imported with the package", PARAMS,
-     'np = sys.modules.get("numpy") or _Numpy()',
+     "np = _Numpy()",
      "import numpy as np",
      "tests/test_source.py -k exact_layer_never_loads_numpy"),
     ("stand-in never rebinds np", PARAMS,

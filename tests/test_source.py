@@ -174,31 +174,37 @@ def test_package_set_up_leaves_numpy_random_unloaded():
 
 def test_exact_layer_never_loads_numpy():
     """The exact layer is integer code: the package's imports, its exact calls and the
-    CLI's exact commands, help and usage errors leave numpy unloaded.  The first engine
-    call loads it and binds every module's `np` to numpy itself, not to the stand-in."""
+    CLI's exact commands (the first through ``python -m qotsim.cli``), help and usage
+    errors leave numpy unloaded.  The first engine call loads it and binds every
+    module's `np` to numpy itself, not to the stand-in."""
     code = """
-import contextlib, io, sys
-import qotsim, qotsim.harness
-from qotsim import cli
-from qotsim.params import build_bound_report, exact_failure_oracle, validate_params
-validate_params(3, 1, 6)
-build_bound_report(2, 1, 18)
-exact_failure_oracle(validate_params(4, 1, 40), "privacy")
+import contextlib, io, runpy, sys
 codes = []
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    sys.argv = ["qotsim", "bounds", "--n", "2", "--m", "1", "--N", "18"]
+    try:
+        runpy.run_module("qotsim.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        codes.append(exc.code)
+    import qotsim, qotsim.harness
+    from qotsim import cli
+    from qotsim.params import build_bound_report, exact_failure_oracle, validate_params
+    validate_params(3, 1, 6)
+    build_bound_report(2, 1, 18)
+    exact_failure_oracle(validate_params(4, 1, 40), "privacy")
     for argv in ("bounds --n 2 --m 1 --N 18", "oracle --n 3 --m 1 --N 6 --event correctness",
                  "bounds --n 2 --m 1 --N 7", "--help"):
         try:
             codes.append(cli.main(argv.split()))
         except SystemExit as exc:
             codes.append(exc.code)
-print(codes, "numpy._core" in sys.modules)
+print(codes, "numpy" in sys.modules)
 from qotsim.protocol import run_protocol
 run_protocol(validate_params(3, 1, 6), None, None, 1)
 print([name for name in ("protocol", "channel", "harness", "adversary", "commitment", "params")
        if sys.modules["qotsim." + name].np is not sys.modules["numpy"]])
 """
-    assert _run_python(code) == "[0, 0, 2, 0] False\n[]"
+    assert _run_python(code) == "[0, 0, 0, 2, 0] False\n[]"
 
 
 def test_threaded_first_use_matches_the_serial_run():
