@@ -19,9 +19,9 @@ at the first engine call, so an oracle or bound report runs without it.  Reports
 from a writer that appends pieces to one list, joined once, byte-identical
 to ``json.dumps(indent=2)`` of the :func:`round_sig` document; a float goes
 through repr only at a positive or three-digit exponent, nan or inf.
-The brute-force check enumerates all 2^N outcomes, with a popcount table
-built once per width: it checks the oracle's binomial walk, but not the runs
-of match counts where each event holds (:func:`event_runs`), which it shares.
+Brute force enumerates every high prefix of the 2^N outcomes and looks each low
+one up once per prefix popcount, in a table built once per width: it checks the
+oracle's binomial walk, not the runs where each event holds (:func:`event_runs`).
 The oracle (:mod:`qotsim.params`) takes one walk per N, shared by every
 (n, m) and event, resumed from checkpoints in a bounded cache keyed on N.
 """
@@ -151,25 +151,26 @@ def _popcount_bits(width: int) -> np.ndarray:
 
 
 def brute_force_failure_probability(params: ProtocolParams, event: str = "correctness") -> Fraction:
-    """Check the oracle's binomial sum: enumerate, in chunks, all 2^N outcomes
+    """Check the oracle's binomial sum: count, in chunks, all 2^N outcomes
     of the N <= 20 survivor basis-agreement coins.
 
-    The event table is an int with bit M set iff the event holds at match
-    count M, built from the oracle's own runs (:func:`event_runs`), so this
-    checks the sum, not a run.  A read-only uint16 array, built once per
-    width (:func:`_popcount_bits`), holds 1 << popcount(l) for the
-    2^min(N,15) low mask bits l, and for high prefix h each outcome ANDs its
-    entry with the low 16 bits of the table shifted down by popcount(h).
-    The nonzero results are tallied.
+    The event table is an int with bit M set iff the event holds at match count M, built
+    from the oracle's own runs (:func:`event_runs`), so this checks the sum, not a run.  A
+    read-only uint16 array, built once per width (:func:`_popcount_bits`), holds
+    1 << popcount(l) for the 2^min(N,15) low mask bits l.  Every high prefix is enumerated
+    for its popcount c; per class c, each low outcome ANDs its entry with the low 16 bits
+    of the table shifted down by c, and the nonzero results are tallied once, weighted by
+    the count of prefixes in the class.
     """
     N = params.N
     if N > 20:
         raise ValueError("brute force enumeration is limited to N <= 20")
-    # tally outcome by outcome, so the enumeration stays the checked route
+    # each low outcome once per prefix popcount: no recurrence or comb, so it stays checked
     table = sum((1 << b) - (1 << a) for a, b in event_runs(params, event))
     low = _popcount_bits(min(N, 15))
-    hits = sum(int(np.count_nonzero(low & np.uint16(table >> h.bit_count() & 0xFFFF)))
-               for h in range(1 << max(N - 15, 0)))
+    pops = [h.bit_count() for h in range(1 << max(N - 15, 0))]
+    hits = sum(pops.count(c) * int(np.count_nonzero(low & np.uint16(table >> c & 0xFFFF)))
+               for c in set(pops))
     return Fraction(hits, 1 << N)
 
 

@@ -4,13 +4,13 @@ Admissibility decisions (target rate, removal count, subset size) use exact
 integer/rational arithmetic; only final probability bounds are evaluated in
 floating point.  Two labeled bound forms are exposed for each claim: the raw
 two-sided concentration bound 2*exp(-2*N*delta^2) and the simplified eps^N
-form with eps = exp(-delta^2), which dominates the raw bound once
-N > ln(2)/delta^2.  Each exact event is at most two runs of the survivor
-match count M ~ Binomial(N, 1/2), with closed-form ends (:func:`event_runs`),
-and the oracle sums binomial terms over them in plain integers, from one
-walk per N, shared by every (n, m) and event, resumed from checkpoints in a
-bounded cache keyed on N, into a rational built in lowest terms without a
-gcd.  A bound report's (n, m) fields and a checked (n, m, N) are kept too.
+form with eps = exp(-delta^2), which dominates the raw bound once N > ln(2)/delta^2.
+Each exact event is at most two runs of the survivor match count M ~ Binomial(N, 1/2),
+with closed-form ends (:func:`event_runs`), and the oracle sums binomial terms over them
+in plain integers, from one walk per N, shared by every (n, m) and event, resumed from
+checkpoints in a bounded cache keyed on N, into a rational built in lowest terms without
+a gcd.  A bound report's (n, m) fields and a checked (n, m, N) are kept too, and both
+records are filled once (:func:`_record`), not field by field.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -122,6 +122,12 @@ class ProtocolParams:
     target_rate: Fraction
 
 
+def _record(cls, **values):
+    """A frozen dataclass `cls` whose dict is `values`, every field in order: one fill."""
+    object.__setattr__(record := object.__new__(cls), "__dict__", values)
+    return record
+
+
 def validate_params(n: int, m: int, N: int) -> ProtocolParams:
     """Check every admissibility constraint and return the populated params.
 
@@ -140,8 +146,8 @@ def _validated(n: int, m: int, N: int) -> ProtocolParams:
     if (N - x) % n != 0:
         raise InvalidN(f"(N - x) = {N - x} must be divisible by n = {n} to form equal-size subsets")
     # compute_x has checked (n, m)
-    return ProtocolParams(n=n, m=m, N=N, case=Case.LOW if 2 * m + 1 < n else Case.HIGH, x=x,
-                          subset_size=(N - x) // n, target_rate=Fraction(2 * m + 1, 2 * n))
+    return _record(ProtocolParams, n=n, m=m, N=N, case=Case.LOW if 2 * m + 1 < n else Case.HIGH,
+                   x=x, subset_size=(N - x) // n, target_rate=Fraction(2 * m + 1, 2 * n))
 
 
 def smallest_valid_N(n: int, m: int, floor: float = 1) -> int:
@@ -289,7 +295,9 @@ def _prefix(N: int, k: int) -> int:
     """P(k) = sum(comb(N, M) for M < k), 0 <= k <= N+1: 2^N - P(N+1-k) if 2k > N+1, else
     the walk up from the nearest checkpoint M <= k, adding comb(N, M) + comb(N, M+1) =
     comb(N+1, M+1) by the step comb(N+1, j+2) = comb(N+1, j) * (N+1-j)(N-j) // ((j+1)(j+2)),
-    then one single term if k is odd."""
+    then one single term if k is odd; P(0) = 0 needs no walk."""
+    if not k:
+        return 0
     if 2 * k > N + 1:
         return (1 << N) - _prefix(N, N + 1 - k)
     walk, h, end = _checkpoints(N), N >> 5 & -2 or 2, k & ~1  # h = 2 * max(1, N >> 6)
@@ -364,13 +372,14 @@ class BoundReport:
 @functools.lru_cache(maxsize=32)
 def _bound_constants(n: int, m: int) -> tuple[dict, float]:
     """A checked (n, m)'s report fields that depend on neither N nor p, and the
-    float deviation delta; callers copy the dict.  Both tail bounds share delta
-    = 1/(2k), so each privacy field repeats its correctness field."""
+    float deviation delta; callers copy the dict, which holds every field, None if unset.
+    Both tail bounds share delta = 1/(2k), so each privacy field repeats its correctness one."""
     delta, eps = correctness_epsilon(n, m)
     fd = float(delta)
     # the raw bound's closed form "2*exp(-c*N)": its rate c = 2*delta^2 is 1/(2k^2)
     form, least = f"2*exp(-N/{delta.denominator**2 // 2})", min_N(fd)
     return dict(
+        dict.fromkeys(f.name for f in fields(BoundReport)),
         n=n, m=m, case=case_of(n, m).value, target_rate=str(Fraction(2 * m + 1, 2 * n)),
         delta_correctness=str(delta), delta_privacy=str(delta),
         privacy_sign_anomaly=privacy_deviation_signed(n, m) < 0,
@@ -390,16 +399,16 @@ def build_bound_report(
         check_cheat_probability(p)
     _require_choice_count(n, m)  # before the lookup: [2], True and 2.0 are refused
     constants, delta = _bound_constants(n, m)
-    fields = dict(constants, p=p)
+    values = dict(constants, p=p)
     if N is not None:
         params = validate_params(n, m, N)
-        raw, eps_pow = hoeffding_bound(N, delta), fields["eps_correctness"] ** N
-        fields.update(N=N, x=params.x, subset_size=params.subset_size,
+        raw, eps_pow = hoeffding_bound(N, delta), values["eps_correctness"] ** N
+        values.update(N=N, x=params.x, subset_size=params.subset_size,
                       hoeffding_correctness=raw, hoeffding_privacy=raw,
                       eps_correctness_pow_N=eps_pow, eps_privacy_pow_N=eps_pow)
         if p is not None:
             bound, eps = commitment_attack_bound(p, n, N, params.x)
-            fields.update(commitment_bound=bound, commitment_eps=eps)
+            values.update(commitment_bound=bound, commitment_eps=eps)
     elif p is not None:
-        fields.update(commitment_eps=p ** (1.0 / (2 * n)))
-    return BoundReport(**fields)
+        values.update(commitment_eps=p ** (1.0 / (2 * n)))
+    return _record(BoundReport, **values)

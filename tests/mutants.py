@@ -174,6 +174,19 @@ MUTANTS = [
      '(("width", width), ("start", start), ("count", count))',
      '(("start", start), ("count", count))',
      "tests/test_channel.py -k block_refuses"),
+    ("brute force drops a class's prefix count", HARNESS,
+     "pops.count(c) * int(",
+     "int(",
+     "tests/test_harness.py -k chunk_edges"),
+    ("P(0) shortcut returns 1", PARAMS,
+     "    if not k:\n        return 0\n",
+     "    if not k:\n        return 1\n",
+     "tests/test_params.py::test_exact_oracle_matches_comb_sum_past_brute_force "
+     "tests/test_acceptance.py::test_criterion_05_oracle_brute_force_equivalence"),
+    ("bound report filled from its (n, m) fields only", PARAMS,
+     "return _record(BoundReport, **values)",
+     "return _record(BoundReport, **constants)",
+     "tests/test_params.py -k bound_layer_is_pinned"),
     ("numpy imported with the package", PARAMS,
      "np = _Numpy()",
      "import numpy as np",

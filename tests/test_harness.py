@@ -99,10 +99,11 @@ def _admissible(N):
                 pass
 
 
-# the chunk edge is 15 low bits: N = 14 and 15 run in one chunk, 16 and up in
-# 2^(N-15).  N = 16 admits no (n, m), so it runs on a set whose N is replaced,
-# which the count identity does not need admissible
-EDGE_SETS = [params for N in (14, 15, 17, 20) for params in _admissible(N)] + [
+# the chunk edge is 15 low bits: N = 14 and 15 run in one chunk, 16 and up
+# enumerate 2^(N-15) high prefixes in N-14 popcount classes, so N = 16..20 take
+# every class count up to 20.  N = 16 admits no (n, m), so it runs on a set
+# whose N is replaced, which the count identity does not need admissible
+EDGE_SETS = [params for N in (14, 15, 17, 18, 19, 20) for params in _admissible(N)] + [
     dataclasses.replace(validate_params(4, 1, 20), N=16)]
 
 

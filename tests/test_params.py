@@ -353,6 +353,40 @@ def test_bound_report_depends_on_no_call_order():
         assert _bound_constants(*args[:2])[0] == constants[args]
 
 
+# the fields a bound report leaves None without N, and without p
+_N_FIELDS = ("N", "x", "subset_size", "hoeffding_correctness", "hoeffding_privacy",
+             "eps_correctness_pow_N", "eps_privacy_pow_N", "commitment_bound")
+_P_FIELDS = ("p", "commitment_eps", "commitment_bound")
+
+
+@pytest.mark.parametrize("make, args", [
+    *((build_bound_report, (4, 1, N, p)) for N in (None, 400) for p in (None, 0.5)),
+    (validate_params, (4, 1, 40)), (validate_params, (3, 1, 6))],
+    ids=lambda v: getattr(v, "__name__", str(v)))
+def test_records_filled_once_behave_like_init_built_ones(make, args):
+    """A record filled in one step is the frozen dataclass that its generated __init__
+    builds from the same fields: the same dict in field order, ==, hash, repr, asdict and
+    replace; it refuses assignment, and every field the call omits reads None."""
+    record = make(*args)
+    names = [field.name for field in dataclasses.fields(record)]
+    built = type(record)(**{name: getattr(record, name) for name in names})
+    assert list(vars(record)) == names and vars(record) == vars(built)
+    assert record == built and hash(record) == hash(built) and repr(record) == repr(built)
+    assert dataclasses.asdict(record) == dataclasses.asdict(built)
+    assert dataclasses.replace(record) == built
+    assert dataclasses.replace(record, m=2) == dataclasses.replace(built, m=2) != built
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del record.n
+    omitted = set()
+    if make is build_bound_report:
+        N, p = args[2:]
+        omitted = {*(_N_FIELDS if N is None else ()), *(_P_FIELDS if p is None else ())}
+    assert {name for name in names if getattr(record, name) is None} == omitted
+
+
 def test_bound_report_without_N():
     report = build_bound_report(4, 1, p=0.3)
     assert report.N is None and report.hoeffding_privacy is None
